@@ -9,9 +9,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bbc_core::{
-    best_response::{self, BestResponseOptions, DeviationOracle},
-    Configuration, Evaluator, GameSpec, NodeId,
+    best_response::{self, BestResponseOptions},
+    Configuration, DistanceEngine, Evaluator, GameSpec, NodeId,
 };
+use bbc_graph::UNREACHABLE;
 
 /// Naive best response: clone the configuration and re-evaluate the full
 /// graph for every k-subset of targets.
@@ -46,17 +47,49 @@ fn naive_best_response(spec: &GameSpec, config: &Configuration, u: NodeId) -> u6
     }
 }
 
-/// Oracle-based flat enumeration: oracle rows, but price every subset with
-/// no pruning (ablates the branch-and-bound).
+/// Oracle-based flat enumeration: one deviation row per candidate, but
+/// price every subset with no pruning (ablates the branch-and-bound). Sum
+/// cost model only.
 fn oracle_flat_enumeration(spec: &GameSpec, config: &Configuration, u: NodeId) -> u64 {
-    let oracle = DeviationOracle::build(spec, config, u);
-    let pool = oracle.candidates().to_vec();
+    // Deviation rows `ℓ(u,c) + d_{G∖u}(c, ·)`: distances from each
+    // candidate once `u`'s links are cleared, penalty-clamped.
+    let mut stripped = config.clone();
+    stripped
+        .set_strategy(spec, u, Vec::new())
+        .expect("the empty strategy is always valid");
+    let mut engine = DistanceEngine::new(spec, stripped);
+    let pool = spec.affordable_targets(u);
+    let rows: Vec<Vec<u64>> = pool
+        .iter()
+        .map(|&c| {
+            let len = spec.link_length(u, c);
+            engine
+                .distances_from(c)
+                .iter()
+                .map(|&d| {
+                    if d == UNREACHABLE {
+                        spec.penalty()
+                    } else {
+                        len + d
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let strategy_cost = |subset: &[usize]| -> u64 {
+        NodeId::all(spec.node_count())
+            .filter(|&v| v != u)
+            .map(|v| {
+                let d = subset.iter().map(|&i| rows[i][v.index()]);
+                spec.weight(u, v) * d.min().unwrap_or(spec.penalty())
+            })
+            .sum()
+    };
     let k = spec.budget(u) as usize;
     let mut best = u64::MAX;
     let mut subset: Vec<usize> = (0..k.min(pool.len())).collect();
     loop {
-        let targets: Vec<NodeId> = subset.iter().map(|&i| pool[i]).collect();
-        best = best.min(oracle.strategy_cost(&targets));
+        best = best.min(strategy_cost(&subset));
         let mut i = subset.len();
         loop {
             if i == 0 {

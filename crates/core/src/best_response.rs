@@ -1,4 +1,4 @@
-//! Single-node best response via the deviation oracle.
+//! Single-node best response.
 //!
 //! The key structural fact (also behind Lemmas 3–5 of the paper): a shortest
 //! path from `u` never revisits `u`, so with `u`'s out-links removed from the
@@ -10,10 +10,15 @@
 //!
 //! where `d_{G∖u}` is independent of `S`. One shortest-path run per candidate
 //! target therefore prices *every* strategy, and best response reduces to an
-//! asymmetric k-median-style subset search over precomputed rows. We solve it
-//! exactly by branch-and-bound ([`exact`]) with an optimistic elementwise-min
-//! bound, or approximately by greedy-plus-swaps ([`greedy`]) for instances
-//! where the exact search is out of reach.
+//! asymmetric k-median-style subset search over precomputed rows. The
+//! [`crate::DistanceEngine`] caches those rows and runs the one exact search:
+//! a branch-and-bound DFS whose optimistic bound comes from one of two
+//! sources — the exact per-candidate suffix-min rows, or the engine's cached
+//! landmark bound rows (see [`crate::LandmarkPolicy`]). Both are admissible,
+//! so the source never changes a decision, only the effort counters.
+//! [`exact`] is a one-shot wrapper over a fresh engine; [`greedy`] is the
+//! greedy-plus-swaps approximation for instances where the exact search is
+//! out of reach.
 //!
 //! ## Row representation
 //!
@@ -22,14 +27,16 @@
 //! every finite through-distance `ℓ(u,c) + d` is strictly below `M` (the spec
 //! enforces `M > n·max ℓ`), clamping commutes with the elementwise `min` the
 //! search is built on, and the branch-and-bound inner loops become branchless
-//! sums over flat `u64` rows — the difference between ~300µs and ~40µs per
+//! sums over flat rows — the difference between ~300µs and ~40µs per
 //! best-response step at `n = 24, k = 3`. The frozen pre-refactor
 //! implementation lives in [`crate::reference`] and the differential suite
 //! proves the two byte-identical.
 
-use bbc_graph::{BfsBuffer, DijkstraBuffer, RowWord, UNREACHABLE};
+use bbc_graph::RowWord;
 
-use crate::{Configuration, CostModel, Error, GameSpec, NodeId, Result};
+use crate::{
+    Configuration, CostModel, DistanceEngine, Error, GameSpec, LandmarkPolicy, NodeId, Result,
+};
 
 /// Tuning knobs for the exact best-response search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -126,18 +133,16 @@ impl BestResponseOutcome {
     }
 }
 
-/// The strategy-independent inputs of one node's best-response search, with
-/// rows in clamped flat form. Borrowed either from a [`DeviationOracle`]
-/// (`W = u64`) or from the [`crate::DistanceEngine`] row cache, whose word
-/// width follows the engine's row tier.
-pub(crate) struct OracleView<'r, W = u64> {
+/// The strategy-independent inputs of one node's best-response search, as
+/// the [`crate::DistanceEngine`] stages them. The clamped through-rows
+/// travel beside the view, flattened with stride `n` at the engine's row
+/// width: `rows[i*n + v] = ℓ(u, c_i) + d_{G∖u}(c_i, v)`, with `M` for
+/// unreachable `v`.
+pub(crate) struct OracleView<'r> {
     pub spec: &'r GameSpec,
     pub node: NodeId,
     /// Candidate targets, ascending by id.
     pub candidates: &'r [NodeId],
-    /// Clamped through-rows, flattened: `rows[i*n + v] = ℓ(u, c_i) +
-    /// d_{G∖u}(c_i, v)`, with `M` for unreachable `v`.
-    pub rows: &'r [W],
     /// Link cost of each candidate.
     pub prices: &'r [u64],
     /// `(v, w(u,v))` for positive-weight targets `v ≠ u`. Under partial
@@ -152,16 +157,10 @@ pub(crate) struct OracleView<'r, W = u64> {
     pub all_live: bool,
 }
 
-impl<W: RowWord> OracleView<'_, W> {
+impl OracleView<'_> {
     #[inline]
     fn n(&self) -> usize {
         self.spec.node_count()
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[W] {
-        let n = self.n();
-        &self.rows[i * n..(i + 1) * n]
     }
 
     /// `true` when costs collapse to a plain row sum minus the diagonal:
@@ -173,7 +172,7 @@ impl<W: RowWord> OracleView<'_, W> {
     }
 
     /// Aggregates a clamped distance row into a cost under the spec's model.
-    pub(crate) fn aggregate(&self, row: &[W]) -> u64 {
+    fn aggregate<W: RowWord>(&self, row: &[W]) -> u64 {
         if self.plain_sum() {
             return row.iter().map(|d| d.widen()).sum::<u64>() - row[self.node.index()].widen();
         }
@@ -193,8 +192,8 @@ impl<W: RowWord> OracleView<'_, W> {
     }
 
     /// Aggregates the elementwise minimum of two clamped rows without
-    /// materializing it (the branch-and-bound optimistic bound).
-    pub(crate) fn aggregate_min(&self, a: &[W], b: &[W]) -> u64 {
+    /// materializing it.
+    fn aggregate_min<W: RowWord>(&self, a: &[W], b: &[W]) -> u64 {
         if self.plain_sum() {
             let total: u64 = a.iter().zip(b).map(|(&x, &y)| x.min(y).widen()).sum();
             let u = self.node.index();
@@ -214,139 +213,40 @@ impl<W: RowWord> OracleView<'_, W> {
                 .unwrap_or(0),
         }
     }
-}
 
-/// Precomputed per-candidate distance rows for one deviating node.
-///
-/// Exposes [`DeviationOracle::strategy_cost`] so tests and heuristics can
-/// price arbitrary strategies in `O(|S|·n)` without touching the graph.
-#[derive(Debug)]
-pub struct DeviationOracle<'a> {
-    spec: &'a GameSpec,
-    node: NodeId,
-    /// Candidate targets, ascending by id.
-    candidates: Vec<NodeId>,
-    /// Clamped through-rows, flattened with stride `n` (see [`OracleView`]).
-    rows: Vec<u64>,
-    /// Link cost of each candidate.
-    prices: Vec<u64>,
-    /// `(v, w(u,v))` for positive-weight targets `v ≠ u`.
-    weighted_targets: Vec<(u32, u64)>,
-    budget: u64,
-}
-
-impl<'a> DeviationOracle<'a> {
-    /// Builds the oracle for node `u` under `config`: strips `u`'s links and
-    /// runs one shortest-path traversal per affordable candidate target.
-    pub fn build(spec: &'a GameSpec, config: &Configuration, u: NodeId) -> Self {
-        let n = spec.node_count();
-        let mut graph = config.to_graph(spec);
-        graph.take_out_arcs(u.index());
-
-        let candidates = spec.affordable_targets(u);
-        let mut rows = Vec::with_capacity(candidates.len() * n);
-        let mut prices = Vec::with_capacity(candidates.len());
-        if spec.has_unit_lengths() {
-            let mut bfs = BfsBuffer::new(n);
-            for &c in &candidates {
-                bfs.run(&graph, c.index());
-                push_clamped_row(&mut rows, bfs.distances(), spec.link_length(u, c), spec);
-                prices.push(spec.link_cost(u, c));
-            }
-        } else {
-            let mut dij = DijkstraBuffer::new(n);
-            for &c in &candidates {
-                dij.run(&graph, c.index());
-                push_clamped_row(&mut rows, dij.distances(), spec.link_length(u, c), spec);
-                prices.push(spec.link_cost(u, c));
-            }
-        }
-
-        Self {
-            spec,
-            node: u,
-            candidates,
-            rows,
-            prices,
-            weighted_targets: weighted_targets_of(spec, u),
-            budget: spec.budget(u),
-        }
+    /// The disconnection penalty at row width.
+    fn penalty<W: RowWord>(&self) -> W {
+        // bbc-lint: allow(panic, the engine's tier check proved the penalty representable in W)
+        W::from_u64(self.spec.penalty()).expect("penalty fits the row tier")
     }
 
-    /// The deviating node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Candidate targets the node can afford individually.
-    pub fn candidates(&self) -> &[NodeId] {
-        &self.candidates
-    }
-
-    pub(crate) fn view(&self) -> OracleView<'_> {
-        OracleView {
-            spec: self.spec,
-            node: self.node,
-            candidates: &self.candidates,
-            rows: &self.rows,
-            prices: &self.prices,
-            weighted_targets: &self.weighted_targets,
-            budget: self.budget,
-            all_live: true,
-        }
-    }
-
-    /// Cost the node would pay with strategy `targets`, priced through the
-    /// oracle rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if some target is not an oracle candidate (i.e. not affordable
-    /// or equal to the node itself).
-    pub fn strategy_cost(&self, targets: &[NodeId]) -> u64 {
-        let view = self.view();
-        let n = self.spec.node_count();
-        let mut row = vec![self.spec.penalty(); n];
-        for &t in targets {
+    /// Cost of `strategy` priced through `rows`, with `scratch` holding its
+    /// min-row afterwards. Every target must be a candidate whose row is
+    /// present.
+    fn strategy_cost<W: RowWord>(
+        &self,
+        rows: &[W],
+        strategy: &[NodeId],
+        scratch: &mut Vec<W>,
+    ) -> u64 {
+        let n = self.n();
+        scratch.clear();
+        scratch.resize(n, self.penalty());
+        for &t in strategy {
             let i = self
                 .candidates
                 .binary_search(&t)
-                // bbc-lint: allow(panic, documented # Panics contract: callers must pass candidate targets)
-                .unwrap_or_else(|_| panic!("{t} is not a candidate target of {}", self.node));
-            min_into(&mut row, view.row(i));
+                // bbc-lint: allow(panic, the engine validated every held target as a live affordable candidate)
+                .expect("a held strategy target is always a live, affordable candidate");
+            min_into(scratch, &rows[i * n..(i + 1) * n]);
         }
-        view.aggregate(&row)
+        self.aggregate(scratch)
     }
-}
-
-/// `(v, w(u,v))` for positive-weight targets `v ≠ u`.
-pub(crate) fn weighted_targets_of(spec: &GameSpec, u: NodeId) -> Vec<(u32, u64)> {
-    NodeId::all(spec.node_count())
-        .filter(|&v| v != u)
-        .filter_map(|v| {
-            let w = spec.weight(u, v);
-            // bbc-lint: allow(narrowing-cast, node ids are < n <= u32::MAX per GameSpec validation)
-            (w > 0).then_some((v.index() as u32, w))
-        })
-        .collect()
-}
-
-/// Appends the clamped through-row `min(ℓ + d, M-for-unreachable)` to `out`.
-pub(crate) fn push_clamped_row(out: &mut Vec<u64>, dist: &[u64], link_len: u64, spec: &GameSpec) {
-    let m = spec.penalty();
-    out.extend(dist.iter().map(|&d| {
-        if d == UNREACHABLE {
-            m
-        } else {
-            debug_assert!(link_len + d < m, "finite distance at or above penalty");
-            link_len + d
-        }
-    }));
 }
 
 /// `dst[v] = min(dst[v], src[v])` elementwise.
 #[inline]
-pub(crate) fn min_into<W: RowWord>(dst: &mut [W], src: &[W]) {
+fn min_into<W: RowWord>(dst: &mut [W], src: &[W]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = (*d).min(s);
     }
@@ -367,7 +267,7 @@ fn copy_min<W: RowWord>(dst: &mut [W], a: &[W], b: &[W]) {
 /// total widens each term into `u64` first ([`RowWord::widen`] is free for
 /// `u64` and a zero-extension the vectorizer folds into the add for `u32`),
 /// so both widths compute bit-identical costs and bounds.
-trait Aggregate<W: RowWord> {
+pub(crate) trait Aggregate<W: RowWord> {
     /// Cost of a clamped row.
     fn row(&self, row: &[W]) -> u64;
     /// Cost of `min(a, b)` elementwise, without materializing it, used only
@@ -378,7 +278,7 @@ trait Aggregate<W: RowWord> {
     fn copy_min2(&self, dst: &mut [W], a: &[W], b: &[W]) -> u64;
     /// Upper bound on `min2(a, b, ·)`'s non-bailout value over **every**
     /// possible `a`: a level-independent ceiling on what the prune bound
-    /// against `b` can reach. The landmark search gates its per-node `min2`
+    /// against `b` can reach. The landmark source gates its per-node `min2`
     /// pass on this (`ceiling < incumbent` ⇒ the bound cannot prune, skip
     /// it). The default — the plain cost of `b` — is valid for any
     /// implementation whose bound only shrinks as `a` shrinks; [`PlainSum`]
@@ -390,9 +290,9 @@ trait Aggregate<W: RowWord> {
     /// except that once the value is provably `≥ cutoff` the implementation
     /// may bail out with any value `≥ cutoff`. Unlike [`Aggregate::min2`]
     /// this must never over-report a value `< cutoff` (no admissible-bound
-    /// corrections): the landmark search records it as a real strategy cost
-    /// at budget-leaf nodes. The default is correct wherever `min2` is
-    /// already exact-or-bailout; [`PlainSum`] overrides to drop its packing
+    /// corrections): the search records it as a real strategy cost at
+    /// budget-leaf nodes. The default is correct wherever `min2` is already
+    /// exact-or-bailout; [`PlainSum`] overrides to drop its packing
     /// correction.
     fn eval2(&self, a: &[W], b: &[W], cutoff: u64) -> u64 {
         self.min2(a, b, cutoff)
@@ -496,17 +396,27 @@ impl<W: RowWord> Aggregate<W> for PlainSum {
     #[inline(always)]
     fn eval2(&self, a: &[W], b: &[W], cutoff: u64) -> u64 {
         // Exact (no packing correction — that is a *bound* device and would
-        // over-report a recordable cost); same chunked early exit as `min2`.
+        // over-report a recordable cost), with `min2`'s early exit per
+        // 64-entry chunk. Fixed-size chunks plus one remainder pass: this
+        // runs at every budget leaf, and on rows shorter than a chunk the
+        // variable-size chunking measured slower than the plain pass.
         let sub = a[self.u].min(b[self.u]);
         let limit = cutoff.saturating_add(sub.widen());
         let mut total = W::ZERO;
-        for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            for (&x, &y) in ca.iter().zip(cb) {
+        let (mut ca, mut cb) = (a.chunks_exact(64), b.chunks_exact(64));
+        for (xa, xb) in (&mut ca).zip(&mut cb) {
+            for (&x, &y) in xa.iter().zip(xb) {
                 total = total + x.min(y);
             }
             if total.widen() >= limit {
                 return u64::MAX;
             }
+        }
+        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+            total = total + x.min(y);
+        }
+        if total.widen() >= limit {
+            return u64::MAX;
         }
         total.widen() - sub.widen()
     }
@@ -582,52 +492,41 @@ impl<W: RowWord> Aggregate<W> for WeightedMax<'_> {
     }
 }
 
-/// Reusable branch-and-bound workspace: the suffix-min bound rows and the
-/// per-depth accumulated min-rows, flattened to two arenas so a search
-/// allocates nothing when the scratch is warm.
+/// Reusable branch-and-bound workspace: the per-depth accumulated min-rows
+/// flattened into one arena, so a search allocates nothing when the scratch
+/// is warm.
 #[derive(Clone, Debug)]
-pub(crate) struct SearchScratch<W = u64> {
-    suffix: Vec<W>,
+pub(crate) struct SearchScratch<W> {
     levels: Vec<W>,
     selection: Vec<usize>,
     /// `min_price_suffix[i]` = cheapest link cost among candidates `i..m`
     /// (`u64::MAX` at `m`): lets the search skip subtrees where the
     /// remaining budget cannot afford any further candidate.
     min_price_suffix: Vec<u64>,
+    /// The current strategy's min-row (pricing scratch).
+    current: Vec<W>,
 }
 
 impl<W: RowWord> Default for SearchScratch<W> {
     fn default() -> Self {
         Self {
-            suffix: Vec::new(),
             levels: Vec::new(),
             selection: Vec::new(),
             min_price_suffix: Vec::new(),
+            current: Vec::new(),
         }
     }
 }
 
-impl<W: RowWord> SearchScratch<W> {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    fn reserve(&mut self, m: usize, n: usize) {
-        self.suffix.clear();
-        self.suffix.resize((m + 1) * n, W::ZERO);
-        self.reserve_without_suffix(m, n);
-    }
-
-    /// [`SearchScratch::reserve`] minus the suffix arena — the landmark
-    /// search replaces the `m × n` suffix-min rows with `groups × n` cached
-    /// bound rows, so it never builds (or touches) `suffix`.
-    fn reserve_without_suffix(&mut self, m: usize, n: usize) {
-        self.levels.clear();
-        self.levels.resize((m + 1) * n, W::ZERO);
-        self.selection.clear();
-        self.min_price_suffix.clear();
-        self.min_price_suffix.resize(m + 1, u64::MAX);
-    }
+/// The staged candidate rows one search reads.
+pub(crate) struct StagedRows<'s, W> {
+    /// Clamped through-rows, stride `n`, one per candidate of the view.
+    pub rows: &'s mut [W],
+    /// Whether each row holds exact data yet; a missing row is a placeholder
+    /// until the search first includes its candidate.
+    pub present: &'s mut [bool],
+    /// Fills candidate `i`'s exact row into the slice it is given.
+    pub fetch: &'s mut dyn FnMut(usize, &mut [W]),
 }
 
 /// Exact best response for node `u` under `config`.
@@ -635,6 +534,10 @@ impl<W: RowWord> SearchScratch<W> {
 /// Enumerates every budget-feasible strategy by branch-and-bound over the
 /// oracle rows. Deterministic: with equal costs, the first strategy in the
 /// search order (candidates ascending, include-before-exclude) wins.
+///
+/// One-shot convenience over a fresh [`DistanceEngine`] with
+/// [`LandmarkPolicy::Off`]; callers with more than one query should hold an
+/// engine, whose row and outcome caches then carry over.
 ///
 /// # Errors
 ///
@@ -664,23 +567,13 @@ pub fn exact(
     u: NodeId,
     options: &BestResponseOptions,
 ) -> Result<BestResponseOutcome> {
-    let oracle = DeviationOracle::build(spec, config, u);
-    exact_with_oracle(&oracle, config, options)
+    DistanceEngine::new(spec, config.clone())
+        .with_landmarks(LandmarkPolicy::Off)
+        .best_response(u, options)
 }
 
-/// Exact best response reusing a prebuilt oracle.
-pub fn exact_with_oracle(
-    oracle: &DeviationOracle<'_>,
-    config: &Configuration,
-    options: &BestResponseOptions,
-) -> Result<BestResponseOutcome> {
-    let current_cost = oracle.strategy_cost(config.strategy(oracle.node()));
-    let mut scratch = SearchScratch::new();
-    run_search(&oracle.view(), current_cost, options, &mut scratch)
-}
-
-/// The branch-and-bound search over a prepared view. `current_cost` must be
-/// the cost of the node's present strategy priced through the same rows.
+/// The branch-and-bound search over a staged view, pricing the node's
+/// current `strategy` through the same rows (its rows must be present).
 ///
 /// The incumbent starts at `current_cost + 1` rather than `∞`. This is
 /// sound and changes no reported field except `evaluations`: the node's
@@ -694,27 +587,30 @@ pub fn exact_with_oracle(
 /// incumbent). The payoff is that testing an already-stable node — the
 /// dominant operation in walk tails and stability sweeps — prunes almost
 /// the entire subset lattice immediately.
-pub(crate) fn run_search<W: RowWord>(
-    view: &OracleView<'_, W>,
-    current_cost: u64,
+///
+/// Candidate rows are fetched the first time the search includes their
+/// candidate, and a budget-leaf include (no deeper candidate affordable) is
+/// costed with [`Aggregate::eval2`] instead of materializing a next-level
+/// row nothing would read. Either way each include records exactly one
+/// cost, so neither device moves `evaluations`.
+pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
+    view: &OracleView<'_>,
+    staged: StagedRows<'_, W>,
+    strategy: &[NodeId],
+    bounds: &mut B,
     options: &BestResponseOptions,
     scratch: &mut SearchScratch<W>,
 ) -> Result<BestResponseOutcome> {
     let n = view.n();
     let m = view.candidates.len();
-    scratch.reserve(m, n);
-    // bbc-lint: allow(panic, the engine's tier check proved the penalty representable in W)
-    let penalty = W::from_u64(view.spec.penalty()).expect("penalty fits the row tier");
-
-    // Optimistic completion rows: suffix[i] = elementwise min of rows[i..];
-    // suffix[m] is all-penalty ("buy nothing more").
-    scratch.suffix[m * n..].fill(penalty);
-    for i in (0..m).rev() {
-        let (head, tail) = scratch.suffix.split_at_mut((i + 1) * n);
-        copy_min(&mut head[i * n..], &tail[..n], view.row(i));
-    }
+    let current_cost = view.strategy_cost(staged.rows, strategy, &mut scratch.current);
     // The empty strategy's row: every target at the penalty distance.
-    scratch.levels[..n].fill(penalty);
+    scratch.levels.clear();
+    scratch.levels.resize((m + 1) * n, W::ZERO);
+    scratch.levels[..n].fill(view.penalty());
+    scratch.selection.clear();
+    scratch.min_price_suffix.clear();
+    scratch.min_price_suffix.resize(m + 1, u64::MAX);
     for i in (0..m).rev() {
         scratch.min_price_suffix[i] = scratch.min_price_suffix[i + 1].min(view.prices[i]);
     }
@@ -731,35 +627,41 @@ pub(crate) fn run_search<W: RowWord>(
             allowed1: k,
             allowed2: k.saturating_add(k.saturating_mul(k)),
         };
-        run_search_with(view, agg, current_cost, options, scratch)
+        search_with(view, agg, staged, bounds, current_cost, options, scratch)
     } else {
         match view.spec.cost_model() {
             CostModel::SumDistance => {
                 let agg = WeightedSum {
                     targets: view.weighted_targets,
                 };
-                run_search_with(view, agg, current_cost, options, scratch)
+                search_with(view, agg, staged, bounds, current_cost, options, scratch)
             }
             CostModel::MaxDistance => {
                 let agg = WeightedMax {
                     targets: view.weighted_targets,
                 };
-                run_search_with(view, agg, current_cost, options, scratch)
+                search_with(view, agg, staged, bounds, current_cost, options, scratch)
             }
         }
     }
 }
 
-fn run_search_with<W: RowWord, A: Aggregate<W>>(
-    view: &OracleView<'_, W>,
+fn search_with<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
+    view: &OracleView<'_>,
     agg: A,
+    staged: StagedRows<'_, W>,
+    bounds: &mut B,
     current_cost: u64,
     options: &BestResponseOptions,
     scratch: &mut SearchScratch<W>,
 ) -> Result<BestResponseOutcome> {
+    let n = view.n();
+    bounds.prepare(&agg, staged.rows, view.candidates.len(), n);
     let mut search = Search {
         view,
         agg,
+        bounds,
+        staged,
         options,
         scratch,
         best_cost: current_cost.saturating_add(1),
@@ -767,14 +669,12 @@ fn run_search_with<W: RowWord, A: Aggregate<W>>(
         evaluations: 0,
         current_cost,
         done: false,
+        bounds_hit: 0,
     };
 
     // The empty strategy is always feasible; evaluate it as the baseline.
-    let empty_cost = {
-        let n = search.view.n();
-        search.agg.row(&search.scratch.levels[..n])
-    };
-    search.record(0, empty_cost)?;
+    let empty_cost = search.agg.row(&search.scratch.levels[..n]);
+    search.record(empty_cost)?;
     search.dfs(0, 0, 0)?;
 
     Ok(BestResponseOutcome {
@@ -784,14 +684,16 @@ fn run_search_with<W: RowWord, A: Aggregate<W>>(
         best_strategy: search.best_strategy,
         evaluations: search.evaluations,
         optimal: !search.done,
-        bounds_hit: 0,
-        rows_materialized: 0,
+        bounds_hit: search.bounds_hit,
+        rows_materialized: 0, // filled by the engine from its row counters
     })
 }
 
-struct Search<'o, 'r, W: RowWord, A: Aggregate<W>> {
-    view: &'o OracleView<'r, W>,
+struct Search<'o, 's, W: RowWord, A: Aggregate<W>, B: BoundSource<W>> {
+    view: &'o OracleView<'o>,
     agg: A,
+    bounds: &'o B,
+    staged: StagedRows<'s, W>,
     options: &'o BestResponseOptions,
     scratch: &'o mut SearchScratch<W>,
     best_cost: u64,
@@ -800,12 +702,13 @@ struct Search<'o, 'r, W: RowWord, A: Aggregate<W>> {
     current_cost: u64,
     /// Set when stop_at_first_improvement has triggered.
     done: bool,
+    bounds_hit: u64,
 }
 
-impl<W: RowWord, A: Aggregate<W>> Search<'_, '_, W, A> {
-    /// Records one evaluated selection (whose min-row sits at `level` and
-    /// costs `cost`) against the incumbent and the evaluation budget.
-    fn record(&mut self, _level: usize, cost: u64) -> Result<()> {
+impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
+    /// Records the current selection, costing `cost`, against the incumbent
+    /// and the evaluation budget.
+    fn record(&mut self, cost: u64) -> Result<()> {
         self.evaluations += 1;
         if self.evaluations > self.options.evaluation_limit {
             return Err(Error::SearchBudgetExceeded {
@@ -841,25 +744,39 @@ impl<W: RowWord, A: Aggregate<W>> Search<'_, '_, W, A> {
         let n = self.view.n();
         // Optimistic bound: even taking every remaining candidate for free
         // cannot beat the incumbent -> prune.
-        let bound = self.agg.min2(
-            &self.scratch.levels[level * n..(level + 1) * n],
-            &self.scratch.suffix[i * n..(i + 1) * n],
-            self.best_cost,
-        );
-        if bound >= self.best_cost {
+        let cur = &self.scratch.levels[level * n..(level + 1) * n];
+        if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
+            if B::COUNTS_HITS {
+                self.bounds_hit += 1;
+            }
             return Ok(());
         }
 
         // Include candidate i if affordable.
         let price = self.view.prices[i];
         if spent + price <= self.view.budget {
-            let (cur, next) = self.scratch.levels.split_at_mut((level + 1) * n);
-            let cost = self
-                .agg
-                .copy_min2(&mut next[..n], &cur[level * n..], self.view.row(i));
+            if !self.staged.present[i] {
+                (self.staged.fetch)(i, &mut self.staged.rows[i * n..(i + 1) * n]);
+                self.staged.present[i] = true;
+            }
+            let row = &self.staged.rows[i * n..(i + 1) * n];
             self.scratch.selection.push(i);
-            self.record(level + 1, cost)?;
-            self.dfs(i + 1, level + 1, spent + price)?;
+            if (spent + price).saturating_add(self.scratch.min_price_suffix[i + 1])
+                > self.view.budget
+            {
+                // Budget leaf: the recursion below this include would exit
+                // at its own price check before recording anything, so the
+                // next-level row would be write-only — cost the selection
+                // without materializing it.
+                let cur = &self.scratch.levels[level * n..(level + 1) * n];
+                let cost = self.agg.eval2(cur, row, self.best_cost);
+                self.record(cost)?;
+            } else {
+                let (cur, next) = self.scratch.levels.split_at_mut((level + 1) * n);
+                let cost = self.agg.copy_min2(&mut next[..n], &cur[level * n..], row);
+                self.record(cost)?;
+                self.dfs(i + 1, level + 1, spent + price)?;
+            }
             self.scratch.selection.pop();
         }
         // Exclude candidate i.
@@ -867,14 +784,73 @@ impl<W: RowWord, A: Aggregate<W>> Search<'_, '_, W, A> {
     }
 }
 
-/// Reusable workspace for the landmark-bounded search: the per-query bound
-/// rows that replace the exact suffix-min arena, plus their construction
-/// scratch. Owned by the engine so a warm query allocates nothing.
+/// Where the search's optimistic-completion bound comes from.
+///
+/// A source must be *admissible*: it may prune a subtree only when no
+/// selection inside it costs less than the incumbent. Every subtree holding
+/// an incumbent update then survives under either source, and every subtree
+/// a source prunes is update-free under the other too, so swapping sources
+/// changes no recorded decision — only the `evaluations` and `bounds_hit`
+/// effort counters.
+pub(crate) trait BoundSource<W: RowWord> {
+    /// Whether this source's prunes count toward
+    /// [`BestResponseOutcome::bounds_hit`], which reports the landmark
+    /// cascade only (the exact path reports 0).
+    const COUNTS_HITS: bool;
+    /// Readies the per-query bound state under the search's aggregator.
+    /// `rows` holds the `m` staged candidate rows with stride `n`.
+    fn prepare<A: Aggregate<W>>(&mut self, agg: &A, rows: &[W], m: usize, n: usize);
+    /// `true` when no selection extending the one whose min-row is `level`
+    /// by candidates `i..` can cost less than `incumbent`.
+    fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool;
+}
+
+/// The exact bound source: row `i` is the elementwise minimum of the
+/// candidate rows `i..m` — the best any completion drawing on those
+/// candidates can reach. Built per query in `O(m·n)`, from rows that must
+/// all be present.
+#[derive(Clone, Debug)]
+pub(crate) struct SuffixBounds<W> {
+    rows: Vec<W>,
+}
+
+impl<W: RowWord> Default for SuffixBounds<W> {
+    fn default() -> Self {
+        Self { rows: Vec::new() }
+    }
+}
+
+impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
+    const COUNTS_HITS: bool = false;
+
+    fn prepare<A: Aggregate<W>>(&mut self, _agg: &A, rows: &[W], m: usize, n: usize) {
+        self.rows.clear();
+        self.rows.resize(m * n, W::ZERO);
+        if m == 0 {
+            return;
+        }
+        self.rows[(m - 1) * n..].copy_from_slice(&rows[(m - 1) * n..]);
+        for i in (0..m - 1).rev() {
+            let (head, tail) = self.rows.split_at_mut((i + 1) * n);
+            copy_min(&mut head[i * n..], &tail[..n], &rows[i * n..(i + 1) * n]);
+        }
+    }
+
+    #[inline]
+    fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
+        let n = level.len();
+        agg.min2(level, &self.rows[i * n..(i + 1) * n], incumbent) >= incumbent
+    }
+}
+
+/// The landmark bound source: per-query bound rows built from the engine's
+/// cached full-`G` landmark rows, plus their construction scratch. Owned by
+/// the engine so a warm query allocates nothing.
 ///
 /// Candidates arrive ascending by id, so consecutive candidates sharing a
-/// [`BlockPartition`] block form contiguous *groups*. Per group `g` the
-/// build computes one admissible bound row over the whole candidate suffix
-/// starting at `g`'s first member:
+/// [`bbc_graph::BlockPartition`] block form contiguous *groups*. Per group
+/// `g` the build computes one admissible bound row over the whole candidate
+/// suffix starting at `g`'s first member:
 ///
 /// ```text
 /// bsfx[g][v] = min(M, ℓmin_g + max( max_l (r_l[v] − SMA_l,g)⁺ ,
@@ -886,16 +862,17 @@ impl<W: RowWord, A: Aggregate<W>> Search<'_, '_, W, A> {
 /// rows of those groups' blocks. Every term lower-bounds `d_G(c, v) ≤
 /// d_{G∖u}(c, v)` for *each* remaining candidate `c`, so `bsfx[g]`
 /// elementwise lower-bounds the exact suffix-min row at any position inside
-/// group `g` — an admissible stand-in for `suffix[i]` that costs
-/// `O(groups · n)` to store instead of `O(m · n)` to rebuild per query.
+/// group `g` — an admissible stand-in for it that costs `O(groups · n)` to
+/// store instead of `O(m · n)` to rebuild per query, and needs no candidate
+/// row present.
 #[derive(Clone, Debug)]
-pub(crate) struct LandmarkScratch<W = u64> {
+pub(crate) struct LandmarkScratch<W> {
     /// Group index of each staged candidate.
     group_of: Vec<u32>,
     /// Per-group bound rows, stride `n`.
     bsfx: Vec<W>,
     /// Per-group [`Aggregate::min2_ceiling`] of `bsfx` (the O(1) gate);
-    /// filled inside the monomorphized search.
+    /// filled by [`BoundSource::prepare`] under the search's aggregator.
     hi: Vec<u64>,
     groups: usize,
     /// Suffix-max of each landmark row over candidate groups (landmark-major,
@@ -923,400 +900,157 @@ impl<W: RowWord> Default for LandmarkScratch<W> {
 }
 
 impl<W: RowWord> LandmarkScratch<W> {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Builds the per-query bound rows (see [`LandmarkScratch`]) from the
-/// engine's cached full-`G` landmark rows and block envelope.
-///
-/// `lengths[i]` must be the link *length* `ℓ(u, candidates[i])` at row
-/// width; `lm_rows` are clamped `d_G(l, ·)` rows. Admissibility chain per
-/// remaining candidate `c` and target `v`: `(r_l[v] − r_l[c])⁺ ≤ d_G(c, v)`
-/// (triangle inequality, safe on clamped rows) and the block envelope is a
-/// further coarsening of the same bound, while `d_G ≤ d_{G∖u}` because
-/// removing `u`'s arcs only lengthens paths.
-#[allow(clippy::too_many_arguments)] // one call site, engine-internal plumbing
-pub(crate) fn build_landmark_bounds<W: RowWord>(
-    scratch: &mut LandmarkScratch<W>,
-    candidates: &[NodeId],
-    lengths: &[W],
-    lm_rows: &[&[W]],
-    part: &bbc_graph::BlockPartition,
-    env: &bbc_graph::BlockEnvelope<W>,
-    n: usize,
-    penalty: W,
-) {
-    let m = candidates.len();
-    scratch.group_of.clear();
-    scratch.groups = 0;
-    if m == 0 {
-        scratch.bsfx.clear();
-        return;
-    }
-
-    // Contiguous block groups + each group's block id and first member.
-    let mut group_block: Vec<u32> = Vec::new();
-    let mut group_start: Vec<u32> = Vec::new();
-    let mut cur_block = usize::MAX;
-    for (i, c) in candidates.iter().enumerate() {
-        let b = part.block_of(c.index());
-        if b != cur_block {
-            cur_block = b;
-            group_block.push(b as u32); // bbc-lint: allow(narrowing-cast, block ids are < n <= u32::MAX)
-            group_start.push(i as u32); // bbc-lint: allow(narrowing-cast, i indexes candidates, bounded by n)
+    /// Builds the per-query bound rows for `view`'s candidates from the
+    /// engine's cached full-`G` landmark rows and block envelope.
+    ///
+    /// `lm_rows` are clamped `d_G(l, ·)` rows. Admissibility chain per
+    /// remaining candidate `c` and target `v`: `(r_l[v] − r_l[c])⁺ ≤ d_G(c,
+    /// v)` (triangle inequality, safe on clamped rows) and the block
+    /// envelope is a further coarsening of the same bound, while `d_G ≤
+    /// d_{G∖u}` because removing `u`'s arcs only lengthens paths.
+    pub(crate) fn build(
+        &mut self,
+        view: &OracleView<'_>,
+        lm_rows: &[&[W]],
+        part: &bbc_graph::BlockPartition,
+        env: &bbc_graph::BlockEnvelope<W>,
+    ) {
+        let candidates = view.candidates;
+        let n = view.n();
+        let penalty: W = view.penalty();
+        let m = candidates.len();
+        self.group_of.clear();
+        self.groups = 0;
+        if m == 0 {
+            self.bsfx.clear();
+            return;
         }
-        // bbc-lint: allow(narrowing-cast, one group per block, so the count is bounded by n <= u32::MAX)
-        scratch.group_of.push((group_block.len() - 1) as u32);
-    }
-    let groups = group_block.len();
-    scratch.groups = groups;
 
-    // Suffix-min link length per group.
-    scratch.lmin.clear();
-    scratch.lmin.resize(groups, penalty);
-    let mut running = penalty;
-    for g in (0..groups).rev() {
-        let start = group_start[g] as usize;
-        let end = if g + 1 < groups {
-            group_start[g + 1] as usize
-        } else {
-            m
-        };
-        for &len in &lengths[start..end] {
-            running = running.min(len);
+        // Contiguous block groups + each group's block id and first member.
+        let mut group_block: Vec<u32> = Vec::new();
+        let mut group_start: Vec<u32> = Vec::new();
+        let mut cur_block = usize::MAX;
+        for (i, c) in candidates.iter().enumerate() {
+            let b = part.block_of(c.index());
+            if b != cur_block {
+                cur_block = b;
+                group_block.push(b as u32); // bbc-lint: allow(narrowing-cast, block ids are < n <= u32::MAX)
+                group_start.push(i as u32); // bbc-lint: allow(narrowing-cast, i indexes candidates, bounded by n)
+            }
+            // bbc-lint: allow(narrowing-cast, one group per block, so the count is bounded by n <= u32::MAX)
+            self.group_of.push((group_block.len() - 1) as u32);
         }
-        scratch.lmin[g] = running;
-    }
-
-    // Suffix-max of each landmark row over the candidates of groups ≥ g.
-    let lcount = lm_rows.len();
-    scratch.sma.clear();
-    scratch.sma.resize(lcount * groups, W::ZERO);
-    for (l, row) in lm_rows.iter().enumerate() {
-        let sma = &mut scratch.sma[l * groups..(l + 1) * groups];
-        let mut running = W::ZERO;
-        for g in (0..groups).rev() {
-            let start = group_start[g] as usize;
-            let end = if g + 1 < groups {
+        let groups = group_block.len();
+        self.groups = groups;
+        let group_end = |g: usize| {
+            if g + 1 < groups {
                 group_start[g + 1] as usize
             } else {
                 m
-            };
-            for c in &candidates[start..end] {
-                running = running.max(row[c.index()]);
             }
-            sma[g] = running;
-        }
-    }
-
-    // Suffix-combined block-envelope rows: cfx[g][B] = min over the blocks
-    // of groups ≥ g of env[block][B].
-    let blocks = part.block_count();
-    scratch.cfx.clear();
-    scratch.cfx.resize(groups * blocks, W::ZERO);
-    for g in (0..groups).rev() {
-        let a = group_block[g] as usize;
-        if g + 1 < groups {
-            let (head, tail) = scratch.cfx.split_at_mut((g + 1) * blocks);
-            let dst = &mut head[g * blocks..];
-            let prev = &tail[..blocks];
-            for (b, (d, &p)) in dst.iter_mut().zip(prev).enumerate() {
-                *d = p.min(env.bound(a, b));
-            }
-        } else {
-            for (b, d) in scratch.cfx[g * blocks..(g + 1) * blocks]
-                .iter_mut()
-                .enumerate()
-            {
-                *d = env.bound(a, b);
-            }
-        }
-    }
-
-    // Final bound rows, built in three vector passes per group: seed with
-    // the coarse block term, raise by each landmark term, then add the
-    // suffix-min link length and clamp at the penalty.
-    scratch.bsfx.clear();
-    scratch.bsfx.resize(groups * n, W::ZERO);
-    for g in 0..groups {
-        let dst = &mut scratch.bsfx[g * n..(g + 1) * n];
-        let cfx = &scratch.cfx[g * blocks..(g + 1) * blocks];
-        for (v, d) in dst.iter_mut().enumerate() {
-            *d = cfx[part.block_of(v)];
-        }
-        for (l, row) in lm_rows.iter().enumerate() {
-            let s = scratch.sma[l * groups + g];
-            for (d, &r) in dst.iter_mut().zip(*row) {
-                // (r − s)⁺, branchless.
-                *d = (*d).max(r.max(s) - s);
-            }
-        }
-        let lmin = scratch.lmin[g];
-        for d in dst.iter_mut() {
-            *d = penalty.min(lmin + *d);
-        }
-    }
-}
-
-/// The landmark-bounded branch-and-bound: identical DFS preorder, record
-/// semantics, and incumbent seeding as [`run_search`], with two changes that
-/// provably never alter a reported decision field:
-///
-/// * the exact suffix-min bound rows are replaced by the cached
-///   [`LandmarkScratch`] bound rows (admissible ⇒ every subtree holding a
-///   would-be incumbent update survives pruning in both searches, and every
-///   subtree pruned here is update-free in the exact search too — only the
-///   `evaluations`/`bounds_hit` effort counters may differ);
-/// * candidate rows are *fetched on demand* the first time a candidate is
-///   included (`fetch` fills exact rows into the staged arena), and a
-///   budget-leaf include (no deeper candidate affordable) is costed with
-///   [`Aggregate::eval2`] instead of materializing a next-level row the
-///   recursion would never read.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_search_landmark<W: RowWord>(
-    view: &OracleView<'_, W>,
-    rows: &mut [W],
-    present: &mut [bool],
-    fetch: &mut dyn FnMut(usize, &mut [W]),
-    bounds: &mut LandmarkScratch<W>,
-    current_cost: u64,
-    options: &BestResponseOptions,
-    scratch: &mut SearchScratch<W>,
-) -> Result<BestResponseOutcome> {
-    let n = view.n();
-    let m = view.candidates.len();
-    scratch.reserve_without_suffix(m, n);
-    // bbc-lint: allow(panic, the engine's tier check proved the penalty representable in W)
-    let penalty = W::from_u64(view.spec.penalty()).expect("penalty fits the row tier");
-    scratch.levels[..n].fill(penalty);
-    for i in (0..m).rev() {
-        scratch.min_price_suffix[i] = scratch.min_price_suffix[i + 1].min(view.prices[i]);
-    }
-
-    if view.plain_sum() {
-        let k = view
-            .spec
-            .uniform_k()
-            // bbc-lint: allow(panic, plain_sum() returns true only for uniform sum games)
-            .expect("plain_sum implies a uniform game");
-        let agg = PlainSum {
-            u: view.node.index(),
-            allowed1: k,
-            allowed2: k.saturating_add(k.saturating_mul(k)),
         };
-        run_search_landmark_with(
-            view,
-            agg,
-            rows,
-            present,
-            fetch,
-            bounds,
-            current_cost,
-            options,
-            scratch,
-        )
-    } else {
-        match view.spec.cost_model() {
-            CostModel::SumDistance => {
-                let agg = WeightedSum {
-                    targets: view.weighted_targets,
-                };
-                run_search_landmark_with(
-                    view,
-                    agg,
-                    rows,
-                    present,
-                    fetch,
-                    bounds,
-                    current_cost,
-                    options,
-                    scratch,
-                )
+
+        // Suffix-min link length per group.
+        self.lmin.clear();
+        self.lmin.resize(groups, penalty);
+        let mut running = penalty;
+        for g in (0..groups).rev() {
+            for &c in &candidates[group_start[g] as usize..group_end(g)] {
+                let len = W::from_u64(view.spec.link_length(view.node, c))
+                    // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
+                    .expect("link length is below the penalty, which fits the tier");
+                running = running.min(len);
             }
-            CostModel::MaxDistance => {
-                let agg = WeightedMax {
-                    targets: view.weighted_targets,
-                };
-                run_search_landmark_with(
-                    view,
-                    agg,
-                    rows,
-                    present,
-                    fetch,
-                    bounds,
-                    current_cost,
-                    options,
-                    scratch,
-                )
-            }
+            self.lmin[g] = running;
         }
-    }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn run_search_landmark_with<W: RowWord, A: Aggregate<W>>(
-    view: &OracleView<'_, W>,
-    agg: A,
-    rows: &mut [W],
-    present: &mut [bool],
-    fetch: &mut dyn FnMut(usize, &mut [W]),
-    bounds: &mut LandmarkScratch<W>,
-    current_cost: u64,
-    options: &BestResponseOptions,
-    scratch: &mut SearchScratch<W>,
-) -> Result<BestResponseOutcome> {
-    let n = view.n();
-    // Per-group ceilings for the O(1) bound gate. Static per query; the gate
-    // fires more and more as the incumbent drops below the ceilings.
-    bounds.hi.clear();
-    for g in 0..bounds.groups {
-        bounds
-            .hi
-            .push(agg.min2_ceiling(&bounds.bsfx[g * n..(g + 1) * n]));
-    }
-
-    let mut search = LandmarkSearch {
-        view,
-        agg,
-        options,
-        scratch,
-        bounds,
-        rows,
-        present,
-        fetch,
-        best_cost: current_cost.saturating_add(1),
-        best_strategy: Vec::new(),
-        evaluations: 0,
-        current_cost,
-        done: false,
-        bounds_hit: 0,
-    };
-
-    let empty_cost = {
-        let n = search.view.n();
-        search.agg.row(&search.scratch.levels[..n])
-    };
-    search.record(empty_cost)?;
-    search.dfs(0, 0, 0)?;
-
-    Ok(BestResponseOutcome {
-        node: view.node,
-        current_cost,
-        best_cost: search.best_cost,
-        best_strategy: search.best_strategy,
-        evaluations: search.evaluations,
-        optimal: !search.done,
-        bounds_hit: search.bounds_hit,
-        rows_materialized: 0, // filled by the engine from its row counters
-    })
-}
-
-struct LandmarkSearch<'o, 'r, W: RowWord, A: Aggregate<W>> {
-    view: &'o OracleView<'r, W>,
-    agg: A,
-    options: &'o BestResponseOptions,
-    scratch: &'o mut SearchScratch<W>,
-    bounds: &'o LandmarkScratch<W>,
-    /// Staged candidate rows (stride `n`); entries with `present[i] == false`
-    /// hold placeholders until `fetch` materializes them.
-    rows: &'o mut [W],
-    present: &'o mut [bool],
-    fetch: &'o mut dyn FnMut(usize, &mut [W]),
-    best_cost: u64,
-    best_strategy: Vec<NodeId>,
-    evaluations: u64,
-    current_cost: u64,
-    done: bool,
-    bounds_hit: u64,
-}
-
-impl<W: RowWord, A: Aggregate<W>> LandmarkSearch<'_, '_, W, A> {
-    /// Mirror of [`Search::record`] — byte-identical incumbent semantics.
-    fn record(&mut self, cost: u64) -> Result<()> {
-        self.evaluations += 1;
-        if self.evaluations > self.options.evaluation_limit {
-            return Err(Error::SearchBudgetExceeded {
-                limit: self.options.evaluation_limit,
-            });
-        }
-        if cost < self.best_cost {
-            self.best_cost = cost;
-            self.best_strategy = self
-                .scratch
-                .selection
-                .iter()
-                .map(|&i| self.view.candidates[i])
-                .collect();
-            self.best_strategy.sort_unstable();
-            if self.options.stop_at_first_improvement && cost < self.current_cost {
-                self.done = true;
-            }
-        }
-        Ok(())
-    }
-
-    fn dfs(&mut self, i: usize, level: usize, spent: u64) -> Result<()> {
-        if self.done || i == self.view.candidates.len() {
-            return Ok(());
-        }
-        if spent.saturating_add(self.scratch.min_price_suffix[i]) > self.view.budget {
-            return Ok(());
-        }
-        let n = self.view.n();
-        let g = self.bounds.group_of[i] as usize;
-        // O(1) gate: when the group ceiling is below the incumbent, the
-        // bound pass cannot prune — skip it (skipping a prune never changes
-        // any recorded field; see the admissibility note on
-        // [`run_search_landmark`]).
-        if self.bounds.hi[g] >= self.best_cost {
-            let bound = self.agg.min2(
-                &self.scratch.levels[level * n..(level + 1) * n],
-                &self.bounds.bsfx[g * n..(g + 1) * n],
-                self.best_cost,
-            );
-            if bound >= self.best_cost {
-                self.bounds_hit += 1;
-                return Ok(());
+        // Suffix-max of each landmark row over the candidates of groups ≥ g.
+        let lcount = lm_rows.len();
+        self.sma.clear();
+        self.sma.resize(lcount * groups, W::ZERO);
+        for (l, row) in lm_rows.iter().enumerate() {
+            let sma = &mut self.sma[l * groups..(l + 1) * groups];
+            let mut running = W::ZERO;
+            for g in (0..groups).rev() {
+                for c in &candidates[group_start[g] as usize..group_end(g)] {
+                    running = running.max(row[c.index()]);
+                }
+                sma[g] = running;
             }
         }
 
-        let price = self.view.prices[i];
-        if spent + price <= self.view.budget {
-            if !self.present[i] {
-                (self.fetch)(i, &mut self.rows[i * n..(i + 1) * n]);
-                self.present[i] = true;
-            }
-            if (spent + price).saturating_add(self.scratch.min_price_suffix[i + 1])
-                > self.view.budget
-            {
-                // Budget leaf: the exact search's recursion below this
-                // include exits at its own price check before recording
-                // anything, so the next-level row is write-only — cost the
-                // selection without materializing it.
-                let cost = self.agg.eval2(
-                    &self.scratch.levels[level * n..(level + 1) * n],
-                    &self.rows[i * n..(i + 1) * n],
-                    self.best_cost,
-                );
-                self.scratch.selection.push(i);
-                self.record(cost)?;
-                self.scratch.selection.pop();
+        // Suffix-combined block-envelope rows: cfx[g][B] = min over the blocks
+        // of groups ≥ g of env[block][B].
+        let blocks = part.block_count();
+        self.cfx.clear();
+        self.cfx.resize(groups * blocks, W::ZERO);
+        for g in (0..groups).rev() {
+            let a = group_block[g] as usize;
+            if g + 1 < groups {
+                let (head, tail) = self.cfx.split_at_mut((g + 1) * blocks);
+                let dst = &mut head[g * blocks..];
+                let prev = &tail[..blocks];
+                for (b, (d, &p)) in dst.iter_mut().zip(prev).enumerate() {
+                    *d = p.min(env.bound(a, b));
+                }
             } else {
-                let (cur, next) = self.scratch.levels.split_at_mut((level + 1) * n);
-                let cost = self.agg.copy_min2(
-                    &mut next[..n],
-                    &cur[level * n..],
-                    &self.rows[i * n..(i + 1) * n],
-                );
-                self.scratch.selection.push(i);
-                self.record(cost)?;
-                self.dfs(i + 1, level + 1, spent + price)?;
-                self.scratch.selection.pop();
+                for (b, d) in self.cfx[g * blocks..(g + 1) * blocks]
+                    .iter_mut()
+                    .enumerate()
+                {
+                    *d = env.bound(a, b);
+                }
             }
         }
-        self.dfs(i + 1, level, spent)
+
+        // Final bound rows, built in three vector passes per group: seed with
+        // the coarse block term, raise by each landmark term, then add the
+        // suffix-min link length and clamp at the penalty.
+        self.bsfx.clear();
+        self.bsfx.resize(groups * n, W::ZERO);
+        for g in 0..groups {
+            let dst = &mut self.bsfx[g * n..(g + 1) * n];
+            let cfx = &self.cfx[g * blocks..(g + 1) * blocks];
+            for (v, d) in dst.iter_mut().enumerate() {
+                *d = cfx[part.block_of(v)];
+            }
+            for (l, row) in lm_rows.iter().enumerate() {
+                let s = self.sma[l * groups + g];
+                for (d, &r) in dst.iter_mut().zip(*row) {
+                    // (r − s)⁺, branchless.
+                    *d = (*d).max(r.max(s) - s);
+                }
+            }
+            let lmin = self.lmin[g];
+            for d in dst.iter_mut() {
+                *d = penalty.min(lmin + *d);
+            }
+        }
+    }
+}
+
+impl<W: RowWord> BoundSource<W> for LandmarkScratch<W> {
+    const COUNTS_HITS: bool = true;
+
+    fn prepare<A: Aggregate<W>>(&mut self, agg: &A, _rows: &[W], _m: usize, n: usize) {
+        // Per-group ceilings for the O(1) gate. Static per query; the gate
+        // fires more and more as the incumbent drops below the ceilings.
+        self.hi.clear();
+        for g in 0..self.groups {
+            self.hi
+                .push(agg.min2_ceiling(&self.bsfx[g * n..(g + 1) * n]));
+        }
+    }
+
+    #[inline]
+    fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
+        let n = level.len();
+        let g = self.group_of[i] as usize;
+        // O(1) gate: when the group ceiling is below the incumbent the bound
+        // pass cannot prune, so skip it (skipping a prune never changes a
+        // recorded field).
+        self.hi[g] >= incumbent
+            && agg.min2(level, &self.bsfx[g * n..(g + 1) * n], incumbent) >= incumbent
     }
 }
 
@@ -1328,25 +1062,26 @@ impl<W: RowWord, A: Aggregate<W>> LandmarkSearch<'_, '_, W, A> {
 /// current one *or* the node's current strategy itself; `optimal` is `false`
 /// unless the strategy space was trivially small.
 pub fn greedy(spec: &GameSpec, config: &Configuration, u: NodeId) -> BestResponseOutcome {
-    let oracle = DeviationOracle::build(spec, config, u);
-    greedy_with_oracle(&oracle, config)
+    DistanceEngine::new(spec, config.clone()).greedy(u)
 }
 
-/// Greedy heuristic reusing a prebuilt oracle.
-pub fn greedy_with_oracle(
-    oracle: &DeviationOracle<'_>,
-    config: &Configuration,
+/// The greedy heuristic over a staged view whose rows are all present,
+/// starting from the node's current `strategy`.
+pub(crate) fn greedy_on<W: RowWord>(
+    view: &OracleView<'_>,
+    rows: &[W],
+    strategy: &[NodeId],
 ) -> BestResponseOutcome {
-    let view = oracle.view();
-    let u = oracle.node();
     let n = view.n();
     let m = view.candidates.len();
-    let penalty = view.spec.penalty();
-    let current_cost = oracle.strategy_cost(config.strategy(u));
+    let penalty: W = view.penalty();
+    let row_of = |i: usize| &rows[i * n..(i + 1) * n];
+    let mut row = Vec::new();
+    let current_cost = view.strategy_cost(rows, strategy, &mut row);
     let mut evaluations = 0u64;
 
     let mut selected: Vec<usize> = Vec::new();
-    let mut row = vec![penalty; n];
+    row.fill(penalty);
     let mut spent = 0u64;
 
     // Greedy additions.
@@ -1356,7 +1091,7 @@ pub fn greedy_with_oracle(
             if selected.contains(&i) || spent + view.prices[i] > view.budget {
                 continue;
             }
-            let cost = view.aggregate_min(&row, view.row(i));
+            let cost = view.aggregate_min(&row, row_of(i));
             evaluations += 1;
             if best.is_none_or(|(bc, _)| cost < bc) {
                 best = Some((cost, i));
@@ -1365,13 +1100,13 @@ pub fn greedy_with_oracle(
         let Some((_, i)) = best else { break };
         // Adding a link can never increase cost (the min-row only shrinks),
         // so keep adding while budget lasts; stop when nothing is affordable.
-        min_into(&mut row, view.row(i));
+        min_into(&mut row, row_of(i));
         spent += view.prices[i];
         selected.push(i);
     }
 
     // 1-swap local search.
-    let mut trial = vec![0u64; n];
+    let mut trial = vec![W::ZERO; n];
     let mut improved = true;
     while improved {
         improved = false;
@@ -1389,10 +1124,10 @@ pub fn greedy_with_oracle(
                 trial.fill(penalty);
                 for &sj in &selected {
                     if sj != out {
-                        min_into(&mut trial, view.row(sj));
+                        min_into(&mut trial, row_of(sj));
                     }
                 }
-                min_into(&mut trial, view.row(i));
+                min_into(&mut trial, row_of(i));
                 let cost = view.aggregate(&trial);
                 evaluations += 1;
                 if cost < base_cost {
@@ -1411,20 +1146,13 @@ pub fn greedy_with_oracle(
     best_strategy.sort_unstable();
 
     // Never report a "best" worse than what the node already has.
-    if best_cost >= current_cost {
-        return BestResponseOutcome {
-            node: u,
-            current_cost,
-            best_cost: current_cost,
-            best_strategy: config.strategy(u).to_vec(),
-            evaluations,
-            optimal: false,
-            bounds_hit: 0,
-            rows_materialized: 0,
-        };
-    }
+    let (best_cost, best_strategy) = if best_cost >= current_cost {
+        (current_cost, strategy.to_vec())
+    } else {
+        (best_cost, best_strategy)
+    };
     BestResponseOutcome {
-        node: u,
+        node: view.node,
         current_cost,
         best_cost,
         best_strategy,
@@ -1473,17 +1201,21 @@ mod tests {
 
     #[test]
     fn oracle_cost_matches_evaluator_on_current_strategy() {
+        // Both bound sources price the current strategy through staged
+        // deviation rows; either way it must equal a full evaluation.
         let spec = GameSpec::uniform(6, 2);
         for seed in 0..10 {
             let cfg = Configuration::random(&spec, seed);
             let mut eval = Evaluator::new(&spec);
-            for u in NodeId::all(6) {
-                let oracle = DeviationOracle::build(&spec, &cfg, u);
-                assert_eq!(
-                    oracle.strategy_cost(cfg.strategy(u)),
-                    eval.node_cost(&cfg, u),
-                    "seed {seed} node {u}"
-                );
+            for policy in [LandmarkPolicy::Off, LandmarkPolicy::Forced(2)] {
+                let mut engine = DistanceEngine::new(&spec, cfg.clone()).with_landmarks(policy);
+                for u in NodeId::all(6) {
+                    assert_eq!(
+                        engine.best_response(u, &opts()).unwrap().current_cost,
+                        eval.node_cost(&cfg, u),
+                        "seed {seed} node {u} {policy:?}"
+                    );
+                }
             }
         }
     }

@@ -19,6 +19,8 @@
 //!   a row it depends on is invalidated or the node itself moves — in the
 //!   tail of a converging walk this turns `n − 1` confirmation tests per
 //!   round into cache hits;
+//! * a handful of full-`G` landmark rows, the source of the admissible
+//!   bounds the default search prunes with (see [`crate::LandmarkPolicy`]);
 //! * per-node distance rows from `u` in `G` (the [`crate::Evaluator`]
 //!   substrate), cached under the same invalidation rule.
 //!
@@ -47,6 +49,18 @@
 //! a remove/re-add round trip is byte-identical to a fresh
 //! [`DistanceEngine::with_membership`] build of the same state.
 //!
+//! # One best-response path
+//!
+//! [`DistanceEngine::best_response`] stages a node's live candidate rows
+//! once and runs the one branch-and-bound search over them. The
+//! [`crate::LandmarkPolicy`] only picks the search's bound source: with no
+//! landmarks, every live row is filled up front and the exact suffix-min
+//! rows bound the search; with landmarks, only the held strategy's rows are
+//! filled up front, the cached landmark rows bound the search, and any other
+//! row is filled when the search first includes its candidate. Every
+//! deviation row — eager, on demand, or prefilled — is traversed by one
+//! routine.
+//!
 //! Row filling can be spread across OS threads with
 //! [`DistanceEngine::prefill_oracle_rows`] (`std::thread::scope`; no new
 //! dependencies): traversals read the shared CSR immutably and results are
@@ -60,8 +74,7 @@ use bbc_graph::{
 
 use crate::{
     best_response::{
-        build_landmark_bounds, min_into, run_search, run_search_landmark, weighted_targets_of,
-        LandmarkScratch, OracleView, SearchScratch,
+        greedy_on, search, LandmarkScratch, OracleView, SearchScratch, StagedRows, SuffixBounds,
     },
     eval::{cost_from_distances, cost_from_distances_masked},
     BestResponseOptions, BestResponseOutcome, Configuration, Error, GameSpec, LandmarkPolicy,
@@ -107,8 +120,8 @@ impl RowTier {
 }
 
 /// A filled row in flight from a worker thread back to the cache:
-/// `(deviating node, candidate index, clamped through-row, touched set)`.
-type FilledRow<W> = (usize, usize, Vec<W>, BitSet);
+/// `(deviating node, candidate index, row)`.
+type FilledRow<W> = (usize, usize, RowSlot<W>);
 
 /// One cached shortest-path row plus its invalidation metadata.
 #[derive(Clone, Debug)]
@@ -131,6 +144,104 @@ impl<W: RowWord> RowSlot<W> {
             touched: BitSet::new(n),
         }
     }
+
+    /// Stores a finished traversal and marks the row valid.
+    fn store(&mut self, dist: &[W], touched: &BitSet) {
+        self.dist.copy_from_slice(dist);
+        self.touched.copy_from(touched);
+        self.valid = true;
+    }
+}
+
+/// The clamped traversal kernels behind every cached deviation and landmark
+/// row.
+#[derive(Debug)]
+struct RowFiller<W> {
+    bfs: ClampedBfs<W>,
+    dijkstra: ClampedDijkstra<W>,
+}
+
+impl<W: RowWord> RowFiller<W> {
+    fn new(n: usize) -> Self {
+        Self {
+            bfs: ClampedBfs::new(n),
+            dijkstra: ClampedDijkstra::new(n),
+        }
+    }
+
+    /// Fills `slot` with `u`'s clamped deviation row through candidate `c`:
+    /// `ℓ(u,c) + d_{G∖u}(c, ·)`, with `penalty` for unreachable targets. The
+    /// link length is baked in at the traversal seed, so staging a search is
+    /// a plain copy. Every deviation row the engine caches — eager, on
+    /// demand, or on a prefill worker — is traversed here.
+    fn deviation_row(
+        &mut self,
+        csr: &CsrGraph,
+        spec: &GameSpec,
+        u: NodeId,
+        c: NodeId,
+        penalty: W,
+        slot: &mut RowSlot<W>,
+    ) {
+        let offset = W::from_u64(spec.link_length(u, c))
+            // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
+            .expect("link length is below the penalty, which fits the tier");
+        if spec.has_unit_lengths() {
+            self.bfs
+                .run_skipping(csr, c.index(), u.index(), offset, penalty);
+            slot.store(self.bfs.distances(), self.bfs.touched());
+        } else {
+            self.dijkstra
+                .run_skipping(csr, c.index(), u.index(), offset, penalty);
+            slot.store(self.dijkstra.distances(), self.dijkstra.touched());
+        }
+    }
+
+    /// Fills `slot` with the clamped full-`G` row from landmark `l`.
+    fn landmark_row(
+        &mut self,
+        csr: &CsrGraph,
+        spec: &GameSpec,
+        l: NodeId,
+        penalty: W,
+        slot: &mut RowSlot<W>,
+    ) {
+        if spec.has_unit_lengths() {
+            self.bfs.run(csr, l.index(), W::ZERO, penalty);
+            slot.store(self.bfs.distances(), self.bfs.touched());
+        } else {
+            self.dijkstra.run(csr, l.index(), W::ZERO, penalty);
+            slot.store(self.dijkstra.distances(), self.dijkstra.touched());
+        }
+    }
+}
+
+/// One search's staged inputs: the deviating node's live candidates in
+/// ascending id order, with their cached rows copied in.
+#[derive(Debug)]
+struct Stage<W> {
+    /// Clamped through-rows, stride `n`; a penalty placeholder where
+    /// `present` is false.
+    rows: Vec<W>,
+    present: Vec<bool>,
+    candidates: Vec<NodeId>,
+    /// Link prices parallel to `candidates`.
+    prices: Vec<u64>,
+    /// Each staged candidate's index in the oracle row cache, so on-demand
+    /// fills write through to the cached slot.
+    slots: Vec<usize>,
+}
+
+impl<W> Default for Stage<W> {
+    fn default() -> Self {
+        Self {
+            rows: Vec::new(),
+            present: Vec::new(),
+            candidates: Vec::new(),
+            prices: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
 }
 
 /// Per-deviating-node oracle cache: the static candidate pool and one
@@ -140,17 +251,15 @@ struct OracleCache<W> {
     init: bool,
     candidates: Vec<NodeId>,
     prices: Vec<u64>,
-    weighted_targets: Vec<(u32, u64)>,
-    budget: u64,
     rows: Vec<RowSlot<W>>,
     outcome: Option<(BestResponseOptions, BestResponseOutcome)>,
     /// Whether the memoized outcome's graph-dependence is fully captured by
-    /// the valid rows' touched sets. The exact path materializes every live
-    /// candidate row, so its memos always are; a landmark-bounded search may
-    /// prune a candidate without ever computing its row, in which case the
-    /// memo also depends on the *bounds* that stood in for it — such a memo
-    /// cannot ride the touched-set invalidation rule and must be dropped on
-    /// any move.
+    /// the valid rows' touched sets: true when the search ended with every
+    /// live candidate row materialized (always so on the exact path). A
+    /// landmark-bounded search may prune a candidate without ever computing
+    /// its row, in which case the memo also depends on the *bounds* that
+    /// stood in for it — such a memo cannot ride the touched-set
+    /// invalidation rule and must be dropped on any move.
     outcome_complete: bool,
 }
 
@@ -160,8 +269,6 @@ impl<W> Default for OracleCache<W> {
             init: false,
             candidates: Vec::new(),
             prices: Vec::new(),
-            weighted_targets: Vec::new(),
-            budget: 0,
             rows: Vec::new(),
             outcome: None,
             outcome_complete: true,
@@ -191,10 +298,11 @@ struct LandmarkCache<W> {
     env_valid: bool,
 }
 
-/// Per-node cache of the membership-masked weighted target list, stamped
-/// with the membership version it was built against.
+/// Per-node cache of the weighted target list `(v, w(u,v))` over live
+/// targets `v ≠ u` with positive weight, stamped with the membership version
+/// it was built against.
 #[derive(Clone, Debug, Default)]
-struct MaskedTargets {
+struct LiveTargets {
     /// [`DistanceEngine`] membership version this list reflects (0 = never
     /// built; versions start at 1).
     version: u64,
@@ -313,8 +421,7 @@ struct EngineCore<'a, W: RowWord> {
     /// row is filled against). The tier check at construction guarantees
     /// the conversion is exact.
     penalty: W,
-    bfs: ClampedBfs<W>,
-    dijkstra: ClampedDijkstra<W>,
+    filler: RowFiller<W>,
     /// Raw-`u64` traversals for evaluator rows (`d_G(u,·)` with
     /// [`bbc_graph::UNREACHABLE`] preserved — the public
     /// [`DistanceEngine::distances_from`] contract is width-independent).
@@ -322,26 +429,16 @@ struct EngineCore<'a, W: RowWord> {
     eval_dijkstra: CsrDijkstra,
     conn: ConnectivityScratch,
     oracle: Vec<OracleCache<W>>,
+    /// One evaluator row per node; empty until the first cost is asked.
     eval_rows: Vec<RowSlot<u64>>,
     eval_costs: Vec<Option<u64>>,
-    /// Clamped through-rows staged for one search (stride `n`).
-    clamped: Vec<W>,
-    /// Candidates staged for one search (live candidates only under
-    /// partial membership).
-    stage_candidates: Vec<NodeId>,
-    /// Link prices parallel to `stage_candidates`.
-    stage_prices: Vec<u64>,
-    /// Landmark path: per staged candidate, its index in the oracle row
-    /// cache (on-demand fills write through to the cached slot).
-    stage_oracle_idx: Vec<u32>,
-    /// Landmark path: whether the staged row holds exact data yet.
-    stage_present: Vec<bool>,
-    /// Landmark path: link *length* `ℓ(u, c)` per staged candidate.
-    stage_lengths: Vec<W>,
-    current_row: Vec<W>,
+    stage: Stage<W>,
     search_scratch: SearchScratch<W>,
+    /// The exact bound source (landmark policy resolving to 0).
+    suffix: SuffixBounds<W>,
     lm_policy: LandmarkPolicy,
     lm: LandmarkCache<W>,
+    /// The landmark bound source.
     lm_scratch: LandmarkScratch<W>,
     link_scratch: Vec<(u32, u64)>,
     /// Live membership: departed nodes keep their id (and spec row) but
@@ -351,7 +448,7 @@ struct EngineCore<'a, W: RowWord> {
     /// Bumped by every join/leave; masked caches carry the version they
     /// were built against.
     membership_version: u64,
-    masked_targets: Vec<MaskedTargets>,
+    live_targets: Vec<LiveTargets>,
     /// Nodes whose cached eval cost was dropped since the last
     /// [`DistanceEngine::take_dirty_costs`] drain (scheduler support).
     eval_dirty: BitSet,
@@ -539,20 +636,28 @@ impl<'a> DistanceEngine<'a> {
     /// Exact best response for `u` under the bound configuration, served
     /// from the outcome memo when nothing it depends on has changed.
     ///
-    /// Byte-identical to [`crate::best_response::exact`] on the same
-    /// configuration *for either row tier* (the differential suite enforces
-    /// both).
+    /// The same decision as [`crate::best_response::exact`] on the same
+    /// configuration for either row tier and every landmark policy; with the
+    /// landmark policy resolving to 0 the outcome is byte-identical,
+    /// `evaluations` included (the differential suite enforces both).
     ///
     /// # Errors
     ///
-    /// [`crate::Error::SearchBudgetExceeded`] exactly as
-    /// [`crate::best_response::exact`].
+    /// [`crate::Error::SearchBudgetExceeded`] once the search evaluates more
+    /// than `options.evaluation_limit` strategies, or
+    /// [`crate::Error::NodeNotLive`] when `u` has departed.
     pub fn best_response(
         &mut self,
         u: NodeId,
         options: &BestResponseOptions,
     ) -> Result<BestResponseOutcome> {
         tiered!(mut self, e => e.best_response(u, options))
+    }
+
+    /// Greedy-plus-swaps heuristic best response for `u` (see
+    /// [`crate::best_response::greedy`]) over the engine's cached rows.
+    pub(crate) fn greedy(&mut self, u: NodeId) -> BestResponseOutcome {
+        tiered!(mut self, e => e.greedy(u))
     }
 
     /// Cost of node `u` under the bound configuration (cached per node).
@@ -765,22 +870,16 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             config,
             csr,
             penalty,
-            bfs: ClampedBfs::new(n),
-            dijkstra: ClampedDijkstra::new(n),
+            filler: RowFiller::new(n),
             eval_bfs: CsrBfs::new(n),
             eval_dijkstra: CsrDijkstra::new(n),
             conn: ConnectivityScratch::new(),
             oracle: (0..n).map(|_| OracleCache::default()).collect(),
-            eval_rows: (0..n).map(|_| RowSlot::new(n)).collect(),
+            eval_rows: Vec::new(),
             eval_costs: vec![None; n],
-            clamped: Vec::new(),
-            stage_candidates: Vec::new(),
-            stage_prices: Vec::new(),
-            stage_oracle_idx: Vec::new(),
-            stage_present: Vec::new(),
-            stage_lengths: Vec::new(),
-            current_row: vec![W::ZERO; n],
-            search_scratch: SearchScratch::new(),
+            stage: Stage::default(),
+            search_scratch: SearchScratch::default(),
+            suffix: SuffixBounds::default(),
             lm_policy: LandmarkPolicy::default(),
             lm: LandmarkCache {
                 version: 0,
@@ -790,12 +889,12 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 envelope: BlockEnvelope::new(),
                 env_valid: false,
             },
-            lm_scratch: LandmarkScratch::new(),
+            lm_scratch: LandmarkScratch::default(),
             link_scratch,
             live: members,
             live_count,
             membership_version: 1,
-            masked_targets: vec![MaskedTargets::default(); n],
+            live_targets: vec![LiveTargets::default(); n],
             eval_dirty: BitSet::new(n),
             stats: EngineStats::default(),
         })
@@ -913,77 +1012,30 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             .iter()
             .map(|&c| self.spec.link_cost(u, c))
             .collect();
-        oc.weighted_targets = weighted_targets_of(self.spec, u);
-        oc.budget = self.spec.budget(u);
         oc.rows = oc.candidates.iter().map(|_| RowSlot::new(n)).collect();
         oc.init = true;
     }
 
     /// Recomputes every invalid oracle row of `u` for *live* candidates
-    /// (sequentially). A departed candidate's row is neither needed (it is
-    /// filtered out of the search staging) nor meaningful, so it is left
-    /// invalid until the candidate rejoins.
-    ///
-    /// Rows are filled penalty-clamped with the link length `ℓ(u,c)` baked
-    /// in at the traversal seed, so staging a search is a plain copy.
+    /// (sequentially), counting the already-valid ones as row hits. A
+    /// departed candidate's row is neither needed (it is filtered out of the
+    /// search staging) nor meaningful, so it is left invalid until the
+    /// candidate rejoins.
     fn ensure_oracle_rows(&mut self, u: NodeId) {
         self.ensure_oracle_init(u);
         let oc = &mut self.oracle[u.index()];
-        let unit = self.spec.has_unit_lengths();
-        for (i, slot) in oc.rows.iter_mut().enumerate() {
-            if !self.live.contains(oc.candidates[i].index()) {
+        for (slot, &c) in oc.rows.iter_mut().zip(&oc.candidates) {
+            if !self.live.contains(c.index()) {
                 continue;
             }
             if slot.valid {
                 self.stats.oracle_row_hits += 1;
                 continue;
             }
-            let c = oc.candidates[i];
-            let offset = W::from_u64(self.spec.link_length(u, c))
-                // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-                .expect("link length is below the penalty, which fits the tier");
-            let (dist, touched) = if unit {
-                self.bfs
-                    .run_skipping(&self.csr, c.index(), u.index(), offset, self.penalty);
-                (self.bfs.distances(), self.bfs.touched())
-            } else {
-                self.dijkstra
-                    .run_skipping(&self.csr, c.index(), u.index(), offset, self.penalty);
-                (self.dijkstra.distances(), self.dijkstra.touched())
-            };
-            slot.dist.copy_from_slice(dist);
-            slot.touched.copy_from(touched);
-            slot.valid = true;
+            self.filler
+                .deviation_row(&self.csr, self.spec, u, c, self.penalty, slot);
             self.stats.oracle_rows_computed += 1;
         }
-    }
-
-    /// Computes one oracle row of `u` (by candidate index) if invalid — the
-    /// single-row core of [`EngineCore::ensure_oracle_rows`], also behind
-    /// the landmark path's on-demand fills.
-    fn fill_oracle_row(&mut self, u: NodeId, i: usize) {
-        let oc = &mut self.oracle[u.index()];
-        let slot = &mut oc.rows[i];
-        if slot.valid {
-            return;
-        }
-        let c = oc.candidates[i];
-        let offset = W::from_u64(self.spec.link_length(u, c))
-            // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-            .expect("link length is below the penalty, which fits the tier");
-        let (dist, touched) = if self.spec.has_unit_lengths() {
-            self.bfs
-                .run_skipping(&self.csr, c.index(), u.index(), offset, self.penalty);
-            (self.bfs.distances(), self.bfs.touched())
-        } else {
-            self.dijkstra
-                .run_skipping(&self.csr, c.index(), u.index(), offset, self.penalty);
-            (self.dijkstra.distances(), self.dijkstra.touched())
-        };
-        slot.dist.copy_from_slice(dist);
-        slot.touched.copy_from(touched);
-        slot.valid = true;
-        self.stats.oracle_rows_computed += 1;
     }
 
     /// Picks/refreshes the cached landmark layer for `k` landmarks: re-pick
@@ -999,23 +1051,12 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             self.lm.version = self.membership_version;
             self.lm.env_valid = false;
         }
-        let unit = self.spec.has_unit_lengths();
-        for (idx, slot) in self.lm.rows.iter_mut().enumerate() {
+        for (slot, &l) in self.lm.rows.iter_mut().zip(&self.lm.landmarks) {
             if slot.valid {
                 continue;
             }
-            let l = self.lm.landmarks[idx];
-            let (dist, touched) = if unit {
-                self.bfs.run(&self.csr, l.index(), W::ZERO, self.penalty);
-                (self.bfs.distances(), self.bfs.touched())
-            } else {
-                self.dijkstra
-                    .run(&self.csr, l.index(), W::ZERO, self.penalty);
-                (self.dijkstra.distances(), self.dijkstra.touched())
-            };
-            slot.dist.copy_from_slice(dist);
-            slot.touched.copy_from(touched);
-            slot.valid = true;
+            self.filler
+                .landmark_row(&self.csr, self.spec, l, self.penalty, slot);
             self.stats.landmark_rows_computed += 1;
             self.lm.env_valid = false;
         }
@@ -1036,6 +1077,42 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
     }
 
+    /// Copies `u`'s live candidates and their cached rows into the stage,
+    /// leaving a penalty placeholder (not `present`) for each invalid row.
+    /// With `count_hits`, every cached row staged counts as a row hit.
+    fn stage(&mut self, u: NodeId, count_hits: bool) {
+        let n = self.spec.node_count();
+        let all_live = self.live_count == n;
+        self.ensure_live_targets(u);
+        let oc = &self.oracle[u.index()];
+        let stage = &mut self.stage;
+        stage.rows.clear();
+        stage.present.clear();
+        stage.candidates.clear();
+        stage.prices.clear();
+        stage.slots.clear();
+        for (i, slot) in oc.rows.iter().enumerate() {
+            let c = oc.candidates[i];
+            // Live candidates only: a departed peer is neither a purchasable
+            // target nor a relay in any priced strategy.
+            if !all_live && !self.live.contains(c.index()) {
+                continue;
+            }
+            stage.candidates.push(c);
+            stage.prices.push(oc.prices[i]);
+            stage.slots.push(i);
+            stage.present.push(slot.valid);
+            if slot.valid {
+                stage.rows.extend_from_slice(&slot.dist);
+                if count_hits {
+                    self.stats.oracle_row_hits += 1;
+                }
+            } else {
+                stage.rows.resize(stage.rows.len() + n, self.penalty);
+            }
+        }
+    }
+
     fn best_response(
         &mut self,
         u: NodeId,
@@ -1050,251 +1127,121 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 return Ok(outcome.clone());
             }
         }
-        let lm_count = self.lm_policy.resolve(self.live_count);
-        if lm_count > 0 {
-            return self.best_response_bounded(u, options, lm_count);
-        }
-        self.ensure_oracle_rows(u);
-        let n = self.spec.node_count();
-        let all_live = self.live_count == n;
-        if !all_live {
-            self.ensure_masked_targets(u);
-        }
-        let oc = &self.oracle[u.index()];
-
-        // Stage the clamped through-rows for the search — live candidates
-        // only, so a departed peer is neither a purchasable target nor a
-        // relay in any priced strategy. Cached rows are already clamped
-        // with the link length baked in, so staging is a plain copy.
-        self.clamped.clear();
-        self.stage_candidates.clear();
-        self.stage_prices.clear();
-        for (i, slot) in oc.rows.iter().enumerate() {
-            let c = oc.candidates[i];
-            if !all_live && !self.live.contains(c.index()) {
-                continue;
+        let rows_before = self.stats.oracle_rows_computed;
+        let landmarks = self.lm_policy.resolve(self.live_count);
+        let bounded = landmarks > 0;
+        if bounded {
+            self.ensure_landmarks(landmarks);
+            self.ensure_oracle_init(u);
+            // The current strategy is priced through exact rows (the search
+            // compares every candidate strategy against it, so it cannot be
+            // bounded); every other row waits for the search to include it.
+            let oc = &mut self.oracle[u.index()];
+            for &t in self.config.strategy(u) {
+                let i = oc
+                    .candidates
+                    .binary_search(&t)
+                    // bbc-lint: allow(panic, apply_strategy validated every held target as an affordable candidate)
+                    .expect("a held strategy target is always an affordable candidate");
+                if !oc.rows[i].valid {
+                    self.filler.deviation_row(
+                        &self.csr,
+                        self.spec,
+                        u,
+                        t,
+                        self.penalty,
+                        &mut oc.rows[i],
+                    );
+                    self.stats.oracle_rows_computed += 1;
+                }
             }
-            self.stage_candidates.push(c);
-            self.stage_prices.push(oc.prices[i]);
-            self.clamped.extend_from_slice(&slot.dist);
+        } else {
+            // The exact bound source needs every live row.
+            self.ensure_oracle_rows(u);
         }
+        self.stage(u, bounded);
+
+        // Disjoint field borrows: the on-demand fill traverses via `filler`
+        // and writes through to the oracle slots while the search holds the
+        // staged rows.
         let view = OracleView {
             spec: self.spec,
             node: u,
-            candidates: &self.stage_candidates,
-            rows: &self.clamped,
-            prices: &self.stage_prices,
-            weighted_targets: if all_live {
-                &oc.weighted_targets
-            } else {
-                &self.masked_targets[u.index()].targets
-            },
-            budget: oc.budget,
-            all_live,
+            candidates: &self.stage.candidates,
+            prices: &self.stage.prices,
+            weighted_targets: &self.live_targets[u.index()].targets,
+            budget: self.spec.budget(u),
+            all_live: self.live_count == self.spec.node_count(),
         };
-
-        // Price the node's current strategy through the same rows.
-        self.current_row.fill(self.penalty);
-        for &t in self.config.strategy(u) {
-            let i = self
-                .stage_candidates
-                .binary_search(&t)
-                // bbc-lint: allow(panic, apply_strategy validated every held target as a live affordable candidate)
-                .expect("a held strategy target is always a live, affordable candidate");
-            min_into(&mut self.current_row, &self.clamped[i * n..(i + 1) * n]);
-        }
-        let current_cost = view.aggregate(&self.current_row);
-
-        let outcome = run_search(&view, current_cost, options, &mut self.search_scratch)?;
-        self.stats.searches_run += 1;
-        self.oracle[u.index()].outcome = Some((*options, outcome.clone()));
-        self.oracle[u.index()].outcome_complete = true;
-        Ok(outcome)
-    }
-
-    /// The landmark-bounded twin of the exact staging path: identical
-    /// decisions (the bound rows are admissible and the search preserves the
-    /// exact DFS preorder and record semantics), but cached bound rows stand
-    /// in for the per-query suffix-min arena and exact deviation rows are
-    /// materialized on demand — an invalid row is computed only when the
-    /// search actually includes its candidate, and the fill writes through
-    /// to the oracle cache so later queries keep it.
-    fn best_response_bounded(
-        &mut self,
-        u: NodeId,
-        options: &BestResponseOptions,
-        lm_count: usize,
-    ) -> Result<BestResponseOutcome> {
-        let rows_before = self.stats.oracle_rows_computed;
-        self.ensure_landmarks(lm_count);
-        self.ensure_oracle_init(u);
-        let n = self.spec.node_count();
-        let all_live = self.live_count == n;
-        if !all_live {
-            self.ensure_masked_targets(u);
-        }
-        // The node's current strategy is priced through exact rows (the
-        // search compares every candidate strategy against it, so it cannot
-        // be bounded); everything else waits for the search to ask.
-        let strategy = self.config.strategy(u).to_vec();
-        for &t in &strategy {
-            let i = self.oracle[u.index()]
-                .candidates
-                .binary_search(&t)
-                // bbc-lint: allow(panic, apply_strategy validated every held target as an affordable candidate)
-                .expect("a held strategy target is always an affordable candidate");
-            self.fill_oracle_row(u, i);
-        }
-
-        // Split the engine into disjoint field borrows: the on-demand fill
-        // closure traverses via `bfs`/`dijkstra` and writes through to the
-        // oracle slots while the search holds the staged arenas.
-        let EngineCore {
-            spec,
-            csr,
-            penalty,
-            bfs,
-            dijkstra,
-            oracle,
-            clamped,
-            stage_candidates,
-            stage_prices,
-            stage_oracle_idx,
-            stage_present,
-            stage_lengths,
-            current_row,
-            search_scratch,
-            masked_targets,
-            live,
-            stats,
-            lm,
-            lm_scratch,
-            ..
-        } = &mut *self;
-        let spec = *spec;
-        let penalty = *penalty;
-        let u_idx = u.index();
-        let oc = &mut oracle[u_idx];
-
-        clamped.clear();
-        stage_candidates.clear();
-        stage_prices.clear();
-        stage_oracle_idx.clear();
-        stage_present.clear();
-        stage_lengths.clear();
-        for (i, slot) in oc.rows.iter().enumerate() {
-            let c = oc.candidates[i];
-            if !all_live && !live.contains(c.index()) {
-                continue;
-            }
-            stage_candidates.push(c);
-            stage_prices.push(oc.prices[i]);
-            // bbc-lint: allow(narrowing-cast, i indexes the candidate list, bounded by n <= u32::MAX)
-            stage_oracle_idx.push(i as u32);
-            stage_lengths.push(
-                W::from_u64(spec.link_length(u, c))
-                    // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-                    .expect("link length is below the penalty, which fits the tier"),
-            );
-            if slot.valid {
-                clamped.extend_from_slice(&slot.dist);
-                stage_present.push(true);
-                stats.oracle_row_hits += 1;
-            } else {
-                let start = clamped.len();
-                clamped.resize(start + n, penalty);
-                stage_present.push(false);
-            }
-        }
-
-        let view = OracleView {
-            spec,
-            node: u,
-            candidates: stage_candidates,
-            rows: &[],
-            prices: stage_prices,
-            weighted_targets: if all_live {
-                &oc.weighted_targets
-            } else {
-                &masked_targets[u_idx].targets
-            },
-            budget: oc.budget,
-            all_live,
-        };
-
-        // Price the current strategy (its rows are exact and staged).
-        current_row.fill(penalty);
-        for &t in &strategy {
-            let i = stage_candidates
-                .binary_search(&t)
-                // bbc-lint: allow(panic, apply_strategy validated every held target as a live affordable candidate)
-                .expect("a held strategy target is always a live, affordable candidate");
-            min_into(current_row, &clamped[i * n..(i + 1) * n]);
-        }
-        let current_cost = view.aggregate(current_row);
-
-        let lm_rows: Vec<&[W]> = lm.rows.iter().map(|s| s.dist.as_slice()).collect();
-        build_landmark_bounds(
-            lm_scratch,
-            stage_candidates,
-            stage_lengths,
-            &lm_rows,
-            &lm.partition,
-            &lm.envelope,
-            n,
-            penalty,
-        );
-
-        let unit = spec.has_unit_lengths();
-        let oc_rows = &mut oc.rows;
+        let oc_rows = &mut self.oracle[u.index()].rows;
         let mut fetch = |i: usize, dst: &mut [W]| {
-            let slot = &mut oc_rows[stage_oracle_idx[i] as usize];
+            let slot = &mut oc_rows[self.stage.slots[i]];
             if !slot.valid {
-                let c = stage_candidates[i];
-                let offset = stage_lengths[i];
-                let (dist, touched) = if unit {
-                    bfs.run_skipping(csr, c.index(), u_idx, offset, penalty);
-                    (bfs.distances(), bfs.touched())
-                } else {
-                    dijkstra.run_skipping(csr, c.index(), u_idx, offset, penalty);
-                    (dijkstra.distances(), dijkstra.touched())
-                };
-                slot.dist.copy_from_slice(dist);
-                slot.touched.copy_from(touched);
-                slot.valid = true;
-                stats.oracle_rows_computed += 1;
+                let c = self.stage.candidates[i];
+                self.filler
+                    .deviation_row(&self.csr, self.spec, u, c, self.penalty, slot);
+                self.stats.oracle_rows_computed += 1;
             }
             dst.copy_from_slice(&slot.dist);
         };
-
-        let mut outcome = run_search_landmark(
-            &view,
-            clamped,
-            stage_present,
-            &mut fetch,
-            lm_scratch,
-            current_cost,
-            options,
-            search_scratch,
-        )?;
-        stats.searches_run += 1;
-        outcome.rows_materialized = stats.oracle_rows_computed - rows_before;
-        let complete = {
-            let oc = &self.oracle[u_idx];
-            self.stage_oracle_idx
-                .iter()
-                .all(|&i| oc.rows[i as usize].valid)
+        let staged = StagedRows {
+            rows: &mut self.stage.rows,
+            present: &mut self.stage.present,
+            fetch: &mut fetch,
         };
-        let oc = &mut self.oracle[u_idx];
-        oc.outcome_complete = complete;
+        let strategy = self.config.strategy(u);
+        let mut outcome = if bounded {
+            let lm_rows: Vec<&[W]> = self.lm.rows.iter().map(|s| s.dist.as_slice()).collect();
+            self.lm_scratch
+                .build(&view, &lm_rows, &self.lm.partition, &self.lm.envelope);
+            search(
+                &view,
+                staged,
+                strategy,
+                &mut self.lm_scratch,
+                options,
+                &mut self.search_scratch,
+            )?
+        } else {
+            search(
+                &view,
+                staged,
+                strategy,
+                &mut self.suffix,
+                options,
+                &mut self.search_scratch,
+            )?
+        };
+        self.stats.searches_run += 1;
+        if bounded {
+            outcome.rows_materialized = self.stats.oracle_rows_computed - rows_before;
+        }
+        let oc = &mut self.oracle[u.index()];
+        oc.outcome_complete = self.stage.present.iter().all(|&p| p);
         oc.outcome = Some((*options, outcome.clone()));
         Ok(outcome)
     }
 
-    /// Rebuilds `u`'s membership-masked weighted target list when the
-    /// membership changed since it was last built.
-    fn ensure_masked_targets(&mut self, u: NodeId) {
-        let mt = &mut self.masked_targets[u.index()];
+    /// Greedy heuristic best response for `u` over its fully staged rows.
+    fn greedy(&mut self, u: NodeId) -> BestResponseOutcome {
+        self.ensure_oracle_rows(u);
+        self.stage(u, false);
+        let view = OracleView {
+            spec: self.spec,
+            node: u,
+            candidates: &self.stage.candidates,
+            prices: &self.stage.prices,
+            weighted_targets: &self.live_targets[u.index()].targets,
+            budget: self.spec.budget(u),
+            all_live: self.live_count == self.spec.node_count(),
+        };
+        greedy_on(&view, &self.stage.rows, self.config.strategy(u))
+    }
+
+    /// Rebuilds `u`'s weighted target list when the membership changed
+    /// since it was last built.
+    fn ensure_live_targets(&mut self, u: NodeId) {
+        let mt = &mut self.live_targets[u.index()];
         if mt.version == self.membership_version {
             return;
         }
@@ -1322,23 +1269,21 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         if let Some(cost) = self.eval_costs[u.index()] {
             return cost;
         }
+        if self.eval_rows.is_empty() {
+            // Allocated on first use: an engine that only answers best
+            // responses never needs the `n²` evaluator rows.
+            let n = self.spec.node_count();
+            self.eval_rows = (0..n).map(|_| RowSlot::new(n)).collect();
+        }
         let slot = &mut self.eval_rows[u.index()];
         if !slot.valid {
-            let unit = self.spec.has_unit_lengths();
-            let dist = if unit {
+            if self.spec.has_unit_lengths() {
                 self.eval_bfs.run(&self.csr, u.index());
-                self.eval_bfs.distances()
+                slot.store(self.eval_bfs.distances(), self.eval_bfs.touched());
             } else {
                 self.eval_dijkstra.run(&self.csr, u.index());
-                self.eval_dijkstra.distances()
-            };
-            slot.dist.copy_from_slice(dist);
-            slot.touched.copy_from(if unit {
-                self.eval_bfs.touched()
-            } else {
-                self.eval_dijkstra.touched()
-            });
-            slot.valid = true;
+                slot.store(self.eval_dijkstra.distances(), self.eval_dijkstra.touched());
+            }
             self.stats.eval_rows_computed += 1;
         }
         let cost = if self.live_count == self.spec.node_count() {
@@ -1414,7 +1359,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
 
     /// Fills every invalid oracle row of `nodes` across `threads` OS threads
     /// (`std::thread::scope`), returning the number of traversals run.
-    ///
     fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
         for &u in nodes {
             if self.live.contains(u.index()) {
@@ -1447,7 +1391,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
 
         let n = self.spec.node_count();
-        let unit = self.spec.has_unit_lengths();
         let csr = &self.csr;
         let oracle = &self.oracle;
         let spec = self.spec;
@@ -1458,25 +1401,21 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 .chunks(chunk)
                 .map(|items| {
                     scope.spawn(move || {
-                        let mut bfs = ClampedBfs::<W>::new(n);
-                        let mut dij = ClampedDijkstra::<W>::new(n);
+                        let mut filler = RowFiller::<W>::new(n);
                         items
                             .iter()
                             .map(|&(u, i)| {
+                                let mut slot = RowSlot::new(n);
                                 let c = oracle[u].candidates[i];
-                                let offset = W::from_u64(spec.link_length(NodeId::new(u), c))
-                                    // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-                                    .expect(
-                                        "link length is below the penalty, which fits the tier",
-                                    );
-                                let (dist, touched) = if unit {
-                                    bfs.run_skipping(csr, c.index(), u, offset, penalty);
-                                    (bfs.distances().to_vec(), bfs.touched().clone())
-                                } else {
-                                    dij.run_skipping(csr, c.index(), u, offset, penalty);
-                                    (dij.distances().to_vec(), dij.touched().clone())
-                                };
-                                (u, i, dist, touched)
+                                filler.deviation_row(
+                                    csr,
+                                    spec,
+                                    NodeId::new(u),
+                                    c,
+                                    penalty,
+                                    &mut slot,
+                                );
+                                (u, i, slot)
                             })
                             .collect()
                     })
@@ -1489,11 +1428,8 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 .collect()
         });
         let computed = work.len();
-        for (u, i, dist, touched) in results.into_iter().flatten() {
-            let slot = &mut self.oracle[u].rows[i];
-            slot.dist.copy_from_slice(&dist);
-            slot.touched.copy_from(&touched);
-            slot.valid = true;
+        for (u, i, slot) in results.into_iter().flatten() {
+            self.oracle[u].rows[i] = slot;
         }
         self.stats.oracle_rows_computed += computed as u64;
         computed

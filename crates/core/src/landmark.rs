@@ -1,10 +1,10 @@
 //! ALT-style landmark lower bounds for the deviation search.
 //!
-//! The exact deviation oracle ([`crate::DeviationOracle`]) prices a
-//! candidate subset by running one shortest-path traversal per affordable
-//! candidate — `m` traversals before the branch-and-bound search even
-//! starts. Landmark bounds trade exactness in the *bound* for traversal
-//! laziness: a small landmark set `L` yields the classic ALT lower bound
+//! The exact bound source of the best-response search needs one
+//! shortest-path traversal per affordable candidate — `m` traversals before
+//! the branch-and-bound search even starts. Landmark bounds trade exactness
+//! in the *bound* for traversal laziness: a small landmark set `L` yields
+//! the classic ALT lower bound
 //!
 //! ```text
 //! d(c, v)  ≥  d(l, v) − d(l, c)      for every l ∈ L

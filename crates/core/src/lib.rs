@@ -17,8 +17,9 @@
 //!   consumer above sits on: patched in place per move, with memoized
 //!   deviation rows and best-response outcomes (see [`engine`] for the
 //!   cache-invalidation rules);
-//! * [`best_response`] — exact single-node best response via the deviation
-//!   oracle (one shortest-path run per candidate target);
+//! * [`best_response`] — exact single-node best response: one
+//!   branch-and-bound search over per-candidate deviation rows (one
+//!   shortest-path run per candidate target), run by the engine;
 //! * [`reference`](mod@reference) — frozen pre-refactor implementations, the executable
 //!   spec the engine is differentially tested and benchmarked against;
 //! * [`StabilityChecker`] — pure-Nash-equilibrium decision with
@@ -60,7 +61,7 @@ pub mod reference;
 pub mod spec;
 pub mod stability;
 
-pub use best_response::{BestResponseOptions, BestResponseOutcome, DeviationOracle};
+pub use best_response::{BestResponseOptions, BestResponseOutcome};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnReport, ChurnSim};
 pub use config::Configuration;
 pub use dynamics::{MoveRecord, Scheduler, Walk, WalkOutcome, WalkStats};

@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    best_response::{self, BestResponseOptions, DeviationOracle},
+    best_response::{self, BestResponseOptions},
     Configuration, DistanceEngine, GameSpec, NodeId, Result,
 };
 
@@ -232,9 +232,9 @@ impl<'a> StabilityChecker<'a> {
     /// Use on instances where exact per-node search is out of reach
     /// (large `k`); every use in this workspace is labelled as heuristic.
     pub fn heuristic_deviation(&self, config: &Configuration) -> Option<Deviation> {
+        let mut engine = DistanceEngine::new(self.spec, config.clone());
         for u in NodeId::all(self.spec.node_count()) {
-            let oracle = DeviationOracle::build(self.spec, config, u);
-            let out = best_response::greedy_with_oracle(&oracle, config);
+            let out = engine.greedy(u);
             if out.improves() {
                 return Some(Deviation {
                     node: u,

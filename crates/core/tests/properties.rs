@@ -1,9 +1,9 @@
-//! Property-based tests for the BBC core: the deviation oracle, best
+//! Property-based tests for the BBC core: deviation-row pricing, best
 //! response, stability, and dynamics invariants.
 
 use bbc_core::{
-    best_response, BestResponseOptions, Configuration, CostModel, Evaluator, GameSpec, NodeId,
-    StabilityChecker, Walk, WalkOutcome,
+    best_response, BestResponseOptions, Configuration, CostModel, DistanceEngine, Evaluator,
+    GameSpec, LandmarkPolicy, NodeId, StabilityChecker, Walk, WalkOutcome,
 };
 use proptest::prelude::*;
 
@@ -78,9 +78,13 @@ proptest! {
     #[test]
     fn oracle_prices_match_full_evaluation((spec, cfg) in arb_nonuniform_instance()) {
         let mut eval = Evaluator::new(&spec);
-        for u in NodeId::all(spec.node_count()) {
-            let oracle = best_response::DeviationOracle::build(&spec, &cfg, u);
-            prop_assert_eq!(oracle.strategy_cost(cfg.strategy(u)), eval.node_cost(&cfg, u));
+        let opts = BestResponseOptions::default();
+        for policy in [LandmarkPolicy::Off, LandmarkPolicy::Forced(2)] {
+            let mut engine = DistanceEngine::new(&spec, cfg.clone()).with_landmarks(policy);
+            for u in NodeId::all(spec.node_count()) {
+                let out = engine.best_response(u, &opts).unwrap();
+                prop_assert_eq!(out.current_cost, eval.node_cost(&cfg, u));
+            }
         }
     }
 

@@ -159,8 +159,9 @@ fn run_daemon(args: &Args, socket: &std::path::Path) -> ExitCode {
         }
     }
     eprintln!("bbc-serve: listening on {}", socket.display());
-    // The owner loop exits on Shutdown; the listener thread dies with the
-    // process.
+    // The owner loop exits on Shutdown, and `join` returns once the
+    // connection that carried it has written `Bye`; the listener thread
+    // dies with the process.
     let code = match service.join() {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

@@ -51,8 +51,9 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use bbc_core::{Configuration, GameSpec, NodeId, Scheduler, Walk, WalkOutcome};
 use bbc_experiments::Fingerprint;
@@ -70,6 +71,10 @@ pub const SNAPSHOT_FILE: &str = "snapshot.jsonl";
 /// The logical client id the service itself journals synthetic auto-settle
 /// rounds under.
 pub const SERVICE_CLIENT: u64 = u64::MAX;
+
+/// How long [`Service::join`] waits for socket connections to finish
+/// writing their `Shutdown` replies.
+const BYE_GRACE: Duration = Duration::from_secs(5);
 
 /// Journal file name for a generation.
 pub fn journal_file(gen: u64) -> String {
@@ -332,6 +337,9 @@ struct SharedCounters {
     busy: Arc<AtomicU64>,
     /// Requests currently queued or being processed.
     in_flight: Arc<AtomicU64>,
+    /// `Shutdown` requests taken off a socket whose reply is not yet
+    /// written back (see [`Service::join`]).
+    byes_unwritten: Arc<(Mutex<u64>, Condvar)>,
 }
 
 /// How a dispatched request fared at the queue layer.
@@ -407,6 +415,24 @@ impl Handle {
             Err(TrySendError::Disconnected(_)) => Dispatch::Gone,
         }
     }
+
+    /// Notes that a socket connection is submitting `Shutdown`:
+    /// [`Service::join`] then waits until [`Handle::bye_written`].
+    pub(crate) fn bye_expected(&self) {
+        let (count, _) = &*self.shared.byes_unwritten;
+        // Every update leaves the count valid, so a poisoned lock is safe
+        // to recover.
+        *count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+    }
+
+    /// Notes that the reply to a [`Handle::bye_expected`] `Shutdown` was
+    /// written back, or that its write failed.
+    pub(crate) fn bye_written(&self) {
+        let (count, written) = &*self.shared.byes_unwritten;
+        let mut count = count.lock().unwrap_or_else(PoisonError::into_inner);
+        *count = count.saturating_sub(1);
+        written.notify_all();
+    }
 }
 
 /// A running service: the owner thread plus its submission handle.
@@ -455,18 +481,25 @@ impl Service {
     }
 
     /// Waits for the owner loop to exit (after [`Op::Shutdown`] or when
-    /// every handle is dropped).
+    /// every handle is dropped), then for any socket connection still
+    /// writing a `Shutdown` reply — at most a few seconds — so a daemon
+    /// that returns from here never exits before its `Bye` is on the wire.
     ///
     /// # Errors
     ///
     /// The owner loop's terminal error, or [`ServeError::Stopped`] if the
     /// thread panicked.
     pub fn join(self) -> Result<(), ServeError> {
+        let byes = Arc::clone(&self.handle.shared.byes_unwritten);
         drop(self.handle);
-        match self.thread.join() {
+        let result = match self.thread.join() {
             Ok(result) => result,
             Err(_) => Err(ServeError::Stopped),
-        }
+        };
+        let (count, written) = &*byes;
+        let count = count.lock().unwrap_or_else(PoisonError::into_inner);
+        let _ = written.wait_timeout_while(count, BYE_GRACE, |count| *count > 0);
+        result
     }
 }
 

@@ -65,59 +65,64 @@ fn serve_connection(stream: UnixStream, handle: &Handle) {
             Ok(frame) => frame,
             Err(_) => return, // connection-level read error
         };
-        let reply = match frame {
+        let error = |seq, code, message: String| ReplyFrame {
+            seq,
+            reply: Reply::Error { code, message },
+        };
+        let mut shutdown = false;
+        // The reply, and whether to close the connection after writing it.
+        let (reply, close) = match frame {
             Frame::Eof => return,
-            Frame::Truncated => {
-                // A final line without its newline: answer, then close —
-                // the peer is gone or the frame was cut mid-write.
-                let _ = write_reply(
-                    &mut writer,
-                    &ReplyFrame {
-                        seq: 0,
-                        reply: Reply::Error {
-                            code: ErrorCode::Frame,
-                            message: "truncated frame (missing trailing newline)".to_string(),
-                        },
-                    },
-                );
-                return;
-            }
-            Frame::Oversized => ReplyFrame {
-                seq: 0,
-                reply: Reply::Error {
-                    code: ErrorCode::Frame,
-                    message: format!("frame exceeds {MAX_FRAME} bytes"),
-                },
-            },
+            // A final line without its newline: answer, then close — the
+            // peer is gone or the frame was cut mid-write.
+            Frame::Truncated => (
+                error(
+                    0,
+                    ErrorCode::Frame,
+                    "truncated frame (missing trailing newline)".to_string(),
+                ),
+                true,
+            ),
+            Frame::Oversized => (
+                error(
+                    0,
+                    ErrorCode::Frame,
+                    format!("frame exceeds {MAX_FRAME} bytes"),
+                ),
+                false,
+            ),
             Frame::Line(bytes) => match decode_request(&bytes) {
-                Err((seq, code, message)) => ReplyFrame {
-                    seq,
-                    reply: Reply::Error { code, message },
-                },
-                Ok(request) => match handle.try_call(request) {
-                    Dispatch::Reply(reply) => reply,
-                    Dispatch::Busy { depth } => ReplyFrame {
-                        seq: 0,
-                        reply: Reply::Busy { depth },
-                    },
-                    Dispatch::Gone => {
-                        let _ = write_reply(
-                            &mut writer,
-                            &ReplyFrame {
-                                seq: 0,
-                                reply: Reply::Error {
-                                    code: ErrorCode::Unsupported,
-                                    message: "service stopped".to_string(),
-                                },
-                            },
-                        );
-                        return;
+                Err((seq, code, message)) => (error(seq, code, message), false),
+                Ok(request) => {
+                    shutdown = matches!(request.op, Op::Shutdown);
+                    if shutdown {
+                        handle.bye_expected();
                     }
-                },
+                    match handle.try_call(request) {
+                        Dispatch::Reply(reply) => {
+                            let bye = matches!(reply.reply, Reply::Bye);
+                            (reply, bye)
+                        }
+                        Dispatch::Busy { depth } => (
+                            ReplyFrame {
+                                seq: 0,
+                                reply: Reply::Busy { depth },
+                            },
+                            false,
+                        ),
+                        Dispatch::Gone => (
+                            error(0, ErrorCode::Unsupported, "service stopped".to_string()),
+                            true,
+                        ),
+                    }
+                }
             },
         };
-        let done = matches!(reply.reply, Reply::Bye);
-        if write_reply(&mut writer, &reply).is_err() || done {
+        let written = write_reply(&mut writer, &reply);
+        if shutdown {
+            handle.bye_written();
+        }
+        if written.is_err() || close {
             return;
         }
     }

@@ -158,16 +158,34 @@ fn send(conn: &mut Client, client: u64, seq: u64, op: Op) -> Reply {
     conn.request_seq(seq, op).expect("request round-trips")
 }
 
-/// Shutdown acks race the process exit, so they are best-effort.
+/// Stops the daemon, which answers `Bye` before it exits.
 fn send_shutdown(conn: &mut Client) {
     conn.client = 0;
-    let _ = conn.request_seq(0, Op::Shutdown);
+    let reply = conn
+        .request_seq(0, Op::Shutdown)
+        .expect("the Bye is written before the daemon exits");
+    assert!(matches!(reply, Reply::Bye), "{reply:?}");
 }
 
 fn final_digest(conn: &mut Client) -> String {
     match send(conn, 0, 0, Op::Query(Probe::Digest)) {
         Reply::Digest { digest } => digest,
         other => panic!("{other:?}"),
+    }
+}
+
+#[test]
+fn shutdown_answers_bye_then_exits_cleanly() {
+    // The daemon must not exit while the connection that carried
+    // `Shutdown` is still writing its `Bye`: every boot gets the reply,
+    // then a zero exit status.
+    let socket = unique_path("bye.sock");
+    for boot in 0..20 {
+        let mut daemon = spawn_daemon(&socket, None, false);
+        let mut conn = connect(&socket);
+        send_shutdown(&mut conn);
+        let status = daemon.wait().expect("daemon exits");
+        assert!(status.success(), "boot {boot}: {status:?}");
     }
 }
 
