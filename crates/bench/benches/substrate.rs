@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bbc_core::{Configuration, GameSpec};
 use bbc_graph::{
-    reach_counts, scc::strongly_connected_components, BfsBuffer, ConnectivityScratch, CsrBfs,
-    CsrGraph, DistanceMatrix,
+    reach_counts, scc::strongly_connected_components, BfsBuffer, ClampedBfs, ConnectivityScratch,
+    CsrGraph, DistanceMatrix, UNREACHABLE,
 };
 
 fn graph_of(n: usize, k: u64, seed: u64) -> bbc_graph::DiGraph {
@@ -27,11 +27,14 @@ fn bench_bfs(c: &mut Criterion) {
             })
         });
         let csr = CsrGraph::from_digraph(&g);
-        let mut cbuf = CsrBfs::new(n);
+        let mut cbuf = ClampedBfs::<u64>::new(n);
         group.bench_with_input(BenchmarkId::new("csr", n), &csr, |b, csr| {
             b.iter(|| {
-                cbuf.run(csr, 0);
-                cbuf.reached()
+                cbuf.run(csr, 0, 0, UNREACHABLE);
+                cbuf.distances()
+                    .iter()
+                    .filter(|&&d| d != UNREACHABLE)
+                    .count()
             })
         });
     }

@@ -900,6 +900,14 @@ impl<W: RowWord> Default for LandmarkScratch<W> {
 }
 
 impl<W: RowWord> LandmarkScratch<W> {
+    /// The bound row standing in for the exact suffix-min row at candidate
+    /// position `i`: its group's `bsfx` row.
+    #[inline]
+    pub(crate) fn bound_row(&self, i: usize, n: usize) -> &[W] {
+        let g = self.group_of[i] as usize;
+        &self.bsfx[g * n..(g + 1) * n]
+    }
+
     /// Builds the per-query bound rows for `view`'s candidates from the
     /// engine's cached full-`G` landmark rows and block envelope.
     ///
@@ -1044,13 +1052,11 @@ impl<W: RowWord> BoundSource<W> for LandmarkScratch<W> {
 
     #[inline]
     fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
-        let n = level.len();
-        let g = self.group_of[i] as usize;
         // O(1) gate: when the group ceiling is below the incumbent the bound
         // pass cannot prune, so skip it (skipping a prune never changes a
         // recorded field).
-        self.hi[g] >= incumbent
-            && agg.min2(level, &self.bsfx[g * n..(g + 1) * n], incumbent) >= incumbent
+        self.hi[self.group_of[i] as usize] >= incumbent
+            && agg.min2(level, self.bound_row(i, level.len()), incumbent) >= incumbent
     }
 }
 

@@ -132,7 +132,6 @@ pub struct Walk<'a> {
     /// owns the authoritative copy of the evolving configuration.
     engine: DistanceEngine<'a>,
     scheduler: Scheduler,
-    options: BestResponseOptions,
     stats: WalkStats,
     /// Position in the round-robin order (meaningless for other schedulers).
     pos: usize,
@@ -156,15 +155,12 @@ pub struct Walk<'a> {
     /// engine's dirty-cost drain. Dropped whenever the scheduler switches
     /// or the membership changes.
     mcf: Option<McfState>,
-    /// Use the frozen full-rescan max-cost-first implementation instead of
-    /// the priority queue (the regression reference; see
-    /// [`Walk::max_cost_first_rescan`]).
-    mcf_rescan: bool,
 }
 
 /// Priority state for [`Scheduler::MaxCostFirst`]: live nodes keyed by
 /// `(u64::MAX − cost, id)` so ascending B-tree order visits maximum cost
-/// first with ties broken by lowest id — exactly the frozen rescan's sort.
+/// first with ties broken by lowest id — exactly a recompute-and-sort scan's
+/// order.
 #[derive(Debug)]
 struct McfState {
     queue: BTreeSet<(u64, u32)>,
@@ -245,7 +241,6 @@ impl<'a> Walk<'a> {
             spec,
             engine,
             scheduler: Scheduler::RoundRobin,
-            options: BestResponseOptions::default(),
             stats: WalkStats::default(),
             pos: 0,
             order,
@@ -256,7 +251,6 @@ impl<'a> Walk<'a> {
             history: Some(DetHashMap::default()),
             trace: None,
             mcf: None,
-            mcf_rescan: false,
         }
     }
 
@@ -313,16 +307,6 @@ impl<'a> Walk<'a> {
         self
     }
 
-    /// Overrides best-response search options.
-    #[must_use]
-    pub fn with_options(mut self, options: BestResponseOptions) -> Self {
-        self.options = BestResponseOptions {
-            stop_at_first_improvement: false,
-            ..options
-        };
-        self
-    }
-
     /// Enables or disables exact-state cycle detection (on by default; the
     /// history grows by one configuration per step).
     ///
@@ -355,19 +339,6 @@ impl<'a> Walk<'a> {
     /// Enables recording of every applied move.
     pub fn record_trace(mut self, yes: bool) -> Self {
         self.trace = yes.then(Vec::new);
-        self
-    }
-
-    /// Selects the frozen full-rescan implementation of
-    /// [`Scheduler::MaxCostFirst`]: recompute every live node's cost and
-    /// sort, each step. It is the executable reference the engine-aware
-    /// priority-queue scheduler is differentially pinned against (move
-    /// sequence and [`WalkStats`] accounting are proven identical); keep it
-    /// off outside that comparison — it turns an `O(changed)` step back
-    /// into an `O(n log n)` one.
-    pub fn max_cost_first_rescan(mut self, yes: bool) -> Self {
-        self.mcf_rescan = yes;
-        self.mcf = None;
         self
     }
 
@@ -530,12 +501,7 @@ impl<'a> Walk<'a> {
                     }
                 }
                 Scheduler::MaxCostFirst => {
-                    let moved = if self.mcf_rescan {
-                        self.step_max_cost_first_rescan()?
-                    } else {
-                        self.step_max_cost_first()?
-                    };
-                    if !moved {
+                    if !self.step_max_cost_first()? {
                         return Ok(WalkOutcome::Equilibrium {
                             steps: self.stats.steps,
                         });
@@ -548,12 +514,15 @@ impl<'a> Walk<'a> {
         })
     }
 
-    /// One stability test through the engine, honouring the walk's prefill
-    /// policy (the single call site shared by every scheduler).
+    /// One full-search stability test (default [`BestResponseOptions`])
+    /// through the engine, honouring the walk's prefill policy (the single
+    /// call site shared by every scheduler).
     fn test_node(&mut self, u: NodeId) -> Result<crate::BestResponseOutcome> {
-        let out = self
-            .engine
-            .best_response_prefilled(u, &self.options, self.prefill)?;
+        let out = self.engine.best_response_prefilled(
+            u,
+            &BestResponseOptions::default(),
+            self.prefill,
+        )?;
         self.stats.bounds_hit += out.bounds_hit;
         self.stats.rows_materialized += out.rows_materialized;
         Ok(out)
@@ -576,11 +545,10 @@ impl<'a> Walk<'a> {
     /// The scan probes nodes in descending cached-cost order (ties by
     /// lowest id) straight out of a priority queue that is updated from the
     /// engine's dirty-cost drain — `O(changed·log n)` bookkeeping per
-    /// applied move plus `O(log n)` per probe, instead of the frozen
-    /// rescan's recompute-and-sort of every node per step. The probe
-    /// sequence, applied moves, and [`WalkStats`] step accounting are
-    /// identical to [`Walk::max_cost_first_rescan`] (pinned by the
-    /// differential test): a stability test never changes any cost, so the
+    /// applied move plus `O(log n)` per probe, instead of a recompute-and-sort
+    /// of every node per step. The probe sequence, applied moves, and
+    /// [`WalkStats`] step accounting are identical to that rescan (a unit
+    /// test replays one): a stability test never changes any cost, so the
     /// queue order *is* the rescan's sort order.
     fn step_max_cost_first(&mut self) -> Result<bool> {
         let n = self.spec.node_count();
@@ -651,32 +619,6 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// The frozen pre-queue max-cost-first step: recompute every live
-    /// node's cost, sort, probe in order. Kept as the executable reference
-    /// for the scheduler differential test ([`Walk::max_cost_first_rescan`]).
-    fn step_max_cost_first_rescan(&mut self) -> Result<bool> {
-        let n = self.spec.node_count();
-        let mut by_cost: Vec<(u64, NodeId)> = {
-            let costs = self.engine.node_costs();
-            NodeId::all(n)
-                .filter(|&u| self.engine.is_live(u))
-                .map(|u| (costs[u.index()], u))
-                .collect()
-        };
-        // Max cost first; ties by lowest id.
-        by_cost.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        for (_, u) in by_cost {
-            let out = self.test_node(u)?;
-            self.stats.steps += 1;
-            if out.improves() {
-                self.apply_move(u, out.best_strategy, out.current_cost, out.best_cost);
-                return Ok(true);
-            }
-        }
-        // Full scan found no mover: equilibrium (every test already counted).
-        Ok(false)
-    }
-
     fn apply_move(&mut self, u: NodeId, new: Vec<NodeId>, old_cost: u64, new_cost: u64) {
         let old = self.engine.config().strategy(u).to_vec();
         if let Some(trace) = &mut self.trace {
@@ -709,10 +651,10 @@ impl<'a> Walk<'a> {
         }
     }
 
-    /// Full-search stability scan using the walk's own options, so the scan
-    /// reads and refills the same outcome memos the walk's steps use (a
-    /// first-improvement checker would evict every default-options memo on
-    /// each failed confirmation).
+    /// Full-search stability scan through the walk's own stability test, so
+    /// the scan reads and refills the same outcome memos the walk's steps
+    /// use (a first-improvement checker would evict every default-options
+    /// memo on each failed confirmation).
     fn exact_scan_stable(&mut self) -> Result<bool> {
         for u in NodeId::all(self.spec.node_count()) {
             if !self.engine.is_live(u) {
@@ -815,7 +757,7 @@ impl<'a> Walk<'a> {
     }
 
     /// Best-response *advice* for `u`: runs the engine's stability test —
-    /// honouring the walk's search options, prefill policy, and landmark
+    /// a full search honouring the walk's prefill policy and landmark
     /// bounds — without applying the move, counting a step, or touching
     /// any scheduler state.
     ///
@@ -1208,31 +1150,98 @@ mod tests {
         );
     }
 
+    /// The recompute-and-sort max-cost-first walk, written against the
+    /// engine's public API: before every step it recomputes every live
+    /// node's cost, sorts (max cost first, ties by lowest id) and probes in
+    /// that order until a node moves. Its accounting follows [`Walk::run`]:
+    /// cycle detection on the pre-step configuration, one step per
+    /// stability test, connectivity noted at the start and after each move.
+    fn max_cost_first_by_rescan(
+        spec: &GameSpec,
+        start: Configuration,
+        max_steps: u64,
+    ) -> (WalkOutcome, WalkStats, Vec<MoveRecord>, Configuration) {
+        let n = spec.node_count();
+        let options = BestResponseOptions::default();
+        let mut engine = DistanceEngine::new(spec, start);
+        let mut stats = WalkStats::default();
+        let mut trace = Vec::new();
+        let mut history = DetHashMap::default();
+        let note = |engine: &mut DistanceEngine, stats: &mut WalkStats| {
+            if stats.steps_to_strong_connectivity.is_none() && engine.is_strongly_connected() {
+                stats.steps_to_strong_connectivity = Some(stats.steps);
+            }
+        };
+        note(&mut engine, &mut stats);
+        let outcome = loop {
+            if stats.steps >= max_steps {
+                break WalkOutcome::StepLimit { steps: stats.steps };
+            }
+            if let Some(&first) = history.get(engine.config()) {
+                break WalkOutcome::Cycle {
+                    first_seen_step: first,
+                    period: stats.steps - first,
+                };
+            }
+            history.insert(engine.config().clone(), stats.steps);
+            let costs = engine.node_costs();
+            let mut order: Vec<NodeId> = NodeId::all(n).filter(|&u| engine.is_live(u)).collect();
+            order.sort_by_key(|&u| (std::cmp::Reverse(costs[u.index()]), u));
+            let mut moved = false;
+            for u in order {
+                let out = engine.best_response(u, &options).unwrap();
+                stats.bounds_hit += out.bounds_hit;
+                stats.rows_materialized += out.rows_materialized;
+                stats.steps += 1;
+                if out.improves() {
+                    trace.push(MoveRecord {
+                        step: stats.steps - 1,
+                        node: u,
+                        old_strategy: engine.config().strategy(u).to_vec(),
+                        new_strategy: out.best_strategy.clone(),
+                        old_cost: out.current_cost,
+                        new_cost: out.best_cost,
+                    });
+                    engine.apply_strategy(u, out.best_strategy).unwrap();
+                    stats.moves += 1;
+                    note(&mut engine, &mut stats);
+                    moved = true;
+                    break;
+                }
+            }
+            if !moved {
+                break WalkOutcome::Equilibrium { steps: stats.steps };
+            }
+        };
+        (outcome, stats, trace, engine.into_config())
+    }
+
     #[test]
     fn max_cost_first_queue_replays_the_frozen_rescan_exactly() {
         // The engine-aware priority-queue scheduler must reproduce the
-        // frozen recompute-and-sort implementation *exactly*: same probe
-        // count (steps), same movers in the same order, same endpoint —
-        // from random starts, from an equilibrium start, and with the
-        // search budget exercised by several (n, k) shapes.
+        // recompute-and-sort reference *exactly*: same probe count (steps),
+        // same movers in the same order, same endpoint — from random
+        // starts, from an equilibrium start, and with the search budget
+        // exercised by several (n, k) shapes.
         for (n, k, seeds) in [(6usize, 1u64, 0..6u64), (8, 2, 0..4), (10, 2, 0..3)] {
             let spec = GameSpec::uniform(n, k);
             for seed in seeds {
                 let start = Configuration::random(&spec, seed);
-                let run = |rescan: bool| {
-                    let mut walk = Walk::new(&spec, start.clone())
-                        .with_scheduler(Scheduler::MaxCostFirst)
-                        .max_cost_first_rescan(rescan)
-                        .record_trace(true);
-                    let outcome = walk.run(4_000).unwrap();
-                    (
-                        outcome,
-                        walk.stats().clone(),
-                        walk.trace().to_vec(),
-                        walk.into_config(),
-                    )
-                };
-                assert_eq!(run(false), run(true), "n={n} k={k} seed={seed}");
+                let mut walk = Walk::new(&spec, start.clone())
+                    .with_scheduler(Scheduler::MaxCostFirst)
+                    .record_trace(true);
+                let outcome = walk.run(4_000).unwrap();
+                let queue = (
+                    outcome,
+                    walk.stats().clone(),
+                    walk.trace().to_vec(),
+                    walk.into_config(),
+                );
+                assert_eq!(
+                    queue,
+                    max_cost_first_by_rescan(&spec, start, 4_000),
+                    "n={n} k={k} seed={seed}"
+                );
             }
         }
     }
@@ -1241,7 +1250,7 @@ mod tests {
     fn max_cost_first_queue_counts_equilibrium_scan_steps() {
         // From an equilibrium start the single scan probes all n nodes and
         // counts all n stability tests — the WalkStats contract — on the
-        // queue path just like on the frozen rescan.
+        // queue path just like in a recompute-and-sort scan.
         let n = 5;
         let spec = GameSpec::uniform(n, 1);
         let ring =
@@ -1280,14 +1289,10 @@ mod tests {
             }
             if matches!(outcome, WalkOutcome::Equilibrium { .. }) {
                 // Every live node really is stable in the masked game.
-                for u in NodeId::all(8) {
-                    if walk.is_live(u) {
-                        let out = walk
-                            .engine
-                            .best_response(u, &BestResponseOptions::default());
-                        assert!(!out.unwrap().improves(), "{scheduler:?}: {u} unstable");
-                    }
-                }
+                let report = StabilityChecker::new(&spec)
+                    .check_with_engine(&mut walk.engine)
+                    .unwrap();
+                assert!(report.stable, "{scheduler:?}: {:?}", report.deviations);
             }
         }
     }

@@ -69,7 +69,7 @@
 
 use bbc_graph::{
     BitSet, BlockEnvelope, BlockPartition, ClampedBfs, ClampedDijkstra, ConnectivityScratch,
-    CsrBfs, CsrDijkstra, CsrGraph, RowWord, UNREACHABLE,
+    CsrGraph, RowWord, UNREACHABLE,
 };
 
 use crate::{
@@ -153,8 +153,8 @@ impl<W: RowWord> RowSlot<W> {
     }
 }
 
-/// The clamped traversal kernels behind every cached deviation and landmark
-/// row.
+/// The clamped traversal kernels behind every cached row: deviation and
+/// landmark rows at the engine's row width, evaluator rows as raw `u64`.
 #[derive(Debug)]
 struct RowFiller<W> {
     bfs: ClampedBfs<W>,
@@ -197,20 +197,22 @@ impl<W: RowWord> RowFiller<W> {
         }
     }
 
-    /// Fills `slot` with the clamped full-`G` row from landmark `l`.
-    fn landmark_row(
+    /// Fills `slot` with the full-`G` row `d_G(source, ·)`, with `clamp` for
+    /// unreachable targets: the penalty for landmark rows,
+    /// [`UNREACHABLE`] for evaluator rows.
+    fn full_row(
         &mut self,
         csr: &CsrGraph,
         spec: &GameSpec,
-        l: NodeId,
-        penalty: W,
+        source: NodeId,
+        clamp: W,
         slot: &mut RowSlot<W>,
     ) {
         if spec.has_unit_lengths() {
-            self.bfs.run(csr, l.index(), W::ZERO, penalty);
+            self.bfs.run(csr, source.index(), W::ZERO, clamp);
             slot.store(self.bfs.distances(), self.bfs.touched());
         } else {
-            self.dijkstra.run(csr, l.index(), W::ZERO, penalty);
+            self.dijkstra.run(csr, source.index(), W::ZERO, clamp);
             slot.store(self.dijkstra.distances(), self.dijkstra.touched());
         }
     }
@@ -422,11 +424,10 @@ struct EngineCore<'a, W: RowWord> {
     /// the conversion is exact.
     penalty: W,
     filler: RowFiller<W>,
-    /// Raw-`u64` traversals for evaluator rows (`d_G(u,·)` with
-    /// [`bbc_graph::UNREACHABLE`] preserved — the public
-    /// [`DistanceEngine::distances_from`] contract is width-independent).
-    eval_bfs: CsrBfs,
-    eval_dijkstra: CsrDijkstra,
+    /// Traverses evaluator rows: raw `u64` `d_G(u,·)` with [`UNREACHABLE`]
+    /// preserved, since the public [`DistanceEngine::distances_from`]
+    /// contract is width-independent.
+    eval_filler: RowFiller<u64>,
     conn: ConnectivityScratch,
     oracle: Vec<OracleCache<W>>,
     /// One evaluator row per node; empty until the first cost is asked.
@@ -871,8 +872,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             csr,
             penalty,
             filler: RowFiller::new(n),
-            eval_bfs: CsrBfs::new(n),
-            eval_dijkstra: CsrDijkstra::new(n),
+            eval_filler: RowFiller::new(n),
             conn: ConnectivityScratch::new(),
             oracle: (0..n).map(|_| OracleCache::default()).collect(),
             eval_rows: Vec::new(),
@@ -1056,7 +1056,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 continue;
             }
             self.filler
-                .landmark_row(&self.csr, self.spec, l, self.penalty, slot);
+                .full_row(&self.csr, self.spec, l, self.penalty, slot);
             self.stats.landmark_rows_computed += 1;
             self.lm.env_valid = false;
         }
@@ -1277,13 +1277,8 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
         let slot = &mut self.eval_rows[u.index()];
         if !slot.valid {
-            if self.spec.has_unit_lengths() {
-                self.eval_bfs.run(&self.csr, u.index());
-                slot.store(self.eval_bfs.distances(), self.eval_bfs.touched());
-            } else {
-                self.eval_dijkstra.run(&self.csr, u.index());
-                slot.store(self.eval_dijkstra.distances(), self.eval_dijkstra.touched());
-            }
+            self.eval_filler
+                .full_row(&self.csr, self.spec, u, UNREACHABLE, slot);
             self.stats.eval_rows_computed += 1;
         }
         let cost = if self.live_count == self.spec.node_count() {
@@ -1566,7 +1561,7 @@ fn fill_links(spec: &GameSpec, u: NodeId, targets: &[NodeId], out: &mut Vec<(u32
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{best_response, CostModel};
 
@@ -2106,6 +2101,100 @@ mod tests {
         // Landmarks were re-picked over the live set after each membership
         // change; none may ever be a departed node.
         assert!(pruned.stats().landmark_rows_computed >= 4);
+    }
+
+    /// Asserts that each bound row the last landmark-bounded search of `u`
+    /// built lies elementwise at or below the exact suffix-min row at every
+    /// candidate position `i`: `min_{j ≥ i} ℓ(u,c_j) + d_{G∖u}(c_j, ·)`
+    /// (the penalty where unreachable), recomputed on the adjacency list.
+    fn assert_bound_rows_admissible<W: RowWord>(e: &EngineCore<'_, W>, u: NodeId, context: &str) {
+        let n = e.spec.node_count();
+        let mut g = e.config.to_graph(e.spec);
+        g.take_out_arcs(u.index());
+        let mut exact = vec![e.spec.penalty(); n];
+        for (i, &c) in e.stage.candidates.iter().enumerate().rev() {
+            let len = e.spec.link_length(u, c);
+            for (x, d) in exact.iter_mut().zip(g.distances_from(c.index())) {
+                if d != UNREACHABLE {
+                    *x = (*x).min(len + d);
+                }
+            }
+            let bound = e.lm_scratch.bound_row(i, n);
+            for v in 0..n {
+                assert!(
+                    bound[v].widen() <= exact[v],
+                    "{context}: node {u} position {i} target {v}: bound {bound:?} vs exact {exact:?}"
+                );
+            }
+        }
+    }
+
+    /// [`assert_bound_rows_admissible`] on whichever row tier `engine` runs,
+    /// for unit tests outside this module.
+    pub(crate) fn assert_landmark_bounds_admissible(
+        engine: &DistanceEngine<'_>,
+        u: NodeId,
+        context: &str,
+    ) {
+        tiered!(engine, e => assert_bound_rows_admissible(e, u, context));
+    }
+
+    /// A deterministic game with mixed weights, lengths and costs.
+    fn weighted_spec(n: usize, seed: u64) -> GameSpec {
+        let mut b = GameSpec::builder(n).default_budget(3);
+        let mut x = seed;
+        for u in 0..n {
+            for v in (0..n).filter(|&v| v != u) {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let r = x >> 33;
+                b = b
+                    .weight(u, v, r % 4)
+                    .link_length(u, v, 1 + (r >> 2) % 5)
+                    .link_cost(u, v, 1 + (r >> 5) % 3);
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn landmark_bound_rows_never_exceed_exact_suffix_rows() {
+        for seed in 0..3u64 {
+            let specs = [
+                GameSpec::uniform(9, 2),
+                GameSpec::uniform(12, 3),
+                weighted_spec(10, seed),
+            ];
+            for (idx, spec) in specs.iter().enumerate() {
+                let cfg = Configuration::random(spec, seed);
+                // One churned membership: two departures from a (12,3) game.
+                let churned = seed == 0 && idx == 1;
+                let tiers: &[RowTier] = match RowTier::auto(spec) {
+                    RowTier::U32 => &[RowTier::U32, RowTier::U64],
+                    RowTier::U64 => &[RowTier::U64],
+                };
+                for &tier in tiers {
+                    for k in 1..=6 {
+                        let mut engine = DistanceEngine::with_tier(spec, cfg.clone(), tier)
+                            .unwrap()
+                            .with_landmarks(LandmarkPolicy::Forced(k));
+                        if churned {
+                            engine.remove_node(NodeId::new(3)).unwrap();
+                            engine.remove_node(NodeId::new(8)).unwrap();
+                        }
+                        let live: Vec<NodeId> = engine.live_nodes().collect();
+                        for u in live {
+                            let context = format!("seed {seed} spec {idx} {tier:?} Forced({k})");
+                            tiered!(mut engine, e => {
+                                e.best_response(u, &opts()).unwrap();
+                                assert_bound_rows_admissible(e, u, &context);
+                            });
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The paper defines node `u`'s (dis)utility in `G(S)` as
 //! `Σ_v w(u,v)·d(u,v)` with `d(u,v) = M` when `v` is unreachable (§2), and
-//! the max-variant `max_v w(u,v)·d(u,v)` (§5). [`Evaluator`] computes both,
-//! dispatching to BFS or Dijkstra depending on whether the game has unit
-//! lengths.
+//! the max-variant `max_v w(u,v)·d(u,v)` (§5). [`Evaluator`] computes both
+//! from the distance rows of a [`DistanceEngine`].
 
-use bbc_graph::{BfsBuffer, BitSet, DiGraph, DijkstraBuffer, UNREACHABLE};
+use bbc_graph::{BitSet, UNREACHABLE};
 
 use crate::{Configuration, CostModel, DistanceEngine, GameSpec, NodeId};
 
@@ -37,19 +36,14 @@ use crate::{Configuration, CostModel, DistanceEngine, GameSpec, NodeId};
 pub struct Evaluator<'a> {
     spec: &'a GameSpec,
     engine: DistanceEngine<'a>,
-    bfs: BfsBuffer,
-    dijkstra: DijkstraBuffer,
 }
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator for `spec`.
     pub fn new(spec: &'a GameSpec) -> Self {
-        let n = spec.node_count();
         Self {
             spec,
-            engine: DistanceEngine::new(spec, Configuration::empty(n)),
-            bfs: BfsBuffer::new(n),
-            dijkstra: DijkstraBuffer::new(n),
+            engine: DistanceEngine::new(spec, Configuration::empty(spec.node_count())),
         }
     }
 
@@ -59,39 +53,10 @@ impl<'a> Evaluator<'a> {
         self.spec
     }
 
-    /// Shortest-path distances from `u` in the materialized graph.
-    ///
-    /// Prefer the batched [`Evaluator::node_costs`] when all nodes are
-    /// needed; this method still avoids re-allocating traversal state.
-    pub fn distances_from(&mut self, graph: &DiGraph, u: NodeId) -> Vec<u64> {
-        if self.spec.has_unit_lengths() {
-            self.bfs.run(graph, u.index());
-            self.bfs.distances().to_vec()
-        } else {
-            self.dijkstra.run(graph, u.index());
-            self.dijkstra.distances().to_vec()
-        }
-    }
-
     /// Cost of node `u` under `config`.
     pub fn node_cost(&mut self, config: &Configuration, u: NodeId) -> u64 {
         self.engine.sync_to(config);
         self.engine.node_cost(u)
-    }
-
-    /// Cost of node `u` given an already-materialized graph of the
-    /// configuration.
-    ///
-    /// This is the engine-free path for callers that hold a raw
-    /// [`DiGraph`] rather than a [`Configuration`]; it cannot cache.
-    pub fn node_cost_in_graph(&mut self, graph: &DiGraph, u: NodeId) -> u64 {
-        if self.spec.has_unit_lengths() {
-            self.bfs.run(graph, u.index());
-            cost_from_distances(self.spec, u, self.bfs.distances())
-        } else {
-            self.dijkstra.run(graph, u.index());
-            cost_from_distances(self.spec, u, self.dijkstra.distances())
-        }
     }
 
     /// Costs of every node under `config` (cached rows are reused; at most
@@ -112,8 +77,8 @@ impl<'a> Evaluator<'a> {
 /// Aggregates a distance vector into `u`'s cost under the spec's cost model,
 /// substituting the disconnection penalty for unreachable nodes.
 ///
-/// Exposed for the best-response machinery, which produces distance rows
-/// without a full `Evaluator`.
+/// Exposed for the engine and the frozen reference, which produce distance
+/// rows without a full `Evaluator`.
 pub fn cost_from_distances(spec: &GameSpec, u: NodeId, dist: &[u64]) -> u64 {
     debug_assert_eq!(dist.len(), spec.node_count());
     let m = spec.penalty();

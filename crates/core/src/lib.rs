@@ -69,7 +69,7 @@ pub use engine::{DistanceEngine, EngineStats, RowTier};
 pub use enumerate::{EnumerationResult, ProfileSpace};
 pub use error::{Error, Result};
 pub use eval::Evaluator;
-pub use landmark::{best_response_landmark, LandmarkOracle, LandmarkPolicy};
+pub use landmark::LandmarkPolicy;
 pub use node::NodeId;
 pub use spec::{CostModel, GameSpec, GameSpecBuilder};
 pub use stability::{Deviation, StabilityChecker, StabilityReport};

@@ -82,16 +82,6 @@ impl<'a> StabilityChecker<'a> {
         }
     }
 
-    /// Overrides the best-response search options. Note the checker always
-    /// forces `stop_at_first_improvement` — a witness is a witness.
-    pub fn with_options(mut self, options: BestResponseOptions) -> Self {
-        self.options = BestResponseOptions {
-            stop_at_first_improvement: true,
-            ..options
-        };
-        self
-    }
-
     /// Collect one deviation per unstable node instead of stopping at the
     /// first.
     pub fn collect_all_deviations(mut self, yes: bool) -> Self {
@@ -115,6 +105,7 @@ impl<'a> StabilityChecker<'a> {
     }
 
     /// Checks the configuration bound to `engine`, reusing its caches.
+    /// Only live members are tested: a departed node plays no strategy.
     ///
     /// Sync the engine first ([`DistanceEngine::sync_to`]) if it tracks a
     /// different configuration than the one to check.
@@ -135,6 +126,9 @@ impl<'a> StabilityChecker<'a> {
         let mut deviations = Vec::new();
         let mut evaluations = 0;
         for u in NodeId::all(self.spec.node_count()) {
+            if !engine.is_live(u) {
+                continue;
+            }
             let out = engine.best_response(u, &self.options)?;
             if out.improves() {
                 evaluations += out.evaluations;
@@ -380,6 +374,41 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn engine_check_skips_departed_members() {
+        let spec = GameSpec::uniform(6, 1);
+        // Departed node 2 holds no links; the live ring 0→1→3→4→5→0 is stable.
+        let ring = Configuration::from_strategies(
+            &spec,
+            vec![
+                vec![v(1)],
+                vec![v(3)],
+                vec![],
+                vec![v(4)],
+                vec![v(5)],
+                vec![v(0)],
+            ],
+        )
+        .unwrap();
+        let mut live = bbc_graph::BitSet::new(6);
+        live.extend([0usize, 1, 3, 4, 5]);
+        let mut engine = DistanceEngine::with_membership(&spec, ring, &live).unwrap();
+        let report = StabilityChecker::new(&spec)
+            .check_with_engine(&mut engine)
+            .unwrap();
+        assert!(report.stable, "{:?}", report.deviations);
+
+        // An engine that removed node 2 itself, from an unstable start.
+        let mut engine = DistanceEngine::new(&spec, Configuration::empty(6));
+        engine.remove_node(v(2)).unwrap();
+        let report = StabilityChecker::new(&spec)
+            .collect_all_deviations(true)
+            .check_with_engine(&mut engine)
+            .unwrap();
+        let movers: Vec<NodeId> = report.deviations.iter().map(|d| d.node).collect();
+        assert_eq!(movers, vec![v(0), v(1), v(3), v(4), v(5)]);
     }
 
     #[test]

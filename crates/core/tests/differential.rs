@@ -14,10 +14,9 @@
 //! invalidation (a stale row would surface here as a cost mismatch).
 
 use bbc_core::{
-    best_response, best_response_landmark, enumerate, reference, BestResponseOptions,
-    BestResponseOutcome, ChurnConfig, ChurnSim, Configuration, CostModel, DistanceEngine, GameSpec,
-    LandmarkOracle, LandmarkPolicy, NodeId, RowTier, Scheduler, StabilityChecker, Walk,
-    WalkOutcome,
+    best_response, enumerate, reference, BestResponseOptions, BestResponseOutcome, ChurnConfig,
+    ChurnSim, Configuration, CostModel, DistanceEngine, GameSpec, LandmarkPolicy, NodeId, RowTier,
+    Scheduler, StabilityChecker, Walk, WalkOutcome,
 };
 use proptest::prelude::*;
 
@@ -599,6 +598,12 @@ proptest! {
 }
 
 // ===== landmark bounds: soundness against the exact substrate ===========
+//
+// The engine composes its bound rows from two public pieces: clamped
+// full-`G` landmark rows and the block envelope over them. The first suite
+// checks both against exact `G∖u` distances; the check of the composed
+// rows is a unit test in `engine.rs`, where those rows are visible. The
+// other suites check the decisions the bounds lead to.
 
 proptest! {
     #[test]
@@ -607,11 +612,28 @@ proptest! {
         u_sel in any::<u64>(),
         count in 0usize..=6,
     ) {
-        use bbc_graph::{BfsBuffer, UNREACHABLE};
+        use bbc_graph::{
+            BfsBuffer, BlockEnvelope, BlockPartition, ClampedBfs, CsrGraph, UNREACHABLE,
+        };
         let n = spec.node_count();
+        let penalty = spec.penalty();
         let u = NodeId::new((u_sel % n as u64) as usize);
-        let lm = LandmarkOracle::build(&spec, &cfg, u, count);
+        // Landmark rows as the engine fills them: evenly spread over the
+        // nodes, full-`G` traversals clamped at the penalty.
         let mut g = cfg.to_graph(&spec);
+        let csr = CsrGraph::from_digraph(&g);
+        let count = count.min(n);
+        let mut kernel = ClampedBfs::<u64>::new(n);
+        let rows: Vec<Vec<u64>> = (0..count)
+            .map(|j| {
+                kernel.run(&csr, j * n / count, 0, penalty);
+                kernel.distances().to_vec()
+            })
+            .collect();
+        let partition = BlockPartition::new(n);
+        let mut envelope = BlockEnvelope::new();
+        envelope.rebuild(&partition, rows.iter().map(Vec::as_slice), penalty);
+
         g.take_out_arcs(u.index());
         let mut bfs = BfsBuffer::new(n);
         for c in NodeId::all(n).filter(|&c| c != u) {
@@ -619,13 +641,25 @@ proptest! {
             let dist = bfs.distances();
             for v in NodeId::all(n) {
                 let exact = if dist[v.index()] == UNREACHABLE {
-                    spec.penalty()
+                    penalty
                 } else {
                     dist[v.index()]
                 };
+                for (j, row) in rows.iter().enumerate() {
+                    let bound = row[v.index()].saturating_sub(row[c.index()]);
+                    prop_assert!(
+                        bound <= exact,
+                        "landmark {} bound({}, {}) = {} above exact {}",
+                        j * n / count, c, v, bound, exact
+                    );
+                }
+                let bound = envelope.bound(
+                    partition.block_of(c.index()),
+                    partition.block_of(v.index()),
+                );
                 prop_assert!(
-                    lm.lower_bound(c, v) <= exact,
-                    "bound({}, {}) = {} above exact {}", c, v, lm.lower_bound(c, v), exact
+                    bound <= exact,
+                    "envelope bound({}, {}) = {} above exact {}", c, v, bound, exact
                 );
             }
         }
@@ -642,7 +676,9 @@ proptest! {
         let options = BestResponseOptions::default();
         for u in NodeId::all(spec.node_count()) {
             let frozen = reference::exact(&spec, &cfg, u, &options).expect("search fits");
-            let lm = best_response_landmark(&spec, &cfg, u, &options, count)
+            let lm = DistanceEngine::new(&spec, cfg.clone())
+                .with_landmarks(LandmarkPolicy::Forced(count))
+                .best_response(u, &options)
                 .expect("search fits");
             assert_same_decision(&frozen, &lm, "landmark");
         }
@@ -656,7 +692,9 @@ proptest! {
         let options = BestResponseOptions::default();
         for u in NodeId::all(spec.node_count()) {
             let exact = best_response::exact(&spec, &cfg, u, &options).expect("search fits");
-            let lm = best_response_landmark(&spec, &cfg, u, &options, count)
+            let lm = DistanceEngine::new(&spec, cfg.clone())
+                .with_landmarks(LandmarkPolicy::Forced(count))
+                .best_response(u, &options)
                 .expect("search fits");
             assert_same_decision(&exact, &lm, "landmark-weighted");
         }

@@ -69,48 +69,6 @@ impl BfsBuffer {
         }
     }
 
-    /// Runs BFS from `source` but pretends `source` has the given out-arcs
-    /// targets instead of its real ones (all at one hop).
-    ///
-    /// This is the hot path of uniform-game strategy evaluation: "what would
-    /// my distances be if my links went to `targets`?" without mutating the
-    /// graph. `g` must already have `source`'s real out-arcs removed (see
-    /// [`DiGraph::take_out_arcs`]) or the result mixes old and new links.
-    pub fn run_with_virtual_links(&mut self, g: &DiGraph, source: usize, targets: &[usize]) {
-        assert_eq!(
-            g.node_count(),
-            self.dist.len(),
-            "buffer sized for a different graph"
-        );
-        debug_assert_eq!(
-            g.out_degree(source),
-            0,
-            "caller must strip source's real arcs"
-        );
-        self.dist.fill(UNREACHABLE);
-        self.queue.clear();
-        self.dist[source] = 0;
-        for &t in targets {
-            if t != source && self.dist[t] == UNREACHABLE {
-                self.dist[t] = 1;
-                self.queue.push(t as u32);
-            }
-        }
-        let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head] as usize;
-            head += 1;
-            let du = self.dist[u];
-            for a in g.out_arcs(u) {
-                let v = a.to();
-                if self.dist[v] == UNREACHABLE {
-                    self.dist[v] = du + 1;
-                    self.queue.push(a.to);
-                }
-            }
-        }
-    }
-
     /// Distances produced by the last [`BfsBuffer::run`].
     ///
     /// Unreached nodes hold [`UNREACHABLE`].
@@ -171,27 +129,6 @@ mod tests {
         buf.run(&g, 2);
         assert_eq!(buf.distances(), &[UNREACHABLE, UNREACHABLE, 0]);
         assert_eq!(buf.reached(), 1);
-    }
-
-    #[test]
-    fn virtual_links_match_real_links() {
-        // Graph where node 0's links are virtual: 0 -> {2, 3}.
-        let mut g = DiGraph::from_unit_edges(5, [(2, 1), (3, 4), (1, 0)]);
-        let mut virt = BfsBuffer::new(5);
-        virt.run_with_virtual_links(&g, 0, &[2, 3]);
-
-        g.add_arc(0, Arc::unit(2));
-        g.add_arc(0, Arc::unit(3));
-        let real = bfs_distances(&g, 0);
-        assert_eq!(virt.distances(), &real[..]);
-    }
-
-    #[test]
-    fn virtual_links_ignore_self_target() {
-        let g = DiGraph::new(3);
-        let mut buf = BfsBuffer::new(3);
-        buf.run_with_virtual_links(&g, 0, &[0, 1]);
-        assert_eq!(buf.distances(), &[0, 1, UNREACHABLE]);
     }
 
     #[test]

@@ -15,12 +15,12 @@
 //! by an automatic compaction once more than half the arena is dead. Spans
 //! are node-local, so compaction never invalidates node indices.
 //!
-//! [`CsrBfs`] and [`CsrDijkstra`] mirror the pooled-buffer API of
-//! [`crate::BfsBuffer`] / [`crate::DijkstraBuffer`] on this layout, and add
-//! the *skip-node* traversal (`G∖u`: ignore one node's out-arcs) that the
-//! game layer's deviation oracle is built on.
+//! Shortest-path rows over this layout come from the clamped kernels of
+//! [`crate::rows`] ([`crate::ClampedBfs`], [`crate::ClampedDijkstra`]),
+//! including the *skip-node* traversal (`G∖u`: ignore one node's out-arcs)
+//! that the game layer's deviation rows are built on.
 
-use crate::{bitset::BitSet, DiGraph, UNREACHABLE};
+use crate::{bitset::BitSet, DiGraph};
 
 /// Per-node slab descriptor into the arc arenas.
 #[derive(Clone, Copy, Debug, Default)]
@@ -282,206 +282,6 @@ impl CsrGraph {
     }
 }
 
-/// Reusable BFS state over [`CsrGraph`]s: distance row, queue, and the
-/// *touched set* — every node whose out-arcs the traversal expanded.
-///
-/// The touched set is what makes shortest-path rows cacheable across graph
-/// patches: a row computed from source `c` stays valid under a rewire of
-/// node `m` unless `m` was touched (an unreached node's out-arcs cannot
-/// affect any distance from `c`, and rewiring `m`'s *out*-links never makes
-/// `m` itself newly reachable).
-///
-/// # Examples
-///
-/// ```
-/// use bbc_graph::csr::{CsrBfs, CsrGraph};
-///
-/// let mut g = CsrGraph::new(4);
-/// g.set_out_links(0, &[(1, 1)]);
-/// g.set_out_links(1, &[(2, 1)]);
-/// let mut bfs = CsrBfs::new(4);
-/// bfs.run(&g, 0);
-/// assert_eq!(bfs.distances(), &[0, 1, 2, bbc_graph::UNREACHABLE]);
-/// assert!(bfs.touched().contains(1));
-/// assert!(!bfs.touched().contains(3));
-/// ```
-#[derive(Clone, Debug)]
-pub struct CsrBfs {
-    dist: Vec<u64>,
-    queue: Vec<u32>,
-    touched: BitSet,
-}
-
-impl CsrBfs {
-    /// Creates a buffer sized for graphs with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Self {
-            dist: vec![UNREACHABLE; n],
-            queue: Vec::with_capacity(n),
-            touched: BitSet::new(n),
-        }
-    }
-
-    /// Grows the buffer to serve graphs of at least `n` nodes (no-op when
-    /// already that large); distances from earlier runs are discarded.
-    pub fn grow(&mut self, n: usize) {
-        if n > self.dist.len() {
-            self.dist.resize(n, UNREACHABLE);
-            self.touched.grow(n);
-        }
-    }
-
-    /// Runs BFS from `source` (arc lengths ignored — every arc is one hop).
-    pub fn run(&mut self, g: &CsrGraph, source: usize) {
-        self.run_impl(g, source, usize::MAX);
-    }
-
-    /// Runs BFS from `source` in `G∖skip`: `skip`'s out-arcs are ignored
-    /// (`skip` itself remains reachable through other nodes' arcs).
-    ///
-    /// This is the deviation-oracle traversal: distances from a candidate
-    /// target with the deviating node's links removed.
-    pub fn run_skipping(&mut self, g: &CsrGraph, source: usize, skip: usize) {
-        self.run_impl(g, source, skip);
-    }
-
-    fn run_impl(&mut self, g: &CsrGraph, source: usize, skip: usize) {
-        assert_eq!(
-            g.node_count(),
-            self.dist.len(),
-            "buffer sized for a different graph"
-        );
-        assert!(source < self.dist.len(), "source {source} out of bounds");
-        self.dist.fill(UNREACHABLE);
-        self.touched.clear();
-        self.queue.clear();
-        self.dist[source] = 0;
-        // bbc-lint: allow(narrowing-cast, source < n <= u32::MAX per the constructor assert)
-        self.queue.push(source as u32);
-        let mut head = 0;
-        while head < self.queue.len() {
-            let u = self.queue[head] as usize;
-            head += 1;
-            if u == skip {
-                continue;
-            }
-            self.touched.insert(u);
-            let du = self.dist[u];
-            for &t in g.out_targets(u) {
-                let v = t as usize;
-                if self.dist[v] == UNREACHABLE {
-                    self.dist[v] = du + 1;
-                    self.queue.push(t);
-                }
-            }
-        }
-    }
-
-    /// Distances from the last run; unreached nodes hold [`UNREACHABLE`].
-    #[inline]
-    pub fn distances(&self) -> &[u64] {
-        &self.dist
-    }
-
-    /// Nodes whose out-arcs the last run expanded.
-    #[inline]
-    pub fn touched(&self) -> &BitSet {
-        &self.touched
-    }
-
-    /// Number of nodes reached by the last run (including the source).
-    pub fn reached(&self) -> usize {
-        self.dist.iter().filter(|&&d| d != UNREACHABLE).count()
-    }
-}
-
-/// Reusable Dijkstra state over [`CsrGraph`]s, with the same skip-node and
-/// touched-set semantics as [`CsrBfs`].
-#[derive(Clone, Debug)]
-pub struct CsrDijkstra {
-    dist: Vec<u64>,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
-    touched: BitSet,
-}
-
-impl CsrDijkstra {
-    /// Creates a buffer sized for graphs with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Self {
-            dist: vec![UNREACHABLE; n],
-            heap: std::collections::BinaryHeap::with_capacity(n),
-            touched: BitSet::new(n),
-        }
-    }
-
-    /// Grows the buffer to serve graphs of at least `n` nodes (no-op when
-    /// already that large); distances from earlier runs are discarded.
-    pub fn grow(&mut self, n: usize) {
-        if n > self.dist.len() {
-            self.dist.resize(n, UNREACHABLE);
-            self.touched.grow(n);
-        }
-    }
-
-    /// Runs Dijkstra from `source`.
-    pub fn run(&mut self, g: &CsrGraph, source: usize) {
-        self.run_impl(g, source, usize::MAX);
-    }
-
-    /// Runs Dijkstra from `source` in `G∖skip` (see [`CsrBfs::run_skipping`]).
-    pub fn run_skipping(&mut self, g: &CsrGraph, source: usize, skip: usize) {
-        self.run_impl(g, source, skip);
-    }
-
-    fn run_impl(&mut self, g: &CsrGraph, source: usize, skip: usize) {
-        assert_eq!(
-            g.node_count(),
-            self.dist.len(),
-            "buffer sized for a different graph"
-        );
-        assert!(source < self.dist.len(), "source {source} out of bounds");
-        self.dist.fill(UNREACHABLE);
-        self.touched.clear();
-        self.heap.clear();
-        self.dist[source] = 0;
-        // bbc-lint: allow(narrowing-cast, source < n <= u32::MAX per the constructor assert)
-        self.heap.push(std::cmp::Reverse((0, source as u32)));
-        while let Some(std::cmp::Reverse((d, u))) = self.heap.pop() {
-            let u = u as usize;
-            if d > self.dist[u] || u == skip {
-                continue;
-            }
-            self.touched.insert(u);
-            let (targets, lengths) = g.out(u);
-            for (&t, &len) in targets.iter().zip(lengths) {
-                let v = t as usize;
-                let nd = d + len;
-                if nd < self.dist[v] {
-                    self.dist[v] = nd;
-                    self.heap.push(std::cmp::Reverse((nd, t)));
-                }
-            }
-        }
-    }
-
-    /// Distances from the last run; unreached nodes hold [`UNREACHABLE`].
-    #[inline]
-    pub fn distances(&self) -> &[u64] {
-        &self.dist
-    }
-
-    /// Nodes whose out-arcs the last run expanded.
-    #[inline]
-    pub fn touched(&self) -> &BitSet {
-        &self.touched
-    }
-
-    /// Number of nodes reached by the last run (including the source).
-    pub fn reached(&self) -> usize {
-        self.dist.iter().filter(|&&d| d != UNREACHABLE).count()
-    }
-}
-
 /// Reusable scratch for strong-connectivity checks on [`CsrGraph`]s.
 ///
 /// A graph is strongly connected iff node 0 reaches every node in both `G`
@@ -601,8 +401,9 @@ impl ConnectivityScratch {
 mod tests {
     use super::*;
     use crate::bfs::bfs_distances;
+    use crate::rows::{ClampedBfs, ClampedDijkstra};
     use crate::scc::is_strongly_connected;
-    use crate::Arc;
+    use crate::{Arc, UNREACHABLE};
 
     fn digraph_of(n: usize, edges: &[(usize, usize, u64)]) -> DiGraph {
         DiGraph::from_edges(n, edges.iter().copied())
@@ -658,11 +459,11 @@ mod tests {
         }
         assert_eq!(g.arc_count(), fresh.arc_count());
         assert_eq!(g.is_unit_length(), fresh.is_unit_length());
-        let mut a = CsrBfs::new(6);
-        let mut b = CsrBfs::new(6);
+        let mut a = ClampedBfs::<u64>::new(6);
+        let mut b = ClampedBfs::<u64>::new(6);
         for s in 0..6 {
-            a.run(&g, s);
-            b.run(&fresh, s);
+            a.run(&g, s, 0, UNREACHABLE);
+            b.run(&fresh, s, 0, UNREACHABLE);
             assert_eq!(a.distances(), b.distances(), "source {s}");
         }
     }
@@ -671,9 +472,9 @@ mod tests {
     fn bfs_matches_adjacency_list_bfs() {
         let g = digraph_of(6, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 4, 1)]);
         let csr = CsrGraph::from_digraph(&g);
-        let mut bfs = CsrBfs::new(6);
+        let mut bfs = ClampedBfs::<u64>::new(6);
         for s in 0..6 {
-            bfs.run(&csr, s);
+            bfs.run(&csr, s, 0, UNREACHABLE);
             assert_eq!(bfs.distances(), &bfs_distances(&g, s)[..], "source {s}");
         }
     }
@@ -682,8 +483,8 @@ mod tests {
     fn bfs_skipping_matches_stripped_graph() {
         let mut g = digraph_of(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (1, 4, 1)]);
         let csr = CsrGraph::from_digraph(&g);
-        let mut bfs = CsrBfs::new(5);
-        bfs.run_skipping(&csr, 0, 1);
+        let mut bfs = ClampedBfs::<u64>::new(5);
+        bfs.run_skipping(&csr, 0, 1, 0, UNREACHABLE);
         g.take_out_arcs(1);
         assert_eq!(bfs.distances(), &bfs_distances(&g, 0)[..]);
         // Node 1 is still reached (via 0's arc), just not expanded.
@@ -696,9 +497,9 @@ mod tests {
     fn dijkstra_matches_adjacency_list_dijkstra() {
         let g = digraph_of(5, &[(0, 1, 4), (0, 2, 1), (2, 1, 2), (1, 3, 7)]);
         let csr = CsrGraph::from_digraph(&g);
-        let mut dij = CsrDijkstra::new(5);
+        let mut dij = ClampedDijkstra::<u64>::new(5);
         for s in 0..5 {
-            dij.run(&csr, s);
+            dij.run(&csr, s, 0, UNREACHABLE);
             assert_eq!(
                 dij.distances(),
                 &crate::dijkstra::dijkstra_distances(&g, s)[..],
@@ -711,8 +512,8 @@ mod tests {
     fn dijkstra_skipping_matches_stripped_graph() {
         let mut g = digraph_of(5, &[(0, 1, 2), (1, 2, 3), (2, 3, 1), (0, 3, 9)]);
         let csr = CsrGraph::from_digraph(&g);
-        let mut dij = CsrDijkstra::new(5);
-        dij.run_skipping(&csr, 0, 1);
+        let mut dij = ClampedDijkstra::<u64>::new(5);
+        dij.run_skipping(&csr, 0, 1, 0, UNREACHABLE);
         g.take_out_arcs(1);
         assert_eq!(
             dij.distances(),
@@ -725,8 +526,8 @@ mod tests {
     fn touched_set_covers_exactly_expanded_nodes() {
         let g = digraph_of(6, &[(0, 1, 1), (1, 2, 1), (4, 5, 1)]);
         let csr = CsrGraph::from_digraph(&g);
-        let mut bfs = CsrBfs::new(6);
-        bfs.run(&csr, 0);
+        let mut bfs = ClampedBfs::<u64>::new(6);
+        bfs.run(&csr, 0, 0, UNREACHABLE);
         let touched: Vec<usize> = bfs.touched().iter().collect();
         assert_eq!(touched, vec![0, 1, 2], "only the reachable side expands");
     }
@@ -763,9 +564,9 @@ mod tests {
         assert_eq!(g.out_degree(3), 0);
         g.set_out_links(3, &[(0, 1)]);
         g.set_out_links(0, &[(3, 1)]);
-        let mut bfs = CsrBfs::new(3);
+        let mut bfs = ClampedBfs::<u64>::new(3);
         bfs.grow(4);
-        bfs.run(&g, 0);
+        bfs.run(&g, 0, 0, UNREACHABLE);
         assert_eq!(bfs.distances(), &[0, UNREACHABLE, UNREACHABLE, 1]);
     }
 
@@ -781,8 +582,8 @@ mod tests {
         assert_eq!(g.node_count(), 4, "ids stay addressable");
         assert_eq!(g.out_degree(2), 0);
         assert_eq!(g.arc_count(), 1);
-        let mut bfs = CsrBfs::new(4);
-        bfs.run(&g, 0);
+        let mut bfs = ClampedBfs::<u64>::new(4);
+        bfs.run(&g, 0, 0, UNREACHABLE);
         assert_eq!(bfs.distances()[2], UNREACHABLE);
     }
 

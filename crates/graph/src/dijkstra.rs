@@ -55,40 +55,6 @@ impl DijkstraBuffer {
         self.heap.clear();
         self.dist[source] = 0;
         self.heap.push(Reverse((0, source as u32)));
-        self.drain_heap(g);
-    }
-
-    /// Runs Dijkstra from `source` pretending `source`'s out-links go to
-    /// `targets` with the given lengths, instead of its real arcs.
-    ///
-    /// `g` must have `source`'s real out-arcs stripped (see
-    /// [`DiGraph::take_out_arcs`]). This mirrors
-    /// [`crate::BfsBuffer::run_with_virtual_links`] for weighted games.
-    pub fn run_with_virtual_links(&mut self, g: &DiGraph, source: usize, links: &[(usize, u64)]) {
-        assert_eq!(
-            g.node_count(),
-            self.dist.len(),
-            "buffer sized for a different graph"
-        );
-        debug_assert_eq!(
-            g.out_degree(source),
-            0,
-            "caller must strip source's real arcs"
-        );
-        self.dist.fill(UNREACHABLE);
-        self.heap.clear();
-        self.dist[source] = 0;
-        for &(t, len) in links {
-            assert!(len > 0, "virtual link length must be positive");
-            if t != source && len < self.dist[t] {
-                self.dist[t] = len;
-                self.heap.push(Reverse((len, t as u32)));
-            }
-        }
-        self.drain_heap(g);
-    }
-
-    fn drain_heap(&mut self, g: &DiGraph) {
         while let Some(Reverse((d, u))) = self.heap.pop() {
             let u = u as usize;
             if d > self.dist[u] {
@@ -145,24 +111,5 @@ mod tests {
     fn agrees_with_bfs_on_unit_lengths() {
         let g = DiGraph::from_unit_edges(6, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 3), (3, 5)]);
         assert_eq!(dijkstra_distances(&g, 0), crate::bfs::bfs_distances(&g, 0));
-    }
-
-    #[test]
-    fn virtual_links_match_real_links() {
-        let mut g = DiGraph::from_edges(5, [(2, 1, 3), (3, 4, 2), (1, 0, 1)]);
-        let mut virt = DijkstraBuffer::new(5);
-        virt.run_with_virtual_links(&g, 0, &[(2, 7), (3, 1)]);
-
-        g.add_arc(0, crate::Arc::new(2, 7));
-        g.add_arc(0, crate::Arc::new(3, 1));
-        assert_eq!(virt.distances(), &dijkstra_distances(&g, 0)[..]);
-    }
-
-    #[test]
-    fn virtual_links_keep_best_parallel_length() {
-        let g = DiGraph::new(2);
-        let mut buf = DijkstraBuffer::new(2);
-        buf.run_with_virtual_links(&g, 0, &[(1, 9), (1, 2)]);
-        assert_eq!(buf.distances(), &[0, 2]);
     }
 }

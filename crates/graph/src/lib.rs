@@ -4,13 +4,16 @@
 //! millions of times inside best-response loops: single-source shortest paths
 //! (unit and weighted), strongly connected components, per-node reachability
 //! counts, and eccentricity/diameter measurements. This crate implements all
-//! of them from scratch on a compact adjacency representation, with scratch
-//! buffers ([`bfs::BfsBuffer`], [`dijkstra::DijkstraBuffer`]) so the hot paths
-//! allocate nothing.
+//! of them from scratch with pooled scratch buffers, so the hot paths
+//! allocate nothing: [`bfs::BfsBuffer`] and [`dijkstra::DijkstraBuffer`] over
+//! the adjacency-list [`DiGraph`], and one kernel family,
+//! [`rows::ClampedBfs`] and [`rows::ClampedDijkstra`], over the patchable
+//! [`csr::CsrGraph`] the game layer's engine traverses.
 //!
 //! Distances are `u64`; an unreachable target is reported as [`UNREACHABLE`],
-//! never as a silently-large number — callers (the game layer) substitute the
-//! game's disconnection penalty explicitly.
+//! never as a silently-large number. The clamped kernels take the value
+//! unreached entries hold as an explicit clamp: the game layer passes its
+//! disconnection penalty, or [`UNREACHABLE`] for raw distances.
 //!
 //! # Examples
 //!
@@ -43,7 +46,7 @@ pub mod scc;
 pub use bfs::BfsBuffer;
 pub use bitset::BitSet;
 pub use blocks::{BlockEnvelope, BlockPartition};
-pub use csr::{ConnectivityScratch, CsrBfs, CsrDijkstra, CsrGraph};
+pub use csr::{ConnectivityScratch, CsrGraph};
 pub use diameter::{diameter, eccentricity, Eccentricities};
 pub use digraph::{Arc, DiGraph};
 pub use dijkstra::DijkstraBuffer;

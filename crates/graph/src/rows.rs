@@ -6,18 +6,20 @@
 //! spec enforces `M > n·max ℓ`. Whenever `n·M` fits in 32 bits every row
 //! entry (and every plain row sum) does too, so the rows can be stored and
 //! streamed at half the memory bandwidth. [`ClampedBfs`] and
-//! [`ClampedDijkstra`] are the traversal kernels for that tier: generic over
-//! the row word ([`RowWord`], `u32` or `u64`), pooled and growable like
-//! [`crate::csr::CsrBfs`], and clamped *at fill time* — the buffer is
-//! initialised to the clamp value, the source is seeded at `offset` (the
-//! link length ℓ), and unreached entries simply keep the clamp. The caller
-//! gets a finished through-row with no sentinel-substitution pass.
+//! [`ClampedDijkstra`] are the traversal kernels for that tier, and the only
+//! shortest-path kernels over a [`CsrGraph`]: generic over the row word
+//! ([`RowWord`], `u32` or `u64`), pooled and growable, and clamped *at fill
+//! time* — the buffer is initialised to the clamp value, the source is
+//! seeded at `offset` (the link length ℓ), and unreached entries simply keep
+//! the clamp. The caller gets a finished through-row with no
+//! sentinel-substitution pass. Seeded at 0 and clamped at
+//! [`crate::UNREACHABLE`], a `u64` kernel yields raw distances.
 //!
-//! Values are identical to running the `u64` traversal and clamping
+//! Values are identical to running the raw traversal and clamping
 //! afterwards: seeding at `offset` shifts every finite distance by the same
 //! constant, which preserves BFS layer order and Dijkstra's heap order
-//! (ties break by node id either way), so the `touched` sets match too.
-//! The cross-width differential suite in `bbc-core` pins this.
+//! (ties break by node id either way). The cross-width tests below and the
+//! differential suite in `bbc-core` pin this.
 
 use crate::{bitset::BitSet, csr::CsrGraph};
 
@@ -83,13 +85,19 @@ impl RowWord for u64 {
 
 /// Pooled BFS over [`CsrGraph`]s producing a clamped through-row directly.
 ///
-/// Mirrors [`crate::csr::CsrBfs`] (skip-node traversal, touched set, grow)
-/// but fills `dist` with `clamp` up front, seeds the source at `offset`,
-/// and treats `dist[v] == clamp` as "unvisited". The caller must guarantee
-/// `offset + d < clamp` for every reachable node (the game spec's penalty
-/// rule `M > n·max ℓ` does exactly that); the kernel checks it with debug
-/// assertions and skips any write that would reach the clamp, so a violated
-/// precondition degrades to a too-coarse row instead of wrapping.
+/// Fills `dist` with `clamp` up front, seeds the source at `offset`, and
+/// treats `dist[v] == clamp` as "unvisited". Besides the row it records the
+/// *touched set* — every node whose out-arcs the traversal expanded. That
+/// set is what makes rows cacheable across graph patches: a row from `c`
+/// stays valid under a rewire of node `m` unless `m` was touched (an
+/// unreached node's out-arcs cannot affect any distance from `c`, and
+/// rewiring `m`'s *out*-links never makes `m` itself newly reachable).
+///
+/// The caller must guarantee `offset + d < clamp` for every reachable node
+/// (the game spec's penalty rule `M > n·max ℓ` does exactly that); the
+/// kernel checks it with debug assertions and skips any write that would
+/// reach the clamp, so a violated precondition degrades to a too-coarse row
+/// instead of wrapping.
 ///
 /// # Examples
 ///
@@ -103,6 +111,13 @@ impl RowWord for u64 {
 /// let mut bfs = ClampedBfs::<u32>::new(4);
 /// bfs.run(&g, 0, 5, 100); // offset 5, clamp 100
 /// assert_eq!(bfs.distances(), &[5, 6, 7, 100]);
+/// assert!(bfs.touched().contains(1));
+/// assert!(!bfs.touched().contains(3));
+///
+/// // Seeded at 0 and clamped at UNREACHABLE: raw distances.
+/// let mut raw = ClampedBfs::<u64>::new(4);
+/// raw.run(&g, 0, 0, bbc_graph::UNREACHABLE);
+/// assert_eq!(raw.distances(), &[0, 1, 2, bbc_graph::UNREACHABLE]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ClampedBfs<W> {
@@ -136,8 +151,11 @@ impl<W: RowWord> ClampedBfs<W> {
         self.run_impl(g, source, usize::MAX, offset, clamp);
     }
 
-    /// Runs BFS from `source` in `G∖skip` (see
-    /// [`crate::csr::CsrBfs::run_skipping`]), seeded at `offset`.
+    /// Runs BFS from `source` in `G∖skip`, seeded at `offset`: `skip`'s
+    /// out-arcs are ignored (`skip` itself stays reachable through other
+    /// nodes' arcs, but is never expanded or touched). This is the
+    /// deviation-row traversal: distances from a candidate target with the
+    /// deviating node's links removed.
     pub fn run_skipping(&mut self, g: &CsrGraph, source: usize, skip: usize, offset: W, clamp: W) {
         self.run_impl(g, source, skip, offset, clamp);
     }
@@ -285,8 +303,9 @@ impl<W: RowWord> ClampedDijkstra<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::{CsrBfs, CsrDijkstra};
-    use crate::UNREACHABLE;
+    use crate::bfs::bfs_distances;
+    use crate::dijkstra::dijkstra_distances;
+    use crate::{Arc, DiGraph, UNREACHABLE};
 
     /// A small deterministic pseudo-random graph on `n` nodes.
     fn scrambled_graph(n: usize, arcs_per_node: usize, weighted: bool, seed: u64) -> CsrGraph {
@@ -314,11 +333,30 @@ mod tests {
         g
     }
 
-    /// `clamp(offset + d)` of a raw `u64` distance row.
-    fn clamp_row(dist: &[u64], offset: u64, clamp: u64) -> Vec<u64> {
-        dist.iter()
+    /// `g` as an adjacency list without `skip`'s out-arcs (`usize::MAX`
+    /// keeps every arc): the graph a `G∖skip` traversal walks.
+    fn stripped(g: &CsrGraph, skip: usize) -> DiGraph {
+        let mut d = DiGraph::new(g.node_count());
+        for u in (0..g.node_count()).filter(|&u| u != skip) {
+            let (targets, lengths) = g.out(u);
+            for (&t, &len) in targets.iter().zip(lengths) {
+                d.add_arc(u, Arc::new(t as usize, len));
+            }
+        }
+        d
+    }
+
+    /// The row and touched set a clamped run must produce, from the raw
+    /// reference distances `dist`: `offset + d` where reached, `clamp`
+    /// elsewhere; every reached node except `skip` is expanded.
+    fn expected(dist: &[u64], skip: usize, offset: u64, clamp: u64) -> (Vec<u64>, BitSet) {
+        let row = dist
+            .iter()
             .map(|&d| if d == UNREACHABLE { clamp } else { offset + d })
-            .collect()
+            .collect();
+        let mut touched = BitSet::new(dist.len());
+        touched.extend((0..dist.len()).filter(|&v| dist[v] != UNREACHABLE && v != skip));
+        (row, touched)
     }
 
     #[test]
@@ -328,15 +366,15 @@ mod tests {
             let g = scrambled_graph(n, 2, false, seed);
             let clamp = (n as u64) * 3 + 10;
             let offset = 1 + seed % 3;
-            let mut raw = CsrBfs::new(n);
             let mut narrow = ClampedBfs::<u32>::new(n);
             let mut wide = ClampedBfs::<u64>::new(n);
-            for source in 0..n {
-                for skip in [usize::MAX, seed as usize % n] {
-                    raw.run_skipping(&g, source, skip);
+            for skip in [usize::MAX, seed as usize % n] {
+                let reference = stripped(&g, skip);
+                for source in 0..n {
                     narrow.run_skipping(&g, source, skip, offset as u32, clamp as u32);
                     wide.run_skipping(&g, source, skip, offset, clamp);
-                    let want = clamp_row(raw.distances(), offset, clamp);
+                    let (want, touched) =
+                        expected(&bfs_distances(&reference, source), skip, offset, clamp);
                     let got32: Vec<u64> = narrow.distances().iter().map(|&d| d.widen()).collect();
                     assert_eq!(got32, want, "u32 seed {seed} source {source}");
                     assert_eq!(
@@ -344,8 +382,8 @@ mod tests {
                         &want[..],
                         "u64 seed {seed} source {source}"
                     );
-                    assert_eq!(narrow.touched(), raw.touched(), "touched seed {seed}");
-                    assert_eq!(wide.touched(), raw.touched(), "touched seed {seed}");
+                    assert_eq!(narrow.touched(), &touched, "touched seed {seed}");
+                    assert_eq!(wide.touched(), &touched, "touched seed {seed}");
                 }
             }
         }
@@ -358,15 +396,15 @@ mod tests {
             let g = scrambled_graph(n, 3, true, seed);
             let clamp = (n as u64) * 6 + 10;
             let offset = 2 + seed % 4;
-            let mut raw = CsrDijkstra::new(n);
             let mut narrow = ClampedDijkstra::<u32>::new(n);
             let mut wide = ClampedDijkstra::<u64>::new(n);
-            for source in 0..n {
-                for skip in [usize::MAX, seed as usize % n] {
-                    raw.run_skipping(&g, source, skip);
+            for skip in [usize::MAX, seed as usize % n] {
+                let reference = stripped(&g, skip);
+                for source in 0..n {
                     narrow.run_skipping(&g, source, skip, offset as u32, clamp as u32);
                     wide.run_skipping(&g, source, skip, offset, clamp);
-                    let want = clamp_row(raw.distances(), offset, clamp);
+                    let (want, touched) =
+                        expected(&dijkstra_distances(&reference, source), skip, offset, clamp);
                     let got32: Vec<u64> = narrow.distances().iter().map(|&d| d.widen()).collect();
                     assert_eq!(got32, want, "u32 seed {seed} source {source}");
                     assert_eq!(
@@ -374,8 +412,8 @@ mod tests {
                         &want[..],
                         "u64 seed {seed} source {source}"
                     );
-                    assert_eq!(narrow.touched(), raw.touched(), "touched seed {seed}");
-                    assert_eq!(wide.touched(), raw.touched(), "touched seed {seed}");
+                    assert_eq!(narrow.touched(), &touched, "touched seed {seed}");
+                    assert_eq!(wide.touched(), &touched, "touched seed {seed}");
                 }
             }
         }

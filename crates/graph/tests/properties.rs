@@ -6,7 +6,8 @@ use bbc_graph::{
     dijkstra::dijkstra_distances,
     reach::reach_counts,
     scc::{condensation, is_strongly_connected, strongly_connected_components},
-    ConnectivityScratch, CsrBfs, CsrDijkstra, CsrGraph, DiGraph, DistanceMatrix, UNREACHABLE,
+    ClampedBfs, ClampedDijkstra, ConnectivityScratch, CsrGraph, DiGraph, DistanceMatrix,
+    UNREACHABLE,
 };
 use proptest::prelude::*;
 
@@ -160,12 +161,12 @@ proptest! {
         prop_assert_eq!(csr.arc_count(), g.arc_count());
         prop_assert_eq!(csr.is_unit_length(), g.is_unit_length());
         let n = g.node_count();
-        let mut bfs = CsrBfs::new(n);
-        let mut dij = CsrDijkstra::new(n);
+        let mut bfs = ClampedBfs::<u64>::new(n);
+        let mut dij = ClampedDijkstra::<u64>::new(n);
         for s in 0..n {
-            bfs.run(&csr, s);
+            bfs.run(&csr, s, 0, UNREACHABLE);
             prop_assert_eq!(bfs.distances(), &bfs_distances(&g, s)[..]);
-            dij.run(&csr, s);
+            dij.run(&csr, s, 0, UNREACHABLE);
             prop_assert_eq!(dij.distances(), &dijkstra_distances(&g, s)[..]);
         }
     }
@@ -177,9 +178,9 @@ proptest! {
         let mut stripped = g.clone();
         stripped.take_out_arcs(skip);
         let n = g.node_count();
-        let mut dij = CsrDijkstra::new(n);
+        let mut dij = ClampedDijkstra::<u64>::new(n);
         for s in 0..n {
-            dij.run_skipping(&csr, s, skip);
+            dij.run_skipping(&csr, s, skip, 0, UNREACHABLE);
             prop_assert_eq!(dij.distances(), &dijkstra_distances(&stripped, s)[..]);
             prop_assert!(!dij.touched().contains(skip));
         }
@@ -212,11 +213,11 @@ proptest! {
         }
         prop_assert_eq!(patched.arc_count(), fresh.arc_count());
         prop_assert_eq!(patched.is_unit_length(), fresh.is_unit_length());
-        let mut a = CsrDijkstra::new(n);
-        let mut b = CsrDijkstra::new(n);
+        let mut a = ClampedDijkstra::<u64>::new(n);
+        let mut b = ClampedDijkstra::<u64>::new(n);
         for s in 0..n {
-            a.run(&patched, s);
-            b.run(&fresh, s);
+            a.run(&patched, s, 0, UNREACHABLE);
+            b.run(&fresh, s, 0, UNREACHABLE);
             prop_assert_eq!(a.distances(), b.distances());
         }
     }
@@ -239,14 +240,14 @@ proptest! {
         let src = src_sel % n;
         let m = m_sel % n;
         let csr = CsrGraph::from_digraph(&g);
-        let mut bfs = CsrBfs::new(n);
-        bfs.run(&csr, src);
+        let mut bfs = ClampedBfs::<u64>::new(n);
+        bfs.run(&csr, src, 0, UNREACHABLE);
         if !bfs.touched().contains(m) {
             let before = bfs.distances().to_vec();
             let mut rewired = csr.clone();
             rewired.set_out_links(m, &[(((m + 1) % n) as u32, 1)]);
             if m != (m + 1) % n {
-                bfs.run(&rewired, src);
+                bfs.run(&rewired, src, 0, UNREACHABLE);
                 prop_assert_eq!(bfs.distances(), &before[..]);
             }
         }
