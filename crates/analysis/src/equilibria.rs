@@ -6,11 +6,10 @@
 //! random games for no-equilibrium witnesses (used to pin down Theorem 7's
 //! BBC-max claim with a concrete, machine-checkable instance).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use bbc_core::det::DetHashSet;
+use bbc_core::par::ordered_fan_out;
 use bbc_core::{enumerate, Configuration, CostModel, GameSpec, Result, Walk, WalkOutcome};
 
 /// Outcome of a seeded dynamics harvest.
@@ -49,10 +48,10 @@ pub fn harvest_equilibria(
 }
 
 /// Parallel variant of [`harvest_equilibria`]: seeds fan out across
-/// `threads` OS threads (`std::thread::scope`), each walk owning its own
-/// [`bbc_core::DistanceEngine`]. Workers claim seeds from a shared atomic
-/// cursor (work-stealing — long walks do not serialize behind short ones)
-/// and per-seed outcomes are merged **in seed order**, so the result —
+/// `threads` workers on the [`ordered fan-out`](bbc_core::par::ordered_fan_out),
+/// each walk owning its own [`bbc_core::DistanceEngine`]. Workers claim
+/// seeds from a shared cursor (long walks do not serialize behind short
+/// ones) and per-seed outcomes are merged **in seed order**, so the result —
 /// equilibria in first-discovery order, cycling and exhausted seed lists —
 /// is byte-identical to the sequential harvest for every thread count.
 ///
@@ -60,41 +59,23 @@ pub fn harvest_equilibria(
 ///
 /// Same conditions as [`harvest_equilibria`]; when several walks fail, the
 /// lowest-seed error (the one the sequential harvest would have hit) is
-/// returned.
+/// returned. A panicked worker is [`bbc_core::Error::WorkerPanicked`].
 pub fn harvest_equilibria_parallel(
     spec: &GameSpec,
     seeds: std::ops::Range<u64>,
     max_steps: u64,
     threads: usize,
 ) -> Result<Harvest> {
-    let len = seeds.end.saturating_sub(seeds.start);
-    let threads = threads
-        .max(1)
-        .min(usize::try_from(len).unwrap_or(usize::MAX).max(1));
-    if threads <= 1 {
-        return harvest_equilibria(spec, seeds, max_steps);
-    }
-    // A harvest consults every seed's verdict, so the slot table is the
-    // same O(range) as the result it feeds.
-    let mut slots: Vec<Option<Result<SeedVerdict>>> = (0..len).map(|_| None).collect();
-    for (seed, verdict) in run_walks_stealing(
-        spec,
-        seeds.clone(),
-        max_steps,
-        threads,
-        |v| v.is_err(),
-        true,
-    ) {
-        slots[(seed - seeds.start) as usize] = Some(verdict);
-    }
     let mut merger = HarvestMerger::default();
-    for (i, slot) in slots.into_iter().enumerate() {
-        // bbc-lint: allow(panic, the work-stealing loop fills every slot below the stop point before exiting)
-        match slot.expect("seeds below the first failure are always processed") {
-            Ok(verdict) => merger.absorb(seeds.start + i as u64, verdict),
-            Err(e) => return Err(e),
-        }
-    }
+    ordered_fan_out(
+        seeds,
+        threads,
+        "equilibrium harvest",
+        || (),
+        |(), seed| walk_seed(spec, seed, max_steps),
+        |_| false,
+        |seed, verdict| merger.absorb(seed, verdict),
+    )?;
     Ok(merger.harvest)
 }
 
@@ -144,64 +125,6 @@ impl HarvestMerger {
     }
 }
 
-/// Work-stealing driver shared by the parallel harvest and loop search:
-/// claims seeds from `seeds` via an atomic cursor (the range is never
-/// materialized — seeds derive from the cursor index), walks each claimed
-/// seed, and returns the flattened, unordered `(seed, verdict)` pairs.
-/// `is_hit` marks outcomes that decide the overall result (an error, or a
-/// cycle for the loop search): once a hit lands at seed `s`, seeds above `s`
-/// may be skipped, but every seed at or below the **lowest** hit is always
-/// processed — exactly the prefix a sequential scan would have visited.
-/// With `keep_non_hits = false` only hits are returned, so a short-circuit
-/// search over a huge range stays O(workers) memory.
-fn run_walks_stealing(
-    spec: &GameSpec,
-    seeds: std::ops::Range<u64>,
-    max_steps: u64,
-    threads: usize,
-    is_hit: impl Fn(&Result<SeedVerdict>) -> bool + Sync,
-    keep_non_hits: bool,
-) -> Vec<(u64, Result<SeedVerdict>)> {
-    let cursor = AtomicU64::new(seeds.start);
-    let first_hit = AtomicU64::new(u64::MAX);
-    let per_worker: Vec<Vec<(u64, Result<SeedVerdict>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(u64, Result<SeedVerdict>)> = Vec::new();
-                    loop {
-                        let seed = cursor.fetch_add(1, Ordering::Relaxed);
-                        if seed >= seeds.end {
-                            break;
-                        }
-                        if seed > first_hit.load(Ordering::Relaxed) {
-                            // A lower seed already decided the result, and
-                            // the cursor is monotone: every later claim is
-                            // larger still (and `first_hit` only ever
-                            // decreases), so this worker is done.
-                            break;
-                        }
-                        let verdict = walk_seed(spec, seed, max_steps);
-                        if is_hit(&verdict) {
-                            first_hit.fetch_min(seed, Ordering::Relaxed);
-                            local.push((seed, verdict));
-                        } else if keep_non_hits {
-                            local.push((seed, verdict));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // bbc-lint: allow(panic, the harvest driver returns a Vec, so re-raising the worker panic is the only sound option)
-            .map(|h| h.join().expect("harvest worker panicked"))
-            .collect()
-    });
-    per_worker.into_iter().flatten().collect()
-}
-
 /// Searches for a round-robin best-response *loop* (Figure 4's artifact) in
 /// the `(n,k)`-uniform game: walks from seeded random configurations until
 /// one provably cycles, returning the seed and the cycle parameters.
@@ -227,52 +150,44 @@ pub fn find_best_response_loop(
 }
 
 /// Parallel variant of [`find_best_response_loop`]: seeds fan out across
-/// `threads` OS threads with work-stealing; the returned witness is the
-/// **lowest** cycling seed in the range — exactly what the sequential scan
-/// returns — regardless of which worker found it first. Seeds above the
-/// current best hit are skipped, so the search still short-circuits.
+/// `threads` workers on the [`ordered fan-out`](bbc_core::par::ordered_fan_out),
+/// where a cycle ends the search. The returned witness is the **lowest**
+/// cycling seed in the range — exactly what the sequential scan returns —
+/// regardless of which worker found it first; seeds above it are never
+/// claimed once a worker has seen it, so the search still short-circuits.
 ///
 /// # Errors
 ///
 /// Same conditions as [`find_best_response_loop`], resolved to the
-/// lowest-seed failure.
+/// lowest-seed failure. A panicked worker is
+/// [`bbc_core::Error::WorkerPanicked`].
 pub fn find_best_response_loop_parallel(
     spec: &GameSpec,
     seeds: std::ops::Range<u64>,
     max_steps: u64,
     threads: usize,
 ) -> Result<Option<(u64, u64, u64)>> {
-    let len = seeds.end.saturating_sub(seeds.start);
-    let threads = threads
-        .max(1)
-        .min(usize::try_from(len).unwrap_or(usize::MAX).max(1));
-    if threads <= 1 {
-        return find_best_response_loop(spec, seeds, max_steps);
-    }
-    // Only hits (cycles and errors) come back — a short-circuiting search
-    // over a huge seed range never buffers the non-cycling majority.
-    let hits = run_walks_stealing(
-        spec,
+    let mut found = None;
+    ordered_fan_out(
         seeds,
-        max_steps,
         threads,
-        |verdict| matches!(verdict, Err(_) | Ok(SeedVerdict::Cycle { .. })),
-        false,
-    );
-    // The lowest hit is the sequential answer: every seed below it ran and
-    // was a non-cycling success.
-    match hits.into_iter().min_by_key(|(seed, _)| *seed) {
-        None => Ok(None),
-        Some((_, Err(e))) => Err(e),
-        Some((
-            seed,
-            Ok(SeedVerdict::Cycle {
-                first_seen_step,
-                period,
-            }),
-        )) => Ok(Some((seed, first_seen_step, period))),
-        Some((_, Ok(_))) => unreachable!("non-hits are filtered by the driver"),
-    }
+        "best-response loop search",
+        || (),
+        // Only the cycle parameters travel back, so results waiting for
+        // their turn stay small.
+        |(), seed| {
+            Ok(match walk_seed(spec, seed, max_steps)? {
+                SeedVerdict::Cycle {
+                    first_seen_step,
+                    period,
+                } => Some((first_seen_step, period)),
+                _ => None,
+            })
+        },
+        Option::is_some,
+        |seed, cycle| found = cycle.map(|(step, period)| (seed, step, period)),
+    )?;
+    Ok(found)
 }
 
 /// A seeded random non-uniform game: unit lengths and costs, budget 1,

@@ -7,14 +7,11 @@
 //! a product; [`find_equilibria`] scans it, checking every profile for
 //! stability against the **full, unrestricted** deviation space — the
 //! restriction only limits which profiles are *candidates*, never what they
-//! may deviate to. [`find_equilibria_parallel`] runs the same scan as a
-//! work-stealing fleet over fixed-size linear-index shards and merges by
-//! shard start index, so its output is byte-identical to the sequential scan
-//! for every thread count.
-
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+//! may deviate to. [`find_equilibria_parallel`] runs the same scan over
+//! fixed-size linear-index shards on the
+//! [`ordered fan-out`](crate::par::ordered_fan_out), which hands the shards
+//! back in index order, so its output is byte-identical to the sequential
+//! scan for every thread count.
 
 use crate::{Configuration, DistanceEngine, Error, GameSpec, NodeId, Result, StabilityChecker};
 
@@ -131,7 +128,7 @@ impl ProfileSpace {
 }
 
 /// Result of an exhaustive equilibrium scan.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EnumerationResult {
     /// Every stable profile found, in enumeration order.
     pub equilibria: Vec<Configuration>,
@@ -170,130 +167,56 @@ pub fn find_equilibria(
     Ok(result)
 }
 
-/// Maximum profiles per work-stealing shard: small enough that a slow shard
-/// cannot leave workers idle for long, large enough that the per-shard
-/// engine re-sync (one patch per node) amortizes to noise.
+/// Maximum profiles per shard of [`find_equilibria_parallel`]: small enough
+/// that a slow shard cannot leave workers idle for long, large enough that
+/// the per-shard engine re-sync (one patch per node) amortizes to noise.
 const MAX_SHARD_PROFILES: u64 = 256;
 
 /// Shard size for a scan of `total` profiles across `threads` workers:
-/// aims for ≥ 8 shards per worker (so stealing can rebalance uneven
-/// stability checks) without exceeding [`MAX_SHARD_PROFILES`]. The choice
-/// never affects results — shards are merged by start index.
+/// aims for ≥ 8 shards per worker (so uneven stability checks rebalance)
+/// without exceeding [`MAX_SHARD_PROFILES`]. The choice never affects
+/// results — shards are merged by index.
 fn shard_size(total: u64, threads: usize) -> u64 {
     (total / (threads as u64 * 8)).clamp(1, MAX_SHARD_PROFILES)
 }
 
-/// Parallel variant of [`find_equilibria`]: work-stealing over the **full**
-/// odometer space.
+/// Parallel variant of [`find_equilibria`] over the **full** odometer space.
 ///
 /// The linear profile index range `[0, profile_count)` is cut into
-/// fixed-size shards (≤ 256 profiles, sized for ≥ 8 per worker); workers claim shards
-/// from a shared atomic cursor, each scanning with its own
-/// [`DistanceEngine`]. Shard results are merged by ascending shard start
-/// index, so the output — equilibria order *and* `profiles_checked` — is
-/// byte-identical to [`find_equilibria`] for every thread count, and no
-/// digit of the odometer (in particular not node 0's candidate list, the old
-/// split axis) caps the attainable parallelism.
+/// fixed-size shards (≤ 256 profiles, sized for ≥ 8 per worker) that run on
+/// the [`ordered fan-out`](crate::par::ordered_fan_out), each worker
+/// scanning with its own [`DistanceEngine`]. Shard results are merged in
+/// ascending shard order, so the output — equilibria order *and*
+/// `profiles_checked` — is byte-identical to [`find_equilibria`] for every
+/// thread count, and no digit of the odometer caps the attainable
+/// parallelism.
 ///
 /// # Errors
 ///
 /// Same conditions as [`find_equilibria`]; when several shards fail, the
 /// error of the earliest shard (the one a sequential scan would have hit
-/// first) is returned.
+/// first) is returned. A panicked worker is [`Error::WorkerPanicked`].
 pub fn find_equilibria_parallel(
     spec: &GameSpec,
     space: &ProfileSpace,
     max_profiles: u64,
     threads: usize,
 ) -> Result<EnumerationResult> {
-    if space.profile_count() > max_profiles as u128 {
-        return Err(Error::SearchBudgetExceeded {
-            limit: max_profiles,
-        });
-    }
-    let total = space.profile_count() as u64;
-    let threads = threads.max(1);
-    let shard = shard_size(total, threads);
-    let shards = total.div_ceil(shard);
-    let threads = threads.min(shards as usize);
-    if threads <= 1 {
-        return find_equilibria(spec, space, max_profiles);
-    }
-
-    let cursor = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
-    let per_worker: Vec<Vec<(u64, Result<EnumerationResult>)>> = std::thread::scope(|scope| {
-        // Returns Result so a panicked worker surfaces as a typed error in
-        // the caller's thread instead of re-raising the panic here.
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let checker = StabilityChecker::new(spec);
-                    let mut worker = ShardWorker::new(spec, space);
-                    let mut done: Vec<(u64, Result<EnumerationResult>)> = Vec::new();
-                    loop {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let shard_id = cursor.fetch_add(1, Ordering::Relaxed);
-                        if shard_id >= shards {
-                            break;
-                        }
-                        let lo = shard_id * shard;
-                        let hi = (lo + shard).min(total);
-                        let mut result = EnumerationResult {
-                            equilibria: Vec::new(),
-                            profiles_checked: 0,
-                        };
-                        let scanned = worker.scan_linear_range(&checker, lo, hi, &mut result);
-                        if scanned.is_err() {
-                            stop.store(true, Ordering::Relaxed);
-                            done.push((shard_id, scanned.map(|()| result)));
-                            break;
-                        }
-                        done.push((shard_id, Ok(result)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().map_err(|_| Error::WorkerPanicked {
-                    section: "equilibrium enumeration",
-                })
-            })
-            .collect::<Result<_>>()
-    })?;
-
-    let mut by_shard: Vec<(u64, Result<EnumerationResult>)> =
-        per_worker.into_iter().flatten().collect();
-    by_shard.sort_unstable_by_key(|(shard, _)| *shard);
-    let mut merged = EnumerationResult {
-        equilibria: Vec::new(),
-        profiles_checked: 0,
-    };
-    for (_, r) in by_shard {
-        let r = r?;
-        merged.equilibria.extend(r.equilibria);
-        merged.profiles_checked += r.profiles_checked;
-    }
-    // A stop-flag race can leave trailing shards unclaimed only after an
-    // error, which the loop above has already surfaced.
-    debug_assert_eq!(merged.profiles_checked, total);
-    Ok(merged)
+    let total = budgeted_total(space, max_profiles)?;
+    let shard = shard_size(total, threads.max(1));
+    let shards = 0..total.div_ceil(shard);
+    let section = "equilibrium enumeration";
+    scan_shards(spec, space, shard, shards, threads, section, &mut |_, _| {})
 }
 
 /// Fixed shard width of checkpointable scans ([`find_equilibria_parallel_resumable`]).
 ///
-/// Unlike the work-stealing shard size of [`find_equilibria_parallel`] —
-/// which may depend on the thread count because it never leaks into results
-/// — the *checkpoint* unit must be machine-independent: a scan killed on an
+/// Unlike the shard size of [`find_equilibria_parallel`] — which may depend
+/// on the thread count because it never leaks into results — the
+/// *checkpoint* unit must be machine-independent: a scan killed on an
 /// 8-core host has to resume exactly where a 2-core host would. This is a
 /// **persistence-format constant**, deliberately not aliased to the tunable
-/// `MAX_SHARD_PROFILES` work-stealing knob (private): retuning that for
-/// performance
+/// `MAX_SHARD_PROFILES` knob (private): retuning that for performance
 /// must never reinterpret previously recorded shard ranges (the persistence
 /// layer additionally pins this width in its stream fingerprints, so a
 /// deliberate change here invalidates old checkpoints instead of silently
@@ -310,29 +233,6 @@ pub fn checkpoint_shard_count(space: &ProfileSpace) -> u64 {
     let total = space.profile_count();
     assert!(total <= u128::from(u64::MAX), "profile space exceeds u64");
     (total as u64).div_ceil(CHECKPOINT_SHARD_PROFILES)
-}
-
-/// In-order flush state shared by the resumable scan's workers: completed
-/// shards park in `pending` until the contiguous run starting at `next` can
-/// be handed to the sink and merged — so the sink observes shards in
-/// ascending order no matter which worker finished first.
-struct ShardFlush<'s> {
-    next: u64,
-    pending: BTreeMap<u64, EnumerationResult>,
-    merged: EnumerationResult,
-    sink: &'s mut (dyn FnMut(u64, &EnumerationResult) + Send),
-}
-
-impl ShardFlush<'_> {
-    fn complete(&mut self, shard: u64, result: EnumerationResult) {
-        self.pending.insert(shard, result);
-        while let Some(result) = self.pending.remove(&self.next) {
-            (self.sink)(self.next, &result);
-            self.merged.equilibria.extend(result.equilibria);
-            self.merged.profiles_checked += result.profiles_checked;
-            self.next += 1;
-        }
-    }
 }
 
 /// Checkpointable variant of [`find_equilibria_parallel`]: the scan is cut
@@ -359,107 +259,59 @@ pub fn find_equilibria_parallel_resumable(
     max_profiles: u64,
     threads: usize,
     completed_shards: u64,
-    sink: &mut (dyn FnMut(u64, &EnumerationResult) + Send),
+    sink: &mut dyn FnMut(u64, &EnumerationResult),
 ) -> Result<EnumerationResult> {
+    budgeted_total(space, max_profiles)?;
+    let shards = completed_shards..checkpoint_shard_count(space);
+    let (width, section) = (CHECKPOINT_SHARD_PROFILES, "resumable enumeration");
+    scan_shards(spec, space, width, shards, threads, section, sink)
+}
+
+/// The profile count of `space`, or [`Error::SearchBudgetExceeded`] when it
+/// holds more than `max_profiles` — checked before any profile is scanned.
+fn budgeted_total(space: &ProfileSpace, max_profiles: u64) -> Result<u64> {
     if space.profile_count() > max_profiles as u128 {
         return Err(Error::SearchBudgetExceeded {
             limit: max_profiles,
         });
     }
-    let total = space.profile_count() as u64;
-    let shards = checkpoint_shard_count(space);
-    let empty = || EnumerationResult {
-        equilibria: Vec::new(),
-        profiles_checked: 0,
-    };
-    if completed_shards >= shards {
-        return Ok(empty());
-    }
+    Ok(space.profile_count() as u64)
+}
 
-    let threads = threads.max(1).min((shards - completed_shards) as usize);
-    if threads <= 1 {
-        let checker = StabilityChecker::new(spec);
-        let mut worker = ShardWorker::new(spec, space);
-        let mut merged = empty();
-        for shard in completed_shards..shards {
-            let lo = shard * CHECKPOINT_SHARD_PROFILES;
-            let hi = (lo + CHECKPOINT_SHARD_PROFILES).min(total);
-            let mut result = empty();
-            worker.scan_linear_range(&checker, lo, hi, &mut result)?;
+/// Scans the `width`-profile shards `shards` on the ordered fan-out, handing
+/// each completed shard to `sink` in ascending order, and returns their
+/// concatenation.
+fn scan_shards(
+    spec: &GameSpec,
+    space: &ProfileSpace,
+    width: u64,
+    shards: std::ops::Range<u64>,
+    threads: usize,
+    section: &'static str,
+    sink: &mut dyn FnMut(u64, &EnumerationResult),
+) -> Result<EnumerationResult> {
+    let total = space.profile_count() as u64;
+    let checker = StabilityChecker::new(spec);
+    let mut merged = EnumerationResult::default();
+    crate::par::ordered_fan_out(
+        shards,
+        threads,
+        section,
+        || ShardWorker::new(spec, space),
+        |worker, shard| {
+            let lo = shard * width;
+            let mut result = EnumerationResult::default();
+            worker.scan_linear_range(&checker, lo, (lo + width).min(total), &mut result)?;
+            Ok(result)
+        },
+        |_| false,
+        |shard, result| {
             sink(shard, &result);
             merged.equilibria.extend(result.equilibria);
             merged.profiles_checked += result.profiles_checked;
-        }
-        return Ok(merged);
-    }
-
-    let cursor = AtomicU64::new(completed_shards);
-    let stop = AtomicBool::new(false);
-    let flush = Mutex::new(ShardFlush {
-        next: completed_shards,
-        pending: BTreeMap::new(),
-        merged: empty(),
-        sink,
-    });
-    let first_error: Mutex<Option<(u64, Error)>> = Mutex::new(None);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let checker = StabilityChecker::new(spec);
-                let mut worker = ShardWorker::new(spec, space);
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                    if shard >= shards {
-                        break;
-                    }
-                    let lo = shard * CHECKPOINT_SHARD_PROFILES;
-                    let hi = (lo + CHECKPOINT_SHARD_PROFILES).min(total);
-                    let mut result = EnumerationResult {
-                        equilibria: Vec::new(),
-                        profiles_checked: 0,
-                    };
-                    match worker.scan_linear_range(&checker, lo, hi, &mut result) {
-                        Ok(()) => {
-                            flush
-                                .lock()
-                                // bbc-lint: allow(panic, poison means a sibling worker already panicked; joining that crash is the only sound move from a closure returning unit)
-                                .expect("flush lock poisoned")
-                                .complete(shard, result);
-                        }
-                        Err(e) => {
-                            stop.store(true, Ordering::Relaxed);
-                            // bbc-lint: allow(panic, poison means a sibling worker already panicked; joining that crash is the only sound move from a closure returning unit)
-                            let mut slot = first_error.lock().expect("error lock poisoned");
-                            if slot.as_ref().is_none_or(|(s, _)| shard < *s) {
-                                *slot = Some((shard, e));
-                            }
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-    // Back in the caller's thread a poisoned lock can surface as a typed
-    // error instead of a second panic.
-    let worker_panicked = Error::WorkerPanicked {
-        section: "resumable enumeration",
-    };
-    if let Some((_, e)) = first_error
-        .into_inner()
-        .map_err(|_| worker_panicked.clone())?
-    {
-        return Err(e);
-    }
-    let flush = flush.into_inner().map_err(|_| worker_panicked)?;
-    debug_assert!(
-        flush.pending.is_empty(),
-        "error-free scan flushed every shard"
-    );
-    Ok(flush.merged)
+        },
+    )?;
+    Ok(merged)
 }
 
 /// One enumeration worker: a [`DistanceEngine`] plus the odometer state it

@@ -27,7 +27,10 @@
 //! * [`Walk`] — best-response dynamics with cycle detection and
 //!   connectivity tracking (§4.3);
 //! * [`enumerate`] — exhaustive equilibrium scans over restricted profile
-//!   spaces (the machinery behind the gadget no-equilibrium experiments).
+//!   spaces (the machinery behind the gadget no-equilibrium experiments);
+//! * [`par`] — the ordered fan-out every parallel scan and seeded search
+//!   runs on: results come back in index order, so parallel runs are
+//!   byte-identical to sequential ones.
 //!
 //! # Examples
 //!
@@ -57,6 +60,7 @@ pub mod error;
 pub mod eval;
 pub mod landmark;
 pub mod node;
+pub mod par;
 pub mod reference;
 pub mod spec;
 pub mod stability;

@@ -150,30 +150,6 @@ impl<'a> StabilityChecker<'a> {
         })
     }
 
-    /// Checks `config` with the per-node deviation rows filled across
-    /// `threads` OS threads before the (sequential, deterministic) verdict
-    /// scan. Byte-identical to [`StabilityChecker::check`] for every thread
-    /// count — parallelism only changes wall-clock, never the report.
-    ///
-    /// With `collect_all` off the check stops at the first witness, so
-    /// prefilling pays off most on configurations that are actually stable
-    /// (every row is needed anyway) — exactly the expensive case in
-    /// equilibrium scans.
-    ///
-    /// # Errors
-    ///
-    /// See [`StabilityChecker::check`].
-    pub fn check_parallel(
-        &self,
-        config: &Configuration,
-        threads: usize,
-    ) -> Result<StabilityReport> {
-        let mut engine = DistanceEngine::new(self.spec, config.clone());
-        let nodes: Vec<NodeId> = NodeId::all(self.spec.node_count()).collect();
-        engine.prefill_oracle_rows(&nodes, threads);
-        self.check_with_engine(&mut engine)
-    }
-
     /// `true` iff `config` is a pure Nash equilibrium.
     ///
     /// # Errors
@@ -337,25 +313,6 @@ mod tests {
             if !exact_stable {
                 // k=1 greedy+swap is exhaustive, so it must find a witness.
                 assert!(heuristic.is_some(), "seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_check_matches_sequential_for_any_thread_count() {
-        let spec = GameSpec::uniform(7, 2);
-        for seed in 0..5 {
-            let cfg = Configuration::random(&spec, seed);
-            for collect_all in [false, true] {
-                let checker = StabilityChecker::new(&spec).collect_all_deviations(collect_all);
-                let sequential = checker.check(&cfg).unwrap();
-                for threads in [1usize, 2, 5] {
-                    assert_eq!(
-                        checker.check_parallel(&cfg, threads).unwrap(),
-                        sequential,
-                        "seed {seed} collect_all {collect_all} threads {threads}"
-                    );
-                }
             }
         }
     }

@@ -1260,13 +1260,16 @@ fn replay_journal(
     let mut valid_len = 0u64;
     let mut has_header = false;
     let mut offset = 0usize;
+    // Each pass consumes exactly one line, so counting passes numbers the
+    // lines without rescanning the text before each one.
+    let mut line_no = 0usize;
     while offset < text.len() {
         let rest = &text[offset..];
         let (line, complete, advance) = match rest.find('\n') {
             Some(pos) => (&rest[..pos], true, pos + 1),
             None => (rest, false, rest.len()),
         };
-        let line_no = text[..offset].matches('\n').count() + 1;
+        line_no += 1;
         if line.is_empty() {
             offset += advance;
             valid_len = offset as u64;
@@ -1686,7 +1689,12 @@ mod tests {
         lines[1] = "{\"Record\": garbage".to_string();
         fs::write(&path, format!("{}\n", lines.join("\n"))).unwrap();
         match replay_digest(&cfg, &dir) {
-            Err(ServeError::Corrupt { .. }) => {}
+            Err(ServeError::Corrupt { message, .. }) => {
+                assert!(
+                    message.starts_with("line 2:"),
+                    "names the bad line: {message}"
+                );
+            }
             other => panic!("expected corruption, got {other:?}"),
         }
         let _ = fs::remove_dir_all(&dir);
