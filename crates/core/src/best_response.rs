@@ -11,7 +11,8 @@
 //! where `d_{G∖u}` is independent of `S`. One shortest-path run per candidate
 //! target therefore prices *every* strategy, and best response reduces to an
 //! asymmetric k-median-style subset search over precomputed rows. The
-//! [`crate::DistanceEngine`] caches those rows and runs the one exact search:
+//! [`crate::DistanceEngine`] derives those rows from its shared full-graph
+//! rows and runs the one exact search:
 //! a branch-and-bound DFS whose optimistic bound comes from one of two
 //! sources — the exact per-candidate suffix-min rows, or the engine's cached
 //! landmark bound rows (see [`crate::LandmarkPolicy`]). Both are admissible,
@@ -65,8 +66,8 @@ impl Default for BestResponseOptions {
 /// Equality compares the game-theoretic fields plus `evaluations`;
 /// the pruning-effort counters ([`BestResponseOutcome::bounds_hit`],
 /// [`BestResponseOutcome::rows_materialized`]) are excluded — they describe
-/// how a particular engine configuration (landmark policy, prefill, cache
-/// warmth) reached the identical answer, not the answer itself.
+/// how a particular engine configuration (landmark policy) reached the
+/// identical answer, not the answer itself.
 #[derive(Clone, Debug)]
 pub struct BestResponseOutcome {
     /// The deviating node.
@@ -92,9 +93,9 @@ pub struct BestResponseOutcome {
     /// Subtrees cut by the cached landmark/block bound cascade (0 on the
     /// exact path). Effort counter; excluded from equality.
     pub bounds_hit: u64,
-    /// Exact deviation rows computed on demand *during this call* (landmark
-    /// path: rows the bound cascade failed to prove unnecessary; 0 when every
-    /// needed row was already cached or prefilled). Effort counter; excluded
+    /// Exact deviation rows derived *during this call* on the landmark path:
+    /// the held strategy's rows plus the rows the bound cascade failed to
+    /// prove unnecessary (0 on the exact path). Effort counter; excluded
     /// from equality.
     pub rows_materialized: u64,
 }
@@ -507,6 +508,15 @@ pub(crate) struct SearchScratch<W> {
     current: Vec<W>,
 }
 
+impl<W: RowWord> SearchScratch<W> {
+    /// Bytes held by the search levels and selection scratch (by capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.levels.capacity() + self.current.capacity()) * size_of::<W>()
+            + self.selection.capacity() * size_of::<usize>()
+            + self.min_price_suffix.capacity() * size_of::<u64>()
+    }
+}
+
 impl<W: RowWord> Default for SearchScratch<W> {
     fn default() -> Self {
         Self {
@@ -820,6 +830,13 @@ impl<W: RowWord> Default for SuffixBounds<W> {
     }
 }
 
+impl<W: RowWord> SuffixBounds<W> {
+    /// Bytes held by the suffix-min rows (by capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * size_of::<W>()
+    }
+}
+
 impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
     const COUNTS_HITS: bool = false;
 
@@ -900,6 +917,14 @@ impl<W: RowWord> Default for LandmarkScratch<W> {
 }
 
 impl<W: RowWord> LandmarkScratch<W> {
+    /// Bytes held by the bound rows and their build scratch (by capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        (self.bsfx.capacity() + self.sma.capacity() + self.lmin.capacity() + self.cfx.capacity())
+            * size_of::<W>()
+            + self.group_of.capacity() * size_of::<u32>()
+            + self.hi.capacity() * size_of::<u64>()
+    }
+
     /// The bound row standing in for the exact suffix-min row at candidate
     /// position `i`: its group's `bsfx` row.
     #[inline]

@@ -8,7 +8,7 @@
 //! [`crate::DistanceEngine::add_node`]): a deterministic, seed-driven event
 //! stream of joins, leaves and (optional) strategy shocks is interleaved
 //! with best-response play through the ordinary [`Walk`] schedulers — the
-//! per-step oracle fan-out rides [`Walk::prefill_threads`] unchanged.
+//! per-step base-row prefill rides [`Walk::prefill_threads`] unchanged.
 //!
 //! # Event model
 //!
@@ -37,7 +37,7 @@
 //!
 //! Everything is a pure function of `(spec, start, ChurnConfig)`: the RNG
 //! is a seeded [`SmallRng`] consulted in a fixed order, schedulers are the
-//! deterministic [`Walk`] ones, and the parallel oracle prefill is
+//! deterministic [`Walk`] ones, and the parallel base-row prefill is
 //! byte-identical at every thread count — so the full event/move trajectory
 //! (hence [`ChurnReport::trajectory_digest`]) reproduces bit-for-bit across
 //! runs, thread counts, and machines. The release test suite pins a fixed
@@ -86,7 +86,7 @@ pub struct ChurnConfig {
     pub join_weight: u32,
     /// Relative weight of strategy shocks (0 disables them — the default).
     pub shock_weight: u32,
-    /// OS threads for the per-step oracle fan-out
+    /// OS threads for the per-step base-row prefill
     /// ([`Walk::prefill_threads`]); never changes the trajectory.
     pub prefill_threads: usize,
     /// Which deterministic scheduler plays between events.

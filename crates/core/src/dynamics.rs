@@ -104,9 +104,11 @@ pub struct WalkStats {
     /// (always 0 when the engine's [`crate::LandmarkPolicy`] resolves to
     /// the exact path). Effort counter: never affects the trajectory.
     pub bounds_hit: u64,
-    /// Exact deviation rows materialized inside landmark-bounded searches
-    /// (always 0 on the exact path, where rows are built eagerly and
-    /// counted by [`crate::EngineStats::oracle_rows_computed`] instead).
+    /// Exact deviation rows derived inside landmark-bounded searches: the
+    /// held strategy's rows plus every row the search fetched when it first
+    /// included a candidate. Always 0 on the exact path, where every live
+    /// row is derived up front and shows in [`crate::EngineStats`]
+    /// (`oracle_rows_computed` plus `oracle_row_hits`) instead.
     pub rows_materialized: u64,
 }
 
@@ -342,9 +344,11 @@ impl<'a> Walk<'a> {
         self
     }
 
-    /// Spreads each step's oracle BFS fan-out (up to `n − 1` deviation-row
-    /// traversals per stability test) across `threads` OS threads via
-    /// [`DistanceEngine::best_response_prefilled`]. The walk itself —
+    /// Spreads each step's base-row traversals (up to `n − 1` per stability
+    /// test: one per candidate whose full-graph row a move invalidated)
+    /// across `threads` OS threads via
+    /// [`DistanceEngine::best_response_prefilled`]; the deviation rows are
+    /// then derived from them on the calling thread. The walk itself —
     /// outcome, configuration, steps, moves — is byte-identical for every
     /// thread count; only wall-clock changes. Values ≤ 1 keep the
     /// sequential path.

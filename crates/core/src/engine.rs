@@ -8,29 +8,37 @@
 //! * a [`CsrGraph`] mirror of the bound configuration, patched **in place**
 //!   when one node rewires (a best-response move rewrites one arc slab, not
 //!   the graph);
-//! * a memo of the strategy-independent deviation rows `d_{G∖u}(c, ·)` — the
-//!   rows Lemmas 3–5 price every strategy of `u` with — plus each row's
-//!   *touched set* (the nodes whose out-arcs the traversal expanded). A
-//!   dynamics step that moves node `m` invalidates only rows whose touched
-//!   set contains `m`: an untouched node's out-links cannot affect any
-//!   cached distance, and rewiring `m`'s out-links never changes whether `m`
-//!   itself is reached;
-//! * a memo of full [`crate::best_response`] outcomes per node, reused until
-//!   a row it depends on is invalidated or the node itself moves — in the
-//!   tail of a converging walk this turns `n − 1` confirmation tests per
-//!   round into cache hits;
-//! * a handful of full-`G` landmark rows, the source of the admissible
-//!   bounds the default search prunes with (see [`crate::LandmarkPolicy`]);
-//! * per-node distance rows from `u` in `G` (the [`crate::Evaluator`]
-//!   substrate), cached under the same invalidation rule.
+//! * one store of `n` **base rows** `d_G(c, ·)`, each clamped at the
+//!   penalty `M` at the engine's row width and allocated on first use, plus
+//!   each row's *touched set* (the nodes whose out-arcs the traversal
+//!   expanded). Every distance row the engine uses comes from it:
+//!   - a search of `u` derives the deviation rows `ℓ(u,c) + d_{G∖u}(c, ·)`
+//!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
+//!     into its stage, re-deriving from base row `c` only the vertices all
+//!     of whose shortest paths run through `u` (the `row_store` module);
+//!   - the landmark bounds of the default search (see
+//!     [`crate::LandmarkPolicy`]) read the base rows of the landmarks;
+//!   - node costs (the [`crate::Evaluator`] substrate) aggregate base row
+//!     `u`.
 //!
-//! Cache-invalidation rules, in one table:
+//!   Nothing is stored per deviator, so the rows take `O(n²)` memory;
+//! * a memo of full [`crate::best_response`] outcomes per node, each with a
+//!   *dependency set*: the union of the touched sets of the rows its search
+//!   derived. In the tail of a converging walk this turns `n − 1`
+//!   confirmation tests per round into cache hits.
 //!
-//! | cached item                | invalidated by a rewire of `m` when |
-//! |----------------------------|--------------------------------------|
-//! | oracle row `d_{G∖u}(c,·)` | `m ≠ u` and `m` ∈ row's touched set |
-//! | best-response outcome of `u` | any of `u`'s rows invalidated, or `m = u` |
-//! | eval row `d_G(u,·)`        | `m` ∈ row's touched set (`m = u` always is) |
+//! A derived row's touched set is its base row's, minus `u`, minus the
+//! re-derived vertices left unreachable: exactly the nodes a `G∖u`
+//! traversal from `c` expands. A rewire of `m` cannot change a distance
+//! whose traversal never expanded `m` (an unreached node's out-links are
+//! irrelevant, and rewiring `m`'s out-links never changes whether `m`
+//! itself is reached). Cache-invalidation rules, in one table:
+//!
+//! | cached item                  | invalidated by a rewire of `m` when    |
+//! |------------------------------|----------------------------------------|
+//! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is) |
+//! | best-response outcome of `u` | `m = u`, `m` ∈ its dependency set, or the memo is incomplete |
+//! | cost of `u`                  | base row `u` is invalidated            |
 //!
 //! # Node churn
 //!
@@ -39,37 +47,33 @@
 //! drops out of all cost aggregates), [`DistanceEngine::add_node`] admits or
 //! re-admits one. A join/leave is a sequence of ordinary strategy patches —
 //! each covered by the touched-set rule above — plus a wholesale drop of the
-//! membership-dependent aggregates (outcome memos, cached eval costs, masked
-//! weighted-target lists). Distance rows untouched by the patches survive,
-//! and a departed node's own `d_{G∖u}` rows always do. Under partial
-//! membership, cost aggregation masks departed targets (they contribute
-//! neither distances nor disconnection penalties) and the best-response
-//! search draws candidates from live nodes only. Every churn op
-//! canonicalizes the CSR layout, so [`DistanceEngine::state_digest`] after
-//! a remove/re-add round trip is byte-identical to a fresh
+//! membership-dependent aggregates (outcome memos, cached costs, masked
+//! weighted-target lists). Base rows untouched by the patches survive, so a
+//! peer that leaves and rejoins with no in-links costs no traversal at all.
+//! Under partial membership, cost aggregation masks departed targets (they
+//! contribute neither distances nor disconnection penalties) and the
+//! best-response search draws candidates from live nodes only. Every churn
+//! op canonicalizes the CSR layout, so [`DistanceEngine::state_digest`]
+//! after a remove/re-add round trip is byte-identical to a fresh
 //! [`DistanceEngine::with_membership`] build of the same state.
 //!
 //! # One best-response path
 //!
-//! [`DistanceEngine::best_response`] stages a node's live candidate rows
-//! once and runs the one branch-and-bound search over them. The
+//! [`DistanceEngine::best_response`] stages a node's live candidates once
+//! and runs the one branch-and-bound search over them. The
 //! [`crate::LandmarkPolicy`] only picks the search's bound source: with no
-//! landmarks, every live row is filled up front and the exact suffix-min
+//! landmarks, every live row is derived up front and the exact suffix-min
 //! rows bound the search; with landmarks, only the held strategy's rows are
-//! filled up front, the cached landmark rows bound the search, and any other
-//! row is filled when the search first includes its candidate. Every
-//! deviation row — eager, on demand, or prefilled — is traversed by one
-//! routine.
+//! derived up front, the landmark base rows bound the search, and any other
+//! row is derived when the search first includes its candidate.
 //!
-//! Row filling can be spread across OS threads with
-//! [`DistanceEngine::prefill_oracle_rows`] (`std::thread::scope`; no new
-//! dependencies): traversals read the shared CSR immutably and results are
-//! written back in deterministic `(u, candidate)` order, so thread count
-//! never changes any value.
+//! Base-row traversals can be spread across OS threads with
+//! [`DistanceEngine::prefill_oracle_rows`] on [`crate::par::ordered_fan_out`]:
+//! traversals read the shared CSR immutably and rows are written back in
+//! ascending source order, so the thread count never changes any value.
 
 use bbc_graph::{
-    BitSet, BlockEnvelope, BlockPartition, ClampedBfs, ClampedDijkstra, ConnectivityScratch,
-    CsrGraph, RowWord, UNREACHABLE,
+    BitSet, BlockEnvelope, BlockPartition, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE,
 };
 
 use crate::{
@@ -77,11 +81,12 @@ use crate::{
         greedy_on, search, LandmarkScratch, OracleView, SearchScratch, StagedRows, SuffixBounds,
     },
     eval::{cost_from_distances, cost_from_distances_masked},
+    row_store::{bitset_bytes, RowStore},
     BestResponseOptions, BestResponseOutcome, Configuration, Error, GameSpec, LandmarkPolicy,
     NodeId, Result,
 };
 
-/// The word width of the engine's cached deviation rows.
+/// The word width of the engine's distance rows.
 ///
 /// Selected per spec at construction via a checked `n·M` bound: the narrow
 /// tier is valid exactly when every clamped row entry *and* every plain row
@@ -119,107 +124,8 @@ impl RowTier {
     }
 }
 
-/// A filled row in flight from a worker thread back to the cache:
-/// `(deviating node, candidate index, row)`.
-type FilledRow<W> = (usize, usize, RowSlot<W>);
-
-/// One cached shortest-path row plus its invalidation metadata.
-#[derive(Clone, Debug)]
-struct RowSlot<W> {
-    valid: bool,
-    /// Oracle slots hold the *clamped through-row* `ℓ(u,c) + d_{G∖u}(c,·)`
-    /// (penalty for unreachable entries) at the engine's row width; eval
-    /// slots hold raw `u64` distances with [`bbc_graph::UNREACHABLE`]
-    /// preserved.
-    dist: Vec<W>,
-    /// Nodes whose out-arcs the traversal expanded.
-    touched: BitSet,
-}
-
-impl<W: RowWord> RowSlot<W> {
-    fn new(n: usize) -> Self {
-        Self {
-            valid: false,
-            dist: vec![W::ZERO; n],
-            touched: BitSet::new(n),
-        }
-    }
-
-    /// Stores a finished traversal and marks the row valid.
-    fn store(&mut self, dist: &[W], touched: &BitSet) {
-        self.dist.copy_from_slice(dist);
-        self.touched.copy_from(touched);
-        self.valid = true;
-    }
-}
-
-/// The clamped traversal kernels behind every cached row: deviation and
-/// landmark rows at the engine's row width, evaluator rows as raw `u64`.
-#[derive(Debug)]
-struct RowFiller<W> {
-    bfs: ClampedBfs<W>,
-    dijkstra: ClampedDijkstra<W>,
-}
-
-impl<W: RowWord> RowFiller<W> {
-    fn new(n: usize) -> Self {
-        Self {
-            bfs: ClampedBfs::new(n),
-            dijkstra: ClampedDijkstra::new(n),
-        }
-    }
-
-    /// Fills `slot` with `u`'s clamped deviation row through candidate `c`:
-    /// `ℓ(u,c) + d_{G∖u}(c, ·)`, with `penalty` for unreachable targets. The
-    /// link length is baked in at the traversal seed, so staging a search is
-    /// a plain copy. Every deviation row the engine caches — eager, on
-    /// demand, or on a prefill worker — is traversed here.
-    fn deviation_row(
-        &mut self,
-        csr: &CsrGraph,
-        spec: &GameSpec,
-        u: NodeId,
-        c: NodeId,
-        penalty: W,
-        slot: &mut RowSlot<W>,
-    ) {
-        let offset = W::from_u64(spec.link_length(u, c))
-            // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-            .expect("link length is below the penalty, which fits the tier");
-        if spec.has_unit_lengths() {
-            self.bfs
-                .run_skipping(csr, c.index(), u.index(), offset, penalty);
-            slot.store(self.bfs.distances(), self.bfs.touched());
-        } else {
-            self.dijkstra
-                .run_skipping(csr, c.index(), u.index(), offset, penalty);
-            slot.store(self.dijkstra.distances(), self.dijkstra.touched());
-        }
-    }
-
-    /// Fills `slot` with the full-`G` row `d_G(source, ·)`, with `clamp` for
-    /// unreachable targets: the penalty for landmark rows,
-    /// [`UNREACHABLE`] for evaluator rows.
-    fn full_row(
-        &mut self,
-        csr: &CsrGraph,
-        spec: &GameSpec,
-        source: NodeId,
-        clamp: W,
-        slot: &mut RowSlot<W>,
-    ) {
-        if spec.has_unit_lengths() {
-            self.bfs.run(csr, source.index(), W::ZERO, clamp);
-            slot.store(self.bfs.distances(), self.bfs.touched());
-        } else {
-            self.dijkstra.run(csr, source.index(), W::ZERO, clamp);
-            slot.store(self.dijkstra.distances(), self.dijkstra.touched());
-        }
-    }
-}
-
 /// One search's staged inputs: the deviating node's live candidates in
-/// ascending id order, with their cached rows copied in.
+/// ascending id order, with their deviation rows derived in.
 #[derive(Debug)]
 struct Stage<W> {
     /// Clamped through-rows, stride `n`; a penalty placeholder where
@@ -229,9 +135,6 @@ struct Stage<W> {
     candidates: Vec<NodeId>,
     /// Link prices parallel to `candidates`.
     prices: Vec<u64>,
-    /// Each staged candidate's index in the oracle row cache, so on-demand
-    /// fills write through to the cached slot.
-    slots: Vec<usize>,
 }
 
 impl<W> Default for Stage<W> {
@@ -241,61 +144,40 @@ impl<W> Default for Stage<W> {
             present: Vec::new(),
             candidates: Vec::new(),
             prices: Vec::new(),
-            slots: Vec::new(),
         }
     }
 }
 
-/// Per-deviating-node oracle cache: the static candidate pool and one
-/// [`RowSlot`] per candidate, plus the memoized search outcome.
+/// One node's memoized best-response outcome.
 #[derive(Debug)]
-struct OracleCache<W> {
-    init: bool,
-    candidates: Vec<NodeId>,
-    prices: Vec<u64>,
-    rows: Vec<RowSlot<W>>,
+struct Memo {
     outcome: Option<(BestResponseOptions, BestResponseOutcome)>,
-    /// Whether the memoized outcome's graph-dependence is fully captured by
-    /// the valid rows' touched sets: true when the search ended with every
-    /// live candidate row materialized (always so on the exact path). A
-    /// landmark-bounded search may prune a candidate without ever computing
-    /// its row, in which case the memo also depends on the *bounds* that
-    /// stood in for it — such a memo cannot ride the touched-set
-    /// invalidation rule and must be dropped on any move.
-    outcome_complete: bool,
+    /// Whether the search derived every live candidate row (always so on
+    /// the exact path). A landmark-bounded search may prune a candidate
+    /// without deriving its row; such a memo also depends on the *bounds*
+    /// that stood in for it, so it cannot ride the dependency set and is
+    /// dropped on any move.
+    complete: bool,
+    /// The union of the touched sets of the rows the search derived.
+    deps: BitSet,
 }
 
-impl<W> Default for OracleCache<W> {
-    fn default() -> Self {
-        Self {
-            init: false,
-            candidates: Vec::new(),
-            prices: Vec::new(),
-            rows: Vec::new(),
-            outcome: None,
-            outcome_complete: true,
-        }
-    }
-}
-
-/// Engine-owned landmark bound layer: a handful of full-`G` clamped
-/// distance rows (shared across every deviating node) plus the coarse
-/// block-pair envelope derived from them. Rows follow the standard
-/// touched-set invalidation rule — with **no** mover exemption, since a
-/// landmark row covers the full graph including the mover's arcs — and are
-/// refreshed lazily at the next landmark-path query. The landmark *set* is
-/// re-picked (and every row dropped) only when the live membership or the
-/// policy changes, so ordinary walk steps keep reusing warm rows.
+/// Engine-owned landmark bound layer: the landmark list, the block
+/// partition, and the coarse block-pair envelope derived from the
+/// landmarks' base rows. The rows themselves live in the row store, so a
+/// move that drops a landmark's base row marks the envelope stale and the
+/// next landmark-path query refills and rebuilds. The landmark *set* is
+/// re-picked only when the live membership or the policy changes, and a
+/// re-pick reuses every valid base row.
 #[derive(Debug)]
 struct LandmarkCache<W> {
     /// Membership version the landmark set was picked against (0 = never
     /// picked; real versions start at 1).
     version: u64,
     landmarks: Vec<NodeId>,
-    rows: Vec<RowSlot<W>>,
     partition: BlockPartition,
     envelope: BlockEnvelope<W>,
-    /// `false` whenever some contributing row changed since the envelope
+    /// `false` whenever some landmark's base row changed since the envelope
     /// was last rebuilt.
     env_valid: bool,
 }
@@ -311,27 +193,25 @@ struct LiveTargets {
     targets: Vec<(u32, u64)>,
 }
 
-/// Cache effectiveness counters (monotone; see [`DistanceEngine::stats`]).
+/// Effort counters (monotone; see [`DistanceEngine::stats`]). Each base-row
+/// traversal counts once, under whatever asked for it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Shortest-path traversals actually run for oracle rows.
+    /// Base-row traversals run to stage a search or to prefill.
     pub oracle_rows_computed: u64,
-    /// Oracle rows served from cache inside a best-response call.
+    /// Deviation rows derived from a base row that was already valid.
     pub oracle_row_hits: u64,
     /// Whole best-response outcomes served from cache.
     pub outcome_hits: u64,
     /// Best-response searches actually run.
     pub searches_run: u64,
-    /// Cached rows invalidated by strategy patches (deviation, eval, and
-    /// landmark rows alike — all follow the same touched-set rule).
+    /// Base rows dropped by strategy patches (the touched-set rule).
     pub rows_invalidated: u64,
     /// Strategy patches applied to the CSR mirror.
     pub patches_applied: u64,
-    /// Traversals run for evaluator (distance-from-`u`) rows.
+    /// Base-row traversals run to answer a cost or distance query.
     pub eval_rows_computed: u64,
-    /// Full-graph traversals run to (re)fill cached landmark rows. Separate
-    /// from [`EngineStats::oracle_rows_computed`]: landmark rows are shared
-    /// across every deviating node, deviation rows are per-node.
+    /// Base-row traversals run to refresh the landmark rows.
     pub landmark_rows_computed: u64,
 }
 
@@ -360,6 +240,20 @@ impl EngineStats {
             bbc_obs::permille(self.outcome_hits, self.outcome_hits + self.searches_run),
         );
     }
+}
+
+/// One derived deviation row, as [`DistanceEngine::deviation_row`] reports
+/// it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DeviationRow {
+    /// `ℓ(u,c) + d_{G∖u}(c, v)` per target `v`, widened to `u64`; the
+    /// penalty where `v` is unreachable in `G∖u`.
+    pub row: Vec<u64>,
+    /// The nodes a `G∖u` traversal from `c` expands.
+    pub touched: BitSet,
+    /// The affected set, ascending: the nodes reached from `c` in `G` all of
+    /// whose shortest paths run through `u`.
+    pub affected: Vec<NodeId>,
 }
 
 /// A shared, cached, incrementally-patched shortest-path engine bound to one
@@ -419,19 +313,19 @@ struct EngineCore<'a, W: RowWord> {
     spec: &'a GameSpec,
     config: Configuration,
     csr: CsrGraph,
-    /// The disconnection penalty at the row width (the clamp every oracle
-    /// row is filled against). The tier check at construction guarantees
-    /// the conversion is exact.
+    /// The disconnection penalty at the row width (the clamp every row is
+    /// filled against). The tier check at construction guarantees the
+    /// conversion is exact.
     penalty: W,
-    filler: RowFiller<W>,
-    /// Traverses evaluator rows: raw `u64` `d_G(u,·)` with [`UNREACHABLE`]
-    /// preserved, since the public [`DistanceEngine::distances_from`]
-    /// contract is width-independent.
-    eval_filler: RowFiller<u64>,
+    store: RowStore<W>,
+    /// [`DistanceEngine::distances_from`]'s raw `u64` view of one base row
+    /// ([`UNREACHABLE`] for the penalty): the public contract is
+    /// width-independent.
+    raw: Vec<u64>,
     conn: ConnectivityScratch,
-    oracle: Vec<OracleCache<W>>,
-    /// One evaluator row per node; empty until the first cost is asked.
-    eval_rows: Vec<RowSlot<u64>>,
+    memos: Vec<Memo>,
+    /// The dependency set of the search in progress.
+    deps: BitSet,
     eval_costs: Vec<Option<u64>>,
     stage: Stage<W>,
     search_scratch: SearchScratch<W>,
@@ -450,7 +344,7 @@ struct EngineCore<'a, W: RowWord> {
     /// were built against.
     membership_version: u64,
     live_targets: Vec<LiveTargets>,
-    /// Nodes whose cached eval cost was dropped since the last
+    /// Nodes whose cached cost was dropped since the last
     /// [`DistanceEngine::take_dirty_costs`] drain (scheduler support).
     eval_dirty: BitSet,
     stats: EngineStats,
@@ -580,12 +474,25 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Publishes the engine's effort counters into a metrics registry
-    /// (names under `engine/`), plus two derived gauges: the oracle-row
-    /// cache hit rate and the best-response outcome-memo hit rate, both in
-    /// permille. Observational only — reads a [`EngineStats`] snapshot and
-    /// touches no engine state, so digests and decisions are unaffected.
+    /// (names under `engine/`), plus derived gauges: the oracle-row hit
+    /// rate and the best-response outcome-memo hit rate, both in permille,
+    /// and the bytes each structure holds, by capacity:
+    ///
+    /// - `engine/row_store_bytes`: base rows, their touched sets and the
+    ///   reverse adjacency;
+    /// - `engine/stage_bytes`: the search stage, both bound sources and the
+    ///   search levels;
+    /// - `engine/memo_bytes`: outcome memos with their dependency sets, and
+    ///   the per-node weighted target lists.
+    ///
+    /// Observational only — reads counters and capacities and touches no
+    /// engine state, so digests and decisions are unaffected.
     pub fn publish_metrics(&self, reg: &mut bbc_obs::Registry) {
         self.stats().publish_metrics(reg);
+        let [rows, stage, memo] = tiered!(self, e => e.memory());
+        reg.set_gauge("engine/row_store_bytes", rows);
+        reg.set_gauge("engine/stage_bytes", stage);
+        reg.set_gauge("engine/memo_bytes", memo);
     }
 
     /// Builder form of [`DistanceEngine::set_landmark_policy`].
@@ -596,10 +503,9 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Sets the landmark bound policy (see [`LandmarkPolicy`]). Changing the
-    /// policy drops the cached landmark rows (they are re-picked at the next
-    /// landmark-path query) but keeps every deviation row and outcome memo —
-    /// the bounds are admissible, so decisions are policy-independent and
-    /// stay valid.
+    /// policy forces a landmark re-pick at the next landmark-path query but
+    /// keeps every base row and outcome memo — the bounds are admissible,
+    /// so decisions are policy-independent and stay valid.
     pub fn set_landmark_policy(&mut self, policy: LandmarkPolicy) {
         tiered!(mut self, e => e.set_landmark_policy(policy));
     }
@@ -656,9 +562,21 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Greedy-plus-swaps heuristic best response for `u` (see
-    /// [`crate::best_response::greedy`]) over the engine's cached rows.
+    /// [`crate::best_response::greedy`]) over rows derived from the store.
     pub(crate) fn greedy(&mut self, u: NodeId) -> BestResponseOutcome {
         tiered!(mut self, e => e.greedy(u))
+    }
+
+    /// The deviation row a search of `u` stages for candidate `c`, derived
+    /// from the shared base row of `c` (filled first when invalid, and
+    /// counted like a staged row). A diagnostics hook: the differential
+    /// suite checks every derived row against a `G∖u` traversal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u == c`, or if either node has departed.
+    pub fn deviation_row(&mut self, u: NodeId, c: NodeId) -> DeviationRow {
+        tiered!(mut self, e => e.deviation_row(u, c))
     }
 
     /// Cost of node `u` under the bound configuration (cached per node).
@@ -679,8 +597,8 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Shortest-path distances from `u` in the bound configuration's graph
-    /// (cached; unreachable targets hold [`bbc_graph::UNREACHABLE`]).
-    /// Always raw `u64`, whatever the row tier.
+    /// (read from base row `u`; unreachable targets hold
+    /// [`bbc_graph::UNREACHABLE`]). Always raw `u64`, whatever the row tier.
     ///
     /// # Panics
     ///
@@ -704,10 +622,10 @@ impl<'a> DistanceEngine<'a> {
         tiered!(mut self, e => e.disconnected_live_pairs())
     }
 
-    /// [`DistanceEngine::best_response`] with the oracle BFS fan-out on the
-    /// parallel path: `u`'s missing deviation rows (up to `n − 1`
-    /// traversals) are filled across `threads` OS threads via
-    /// [`DistanceEngine::prefill_oracle_rows`] before the search runs.
+    /// [`DistanceEngine::best_response`] with the base-row traversals on
+    /// the parallel path: the invalid base rows of `u`'s live candidates
+    /// (up to `n − 1` traversals) are filled across `threads` OS threads
+    /// via [`DistanceEngine::prefill_oracle_rows`] before the search runs.
     ///
     /// Byte-identical to [`DistanceEngine::best_response`] for every thread
     /// count (prefilling writes exactly the rows the sequential path would
@@ -726,12 +644,13 @@ impl<'a> DistanceEngine<'a> {
         tiered!(mut self, e => e.best_response_prefilled(u, options, threads))
     }
 
-    /// Fills every invalid oracle row of `nodes` across `threads` OS threads
-    /// (`std::thread::scope`), returning the number of traversals run.
+    /// Fills the invalid base rows that the live candidates of `nodes`
+    /// need, across `threads` OS threads on [`crate::par::ordered_fan_out`],
+    /// returning the number of traversals run.
     ///
-    /// Traversals read the shared CSR immutably; results are written back in
-    /// deterministic `(node, candidate)` order, so any thread count produces
-    /// the same engine state as the sequential path.
+    /// Traversals read the shared CSR immutably; rows are written back in
+    /// ascending source order, so any thread count produces the same engine
+    /// state as the sequential path.
     pub fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
         tiered!(mut self, e => e.prefill_oracle_rows(nodes, threads))
     }
@@ -765,13 +684,12 @@ impl<'a> DistanceEngine<'a> {
     /// [`DistanceEngine::add_node`].
     ///
     /// Invalidation is incremental: each in-link strip and the self-clear
-    /// go through the standard touched-set rule, so deviation rows whose
+    /// go through the standard touched-set rule, so base rows whose
     /// traversals met none of the patched nodes survive; only the
-    /// membership-dependent aggregates (outcome memos, eval costs, masked
-    /// target lists) are dropped wholesale — membership is a term in every
-    /// one of them. `u`'s own `d_{G∖u}` rows survive by construction
-    /// (`G∖u` never contained `u`'s arcs), which is what makes a brief
-    /// leave/rejoin cheap.
+    /// membership-dependent aggregates (outcome memos, costs, masked target
+    /// lists) are dropped wholesale — membership is a term in every one of
+    /// them. When `u` has no in-links, no other node's base row reaches it,
+    /// so a brief leave/rejoin keeps every row `u`'s search needs.
     ///
     /// # Errors
     ///
@@ -811,8 +729,8 @@ impl<'a> DistanceEngine<'a> {
     /// fresh [`DistanceEngine::with_membership`] over the same
     /// configuration and membership — caches are warm vs cold, but the
     /// state they describe is byte-identical. The digest hashes no row
-    /// data, and rows agree across tiers anyway, so it is also row-tier
-    /// independent.
+    /// data (nor the reverse adjacency derived from the CSR), and rows
+    /// agree across tiers anyway, so it is also row-tier independent.
     pub fn state_digest(&self) -> u64 {
         tiered!(self, e => e.state_digest())
     }
@@ -827,6 +745,40 @@ impl<'a> DistanceEngine<'a> {
     /// (membership, strategies, costs) is untouched.
     pub fn canonicalize(&mut self) {
         tiered!(mut self, e => e.canonicalize())
+    }
+}
+
+/// The borrows one search's row derivations need: every deviation row of
+/// `u` it stages, eager or on demand, is derived here.
+struct Deriver<'e, W> {
+    store: &'e mut RowStore<W>,
+    csr: &'e CsrGraph,
+    spec: &'e GameSpec,
+    stats: &'e mut EngineStats,
+    /// The dependency set being collected, when the search is memoized.
+    deps: Option<&'e mut BitSet>,
+    u: NodeId,
+}
+
+impl<W: RowWord> Deriver<'_, W> {
+    /// Derives `u`'s deviation row through `c` into `dst`, counting its
+    /// base row as computed or hit, and adds the row's touched set to the
+    /// dependency set.
+    fn derive(&mut self, c: NodeId, dst: &mut [W]) {
+        let offset = W::from_u64(self.spec.link_length(self.u, c))
+            // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
+            .expect("link length is below the penalty, which fits the tier");
+        if self
+            .store
+            .derive(self.csr, self.u.index(), c.index(), offset, dst)
+        {
+            self.stats.oracle_rows_computed += 1;
+        } else {
+            self.stats.oracle_row_hits += 1;
+        }
+        if let Some(deps) = self.deps.as_deref_mut() {
+            deps.union_with(self.store.derived_touched());
+        }
     }
 }
 
@@ -871,11 +823,17 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             config,
             csr,
             penalty,
-            filler: RowFiller::new(n),
-            eval_filler: RowFiller::new(n),
+            store: RowStore::new(n, spec.has_unit_lengths(), penalty),
+            raw: Vec::new(),
             conn: ConnectivityScratch::new(),
-            oracle: (0..n).map(|_| OracleCache::default()).collect(),
-            eval_rows: Vec::new(),
+            memos: (0..n)
+                .map(|_| Memo {
+                    outcome: None,
+                    complete: true,
+                    deps: BitSet::new(n),
+                })
+                .collect(),
+            deps: BitSet::new(n),
             eval_costs: vec![None; n],
             stage: Stage::default(),
             search_scratch: SearchScratch::default(),
@@ -884,7 +842,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             lm: LandmarkCache {
                 version: 0,
                 landmarks: Vec::new(),
-                rows: Vec::new(),
                 partition: BlockPartition::new(n),
                 envelope: BlockEnvelope::new(),
                 env_valid: false,
@@ -945,172 +902,76 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
     }
 
     fn invalidate_after_move(&mut self, moved: usize) {
-        for (u2, oc) in self.oracle.iter_mut().enumerate() {
-            if !oc.init {
-                continue;
-            }
-            if !oc.outcome_complete {
-                // A landmark-pruned memo depends on rows the search never
-                // materialized — their dependence on the mover is unknown,
-                // so the touched-set rule below cannot protect it.
-                oc.outcome = None;
-            }
-            if u2 == moved {
-                // `G∖u2` never contained u2's arcs: rows stay, but the
-                // node's own strategy (hence its current cost) changed.
-                oc.outcome = None;
-                continue;
-            }
-            let mut any = false;
-            for slot in &mut oc.rows {
-                if slot.valid && slot.touched.contains(moved) {
-                    slot.valid = false;
-                    any = true;
-                    self.stats.rows_invalidated += 1;
-                }
-            }
-            if any {
-                oc.outcome = None;
+        for (u, memo) in self.memos.iter_mut().enumerate() {
+            // An incomplete memo depends on rows the search never derived,
+            // whose dependence on the mover is unknown; and the mover's own
+            // strategy (hence its current cost) changed.
+            if u == moved || !memo.complete || memo.deps.contains(moved) {
+                memo.outcome = None;
             }
         }
-        for (i, (slot, cost)) in self
-            .eval_rows
-            .iter_mut()
-            .zip(&mut self.eval_costs)
-            .enumerate()
-        {
-            if slot.valid && slot.touched.contains(moved) {
-                slot.valid = false;
-                if cost.is_some() {
-                    self.eval_dirty.insert(i);
-                }
-                *cost = None;
-                self.stats.rows_invalidated += 1;
+        let (costs, dirty, stats) = (&mut self.eval_costs, &mut self.eval_dirty, &mut self.stats);
+        self.store.invalidate(moved, |c| {
+            stats.rows_invalidated += 1;
+            if costs[c].take().is_some() {
+                dirty.insert(c);
             }
-        }
-        // Landmark rows cover the full graph (mover's arcs included), so
-        // they get no mover exemption: a landmark's own rewire always lands
-        // in its touched set and drops the row.
-        for slot in &mut self.lm.rows {
-            if slot.valid && slot.touched.contains(moved) {
-                slot.valid = false;
-                self.lm.env_valid = false;
-                self.stats.rows_invalidated += 1;
-            }
-        }
-    }
-
-    fn ensure_oracle_init(&mut self, u: NodeId) {
-        let n = self.spec.node_count();
-        let oc = &mut self.oracle[u.index()];
-        if oc.init {
-            return;
-        }
-        oc.candidates = self.spec.affordable_targets(u);
-        oc.prices = oc
-            .candidates
+        });
+        if !self
+            .lm
+            .landmarks
             .iter()
-            .map(|&c| self.spec.link_cost(u, c))
-            .collect();
-        oc.rows = oc.candidates.iter().map(|_| RowSlot::new(n)).collect();
-        oc.init = true;
-    }
-
-    /// Recomputes every invalid oracle row of `u` for *live* candidates
-    /// (sequentially), counting the already-valid ones as row hits. A
-    /// departed candidate's row is neither needed (it is filtered out of the
-    /// search staging) nor meaningful, so it is left invalid until the
-    /// candidate rejoins.
-    fn ensure_oracle_rows(&mut self, u: NodeId) {
-        self.ensure_oracle_init(u);
-        let oc = &mut self.oracle[u.index()];
-        for (slot, &c) in oc.rows.iter_mut().zip(&oc.candidates) {
-            if !self.live.contains(c.index()) {
-                continue;
-            }
-            if slot.valid {
-                self.stats.oracle_row_hits += 1;
-                continue;
-            }
-            self.filler
-                .deviation_row(&self.csr, self.spec, u, c, self.penalty, slot);
-            self.stats.oracle_rows_computed += 1;
+            .all(|l| self.store.is_valid(l.index()))
+        {
+            self.lm.env_valid = false;
         }
     }
 
-    /// Picks/refreshes the cached landmark layer for `k` landmarks: re-pick
-    /// evenly over the live set when the membership or requested count
-    /// changed, lazily re-run the full-`G` traversal of each invalidated
-    /// row, and rebuild the block envelope if anything moved.
+    /// Picks/refreshes the landmark layer for `k` landmarks: re-pick evenly
+    /// over the live set when the membership or requested count changed,
+    /// fill each landmark's invalid base row, and rebuild the block
+    /// envelope if any landmark row changed.
     fn ensure_landmarks(&mut self, k: usize) {
-        let n = self.spec.node_count();
         if self.lm.version != self.membership_version || self.lm.landmarks.len() != k {
             let live: Vec<NodeId> = self.live.iter().map(NodeId::new).collect();
             self.lm.landmarks = (0..k).map(|j| live[j * live.len() / k]).collect();
-            self.lm.rows = (0..k).map(|_| RowSlot::new(n)).collect();
             self.lm.version = self.membership_version;
             self.lm.env_valid = false;
         }
-        for (slot, &l) in self.lm.rows.iter_mut().zip(&self.lm.landmarks) {
-            if slot.valid {
-                continue;
+        for &l in &self.lm.landmarks {
+            if self.store.ensure(&self.csr, l.index()) {
+                self.stats.landmark_rows_computed += 1;
+                self.lm.env_valid = false;
             }
-            self.filler
-                .full_row(&self.csr, self.spec, l, self.penalty, slot);
-            self.stats.landmark_rows_computed += 1;
-            self.lm.env_valid = false;
         }
         if !self.lm.env_valid {
-            let LandmarkCache {
-                rows,
-                partition,
-                envelope,
-                env_valid,
-                ..
-            } = &mut self.lm;
-            envelope.rebuild(
-                partition,
-                rows.iter().map(|s| s.dist.as_slice()),
+            let store = &self.store;
+            self.lm.envelope.rebuild(
+                &self.lm.partition,
+                self.lm.landmarks.iter().map(|l| store.row(l.index())),
                 self.penalty,
             );
-            *env_valid = true;
+            self.lm.env_valid = true;
         }
     }
 
-    /// Copies `u`'s live candidates and their cached rows into the stage,
-    /// leaving a penalty placeholder (not `present`) for each invalid row.
-    /// With `count_hits`, every cached row staged counts as a row hit.
-    fn stage(&mut self, u: NodeId, count_hits: bool) {
+    /// Stages `u`'s live affordable candidates in ascending id order, with
+    /// a penalty placeholder row (not `present`) for each.
+    fn stage(&mut self, u: NodeId) {
         let n = self.spec.node_count();
-        let all_live = self.live_count == n;
         self.ensure_live_targets(u);
-        let oc = &self.oracle[u.index()];
         let stage = &mut self.stage;
-        stage.rows.clear();
-        stage.present.clear();
         stage.candidates.clear();
         stage.prices.clear();
-        stage.slots.clear();
-        for (i, slot) in oc.rows.iter().enumerate() {
-            let c = oc.candidates[i];
-            // Live candidates only: a departed peer is neither a purchasable
-            // target nor a relay in any priced strategy.
-            if !all_live && !self.live.contains(c.index()) {
-                continue;
-            }
+        for (c, price) in live_candidates(self.spec, &self.live, u) {
             stage.candidates.push(c);
-            stage.prices.push(oc.prices[i]);
-            stage.slots.push(i);
-            stage.present.push(slot.valid);
-            if slot.valid {
-                stage.rows.extend_from_slice(&slot.dist);
-                if count_hits {
-                    self.stats.oracle_row_hits += 1;
-                }
-            } else {
-                stage.rows.resize(stage.rows.len() + n, self.penalty);
-            }
+            stage.prices.push(price);
         }
+        let m = stage.candidates.len();
+        stage.rows.clear();
+        stage.rows.resize(m * n, self.penalty);
+        stage.present.clear();
+        stage.present.resize(m, false);
     }
 
     fn best_response(
@@ -1121,79 +982,88 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         if !self.live.contains(u.index()) {
             return Err(Error::NodeNotLive { node: u });
         }
-        if let Some((cached_options, outcome)) = &self.oracle[u.index()].outcome {
+        if let Some((cached_options, outcome)) = &self.memos[u.index()].outcome {
             if cached_options == options {
                 self.stats.outcome_hits += 1;
                 return Ok(outcome.clone());
             }
         }
-        let rows_before = self.stats.oracle_rows_computed;
         let landmarks = self.lm_policy.resolve(self.live_count);
         let bounded = landmarks > 0;
         if bounded {
             self.ensure_landmarks(landmarks);
-            self.ensure_oracle_init(u);
-            // The current strategy is priced through exact rows (the search
-            // compares every candidate strategy against it, so it cannot be
-            // bounded); every other row waits for the search to include it.
-            let oc = &mut self.oracle[u.index()];
-            for &t in self.config.strategy(u) {
-                let i = oc
-                    .candidates
-                    .binary_search(&t)
-                    // bbc-lint: allow(panic, apply_strategy validated every held target as an affordable candidate)
-                    .expect("a held strategy target is always an affordable candidate");
-                if !oc.rows[i].valid {
-                    self.filler.deviation_row(
-                        &self.csr,
-                        self.spec,
-                        u,
-                        t,
-                        self.penalty,
-                        &mut oc.rows[i],
-                    );
-                    self.stats.oracle_rows_computed += 1;
-                }
-            }
-        } else {
-            // The exact bound source needs every live row.
-            self.ensure_oracle_rows(u);
         }
-        self.stage(u, bounded);
+        self.stage(u);
+        let n = self.spec.node_count();
+        let rows_before = self.stats.oracle_rows_computed + self.stats.oracle_row_hits;
 
-        // Disjoint field borrows: the on-demand fill traverses via `filler`
-        // and writes through to the oracle slots while the search holds the
-        // staged rows.
+        // Disjoint field borrows: the derivations write through the store
+        // while the search holds the staged rows.
+        let Stage {
+            rows,
+            present,
+            candidates,
+            prices,
+        } = &mut self.stage;
         let view = OracleView {
             spec: self.spec,
             node: u,
-            candidates: &self.stage.candidates,
-            prices: &self.stage.prices,
+            candidates,
+            prices,
             weighted_targets: &self.live_targets[u.index()].targets,
             budget: self.spec.budget(u),
             all_live: self.live_count == self.spec.node_count(),
         };
-        let oc_rows = &mut self.oracle[u.index()].rows;
-        let mut fetch = |i: usize, dst: &mut [W]| {
-            let slot = &mut oc_rows[self.stage.slots[i]];
-            if !slot.valid {
-                let c = self.stage.candidates[i];
-                self.filler
-                    .deviation_row(&self.csr, self.spec, u, c, self.penalty, slot);
-                self.stats.oracle_rows_computed += 1;
-            }
-            dst.copy_from_slice(&slot.dist);
-        };
-        let staged = StagedRows {
-            rows: &mut self.stage.rows,
-            present: &mut self.stage.present,
-            fetch: &mut fetch,
-        };
-        let strategy = self.config.strategy(u);
-        let mut outcome = if bounded {
-            let lm_rows: Vec<&[W]> = self.lm.rows.iter().map(|s| s.dist.as_slice()).collect();
+        if bounded {
+            let store = &self.store;
+            let lm_rows: Vec<&[W]> = self
+                .lm
+                .landmarks
+                .iter()
+                .map(|l| store.row(l.index()))
+                .collect();
             self.lm_scratch
                 .build(&view, &lm_rows, &self.lm.partition, &self.lm.envelope);
+        }
+        // The dependency set is collected aside and committed with the
+        // outcome, so a search that fails leaves any older memo intact.
+        self.deps.clear();
+        let mut deriver = Deriver {
+            store: &mut self.store,
+            csr: &self.csr,
+            spec: self.spec,
+            stats: &mut self.stats,
+            deps: Some(&mut self.deps),
+            u,
+        };
+        let strategy = self.config.strategy(u);
+        if bounded {
+            // The current strategy is priced through exact rows (the search
+            // compares every candidate strategy against it, so it cannot be
+            // bounded); every other row waits for the search to include it.
+            for &t in strategy {
+                let i = view
+                    .candidates
+                    .binary_search(&t)
+                    // bbc-lint: allow(panic, apply_strategy validated every held target as a live affordable candidate)
+                    .expect("a held strategy target is always a live, affordable candidate");
+                deriver.derive(t, &mut rows[i * n..(i + 1) * n]);
+                present[i] = true;
+            }
+        } else {
+            // The exact bound source needs every live row.
+            for (i, &c) in view.candidates.iter().enumerate() {
+                deriver.derive(c, &mut rows[i * n..(i + 1) * n]);
+                present[i] = true;
+            }
+        }
+        let mut fetch = |i: usize, dst: &mut [W]| deriver.derive(view.candidates[i], dst);
+        let staged = StagedRows {
+            rows,
+            present,
+            fetch: &mut fetch,
+        };
+        let mut outcome = if bounded {
             search(
                 &view,
                 staged,
@@ -1214,18 +1084,32 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         };
         self.stats.searches_run += 1;
         if bounded {
-            outcome.rows_materialized = self.stats.oracle_rows_computed - rows_before;
+            outcome.rows_materialized =
+                self.stats.oracle_rows_computed + self.stats.oracle_row_hits - rows_before;
         }
-        let oc = &mut self.oracle[u.index()];
-        oc.outcome_complete = self.stage.present.iter().all(|&p| p);
-        oc.outcome = Some((*options, outcome.clone()));
+        let memo = &mut self.memos[u.index()];
+        memo.complete = self.stage.present.iter().all(|&p| p);
+        memo.outcome = Some((*options, outcome.clone()));
+        std::mem::swap(&mut memo.deps, &mut self.deps);
         Ok(outcome)
     }
 
     /// Greedy heuristic best response for `u` over its fully staged rows.
     fn greedy(&mut self, u: NodeId) -> BestResponseOutcome {
-        self.ensure_oracle_rows(u);
-        self.stage(u, false);
+        self.stage(u);
+        let n = self.spec.node_count();
+        let mut deriver = Deriver {
+            store: &mut self.store,
+            csr: &self.csr,
+            spec: self.spec,
+            stats: &mut self.stats,
+            deps: None,
+            u,
+        };
+        for (i, &c) in self.stage.candidates.iter().enumerate() {
+            deriver.derive(c, &mut self.stage.rows[i * n..(i + 1) * n]);
+            self.stage.present[i] = true;
+        }
         let view = OracleView {
             spec: self.spec,
             node: u,
@@ -1236,6 +1120,30 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             all_live: self.live_count == self.spec.node_count(),
         };
         greedy_on(&view, &self.stage.rows, self.config.strategy(u))
+    }
+
+    fn deviation_row(&mut self, u: NodeId, c: NodeId) -> DeviationRow {
+        assert!(
+            u != c && self.live.contains(u.index()) && self.live.contains(c.index()),
+            "deviation_row({u}, {c}) needs two distinct live nodes"
+        );
+        let mut row = vec![self.penalty; self.spec.node_count()];
+        Deriver {
+            store: &mut self.store,
+            csr: &self.csr,
+            spec: self.spec,
+            stats: &mut self.stats,
+            deps: None,
+            u,
+        }
+        .derive(c, &mut row);
+        let mut affected: Vec<NodeId> = self.store.affected().map(NodeId::new).collect();
+        affected.sort_unstable();
+        DeviationRow {
+            row: row.iter().map(|d| d.widen()).collect(),
+            touched: self.store.derived_touched().clone(),
+            affected,
+        }
     }
 
     /// Rebuilds `u`'s weighted target list when the membership changed
@@ -1259,9 +1167,10 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         mt.version = self.membership_version;
     }
 
-    /// Cost of node `u` under the bound configuration (cached per node).
-    /// A departed node costs 0 — it plays no strategy and owes no
-    /// distances (see the churn rules in the module docs).
+    /// Cost of node `u` under the bound configuration (cached per node),
+    /// aggregated from base row `u`. A departed node costs 0 — it plays no
+    /// strategy and owes no distances (see the churn rules in the module
+    /// docs).
     fn node_cost(&mut self, u: NodeId) -> u64 {
         if !self.live.contains(u.index()) {
             return 0;
@@ -1269,22 +1178,16 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         if let Some(cost) = self.eval_costs[u.index()] {
             return cost;
         }
-        if self.eval_rows.is_empty() {
-            // Allocated on first use: an engine that only answers best
-            // responses never needs the `n²` evaluator rows.
-            let n = self.spec.node_count();
-            self.eval_rows = (0..n).map(|_| RowSlot::new(n)).collect();
-        }
-        let slot = &mut self.eval_rows[u.index()];
-        if !slot.valid {
-            self.eval_filler
-                .full_row(&self.csr, self.spec, u, UNREACHABLE, slot);
+        if self.store.ensure(&self.csr, u.index()) {
             self.stats.eval_rows_computed += 1;
         }
+        // Unreachable entries hold the penalty, which is exactly what the
+        // cost charges for them.
+        let row = self.store.row(u.index());
         let cost = if self.live_count == self.spec.node_count() {
-            cost_from_distances(self.spec, u, &self.eval_rows[u.index()].dist)
+            cost_from_distances(self.spec, u, row)
         } else {
-            cost_from_distances_masked(self.spec, u, &self.eval_rows[u.index()].dist, &self.live)
+            cost_from_distances_masked(self.spec, u, row, &self.live)
         };
         self.eval_costs[u.index()] = Some(cost);
         cost
@@ -1306,7 +1209,16 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             "distances_from({u}): node is not a live member"
         );
         self.node_cost(u);
-        &self.eval_rows[u.index()].dist
+        let penalty = self.penalty;
+        self.raw.clear();
+        self.raw.extend(self.store.row(u.index()).iter().map(|&d| {
+            if d == penalty {
+                UNREACHABLE
+            } else {
+                d.widen()
+            }
+        }));
+        &self.raw
     }
 
     fn is_strongly_connected(&mut self) -> bool {
@@ -1323,10 +1235,10 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         let mut total = 0u64;
         for &u in &live {
             self.node_cost(NodeId::new(u));
-            let dist = &self.eval_rows[u].dist;
+            let row = self.store.row(u);
             for &v in &live {
                 if v != u
-                    && dist[v] == UNREACHABLE
+                    && row[v] == self.penalty
                     && self.spec.weight(NodeId::new(u), NodeId::new(v)) > 0
                 {
                     total += 1;
@@ -1342,7 +1254,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         options: &BestResponseOptions,
         threads: usize,
     ) -> Result<BestResponseOutcome> {
-        let memo_valid = self.oracle[u.index()]
+        let memo_valid = self.memos[u.index()]
             .outcome
             .as_ref()
             .is_some_and(|(cached, _)| cached == options);
@@ -1352,82 +1264,48 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         self.best_response(u, options)
     }
 
-    /// Fills every invalid oracle row of `nodes` across `threads` OS threads
-    /// (`std::thread::scope`), returning the number of traversals run.
     fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
-        for &u in nodes {
-            if self.live.contains(u.index()) {
-                self.ensure_oracle_init(u);
+        let mut needed = BitSet::new(self.spec.node_count());
+        for &u in nodes.iter().filter(|u| self.live.contains(u.index())) {
+            for (c, _) in live_candidates(self.spec, &self.live, u) {
+                needed.insert(c.index());
             }
         }
-        let mut work: Vec<(usize, usize)> = Vec::new();
-        for &u in nodes {
-            if !self.live.contains(u.index()) {
-                continue;
-            }
-            let oc = &self.oracle[u.index()];
-            for (i, slot) in oc.rows.iter().enumerate() {
-                if !slot.valid && self.live.contains(oc.candidates[i].index()) {
-                    work.push((u.index(), i));
-                }
-            }
-        }
-        if work.is_empty() {
-            return 0;
-        }
-        let threads = threads.clamp(1, work.len());
-        if threads == 1 {
-            for &u in nodes {
-                if self.live.contains(u.index()) {
-                    self.ensure_oracle_rows(u);
-                }
-            }
-            return work.len();
-        }
-
-        let n = self.spec.node_count();
-        let csr = &self.csr;
-        let oracle = &self.oracle;
-        let spec = self.spec;
-        let penalty = self.penalty;
-        let chunk = work.len().div_ceil(threads);
-        let results: Vec<Vec<FilledRow<W>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = work
-                .chunks(chunk)
-                .map(|items| {
-                    scope.spawn(move || {
-                        let mut filler = RowFiller::<W>::new(n);
-                        items
-                            .iter()
-                            .map(|&(u, i)| {
-                                let mut slot = RowSlot::new(n);
-                                let c = oracle[u].candidates[i];
-                                filler.deviation_row(
-                                    csr,
-                                    spec,
-                                    NodeId::new(u),
-                                    c,
-                                    penalty,
-                                    &mut slot,
-                                );
-                                (u, i, slot)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // bbc-lint: allow(panic, prefill returns a traversal count, not a Result; re-raising the worker panic is the only sound option)
-                .map(|h| h.join().expect("row-filling thread panicked"))
-                .collect()
-        });
-        let computed = work.len();
-        for (u, i, slot) in results.into_iter().flatten() {
-            self.oracle[u].rows[i] = slot;
-        }
+        let sources: Vec<usize> = needed.iter().collect();
+        let computed = self.store.fill(&self.csr, &sources, threads);
         self.stats.oracle_rows_computed += computed as u64;
         computed
+    }
+
+    /// Bytes held, by capacity: `[row store, stage, memos]` (see
+    /// [`DistanceEngine::publish_metrics`]).
+    fn memory(&self) -> [u64; 3] {
+        let stage = self.stage.rows.capacity() * size_of::<W>()
+            + self.stage.present.capacity()
+            + self.stage.candidates.capacity() * size_of::<NodeId>()
+            + self.stage.prices.capacity() * size_of::<u64>()
+            + self.suffix.heap_bytes()
+            + self.lm_scratch.heap_bytes()
+            + self.search_scratch.heap_bytes();
+        let memo = self.memos.capacity() * size_of::<Memo>()
+            + bitset_bytes(&self.deps)
+            + self
+                .memos
+                .iter()
+                .map(|m| {
+                    bitset_bytes(&m.deps)
+                        + m.outcome.as_ref().map_or(0, |(_, out)| {
+                            out.best_strategy.capacity() * size_of::<NodeId>()
+                        })
+                })
+                .sum::<usize>()
+            + self.live_targets.capacity() * size_of::<LiveTargets>()
+            + self
+                .live_targets
+                .iter()
+                .map(|t| t.targets.capacity() * size_of::<(u32, u64)>())
+                .sum::<usize>();
+        [self.store.heap_bytes(), stage, memo].map(|b| b as u64)
     }
 
     // ----- node lifecycle (churn) ------------------------------------
@@ -1493,21 +1371,21 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
     /// Post-join/leave bookkeeping: canonicalize the CSR layout (so the
     /// physical state is history-independent — the determinism contract of
     /// [`DistanceEngine::state_digest`]), bump the membership version, and
-    /// drop every membership-dependent aggregate. Distance rows are *not*
+    /// drop every membership-dependent aggregate. Base rows are *not*
     /// dropped here; the touched-set invalidations of the patches that led
     /// here already covered them.
     fn after_membership_change(&mut self) {
         self.membership_version += 1;
         self.csr.rebuild_canonical();
-        for oc in &mut self.oracle {
-            oc.outcome = None;
+        for memo in &mut self.memos {
+            memo.outcome = None;
         }
         for (i, cost) in self.eval_costs.iter_mut().enumerate() {
             *cost = None;
             self.eval_dirty.insert(i);
         }
-        // Landmarks are picked evenly over the live set; force a re-pick
-        // (which drops every landmark row) at the next landmark-path query.
+        // Landmarks are picked evenly over the live set; force a re-pick at
+        // the next landmark-path query.
         self.lm.version = 0;
     }
 
@@ -1547,6 +1425,22 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         h.write_u64(self.csr.arena_digest());
         h.finish()
     }
+}
+
+/// `u`'s candidate targets with their link prices, ascending by id: the
+/// live nodes other than `u` that its budget affords. A departed peer is
+/// neither a purchasable target nor a relay in any priced strategy.
+fn live_candidates<'s>(
+    spec: &'s GameSpec,
+    live: &'s BitSet,
+    u: NodeId,
+) -> impl Iterator<Item = (NodeId, u64)> + 's {
+    let budget = spec.budget(u);
+    live.iter()
+        .map(NodeId::new)
+        .filter(move |&c| c != u)
+        .map(move |c| (c, spec.link_cost(u, c)))
+        .filter(move |&(_, price)| price <= budget)
 }
 
 /// Assembles `(target, length)` pairs for one node's strategy.
@@ -1678,7 +1572,7 @@ pub(crate) mod tests {
         for threads in [1usize, 2, 4] {
             let mut engine = DistanceEngine::new(&spec, cfg.clone());
             let computed = engine.prefill_oracle_rows(&nodes, threads);
-            assert_eq!(computed, 10 * 9, "all rows were cold");
+            assert_eq!(computed, 10, "every base row was cold");
             for u in NodeId::all(10) {
                 assert_eq!(
                     engine.best_response(u, &opts()).unwrap(),
@@ -1688,7 +1582,7 @@ pub(crate) mod tests {
             }
             assert_eq!(
                 engine.stats().oracle_rows_computed,
-                90,
+                10,
                 "searches after prefill must be pure cache hits (threads {threads})"
             );
         }
@@ -1941,6 +1835,95 @@ pub(crate) mod tests {
             rows_before,
             "an in-link-free leave/rejoin must be a pure row-cache hit"
         );
+    }
+
+    #[test]
+    fn each_derived_row_counts_once() {
+        // A cold engine on the exact path: the first search fills one base
+        // row per candidate; the next node's search re-derives from the
+        // rows the first one built and fills only the one it lacks.
+        let spec = GameSpec::uniform(8, 2);
+        let cfg = Configuration::random(&spec, 6);
+        let mut engine =
+            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Off);
+        engine.best_response(NodeId::new(0), &opts()).unwrap();
+        let stats = engine.stats();
+        assert_eq!((stats.oracle_rows_computed, stats.oracle_row_hits), (7, 0));
+        engine.best_response(NodeId::new(1), &opts()).unwrap();
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.oracle_rows_computed, stats.oracle_row_hits),
+            (8, 6),
+            "node 1 lacks only base row 0"
+        );
+        // On the landmark path the held strategy's rows are derived once,
+        // not counted as computed and then again as hits.
+        let mut engine = DistanceEngine::new(&spec, cfg).with_landmarks(LandmarkPolicy::Forced(2));
+        let out = engine.best_response(NodeId::new(0), &opts()).unwrap();
+        let stats = engine.stats();
+        assert_eq!(
+            stats.oracle_rows_computed + stats.oracle_row_hits,
+            out.rows_materialized
+        );
+        assert!(out.rows_materialized <= 7);
+    }
+
+    #[test]
+    fn a_failed_search_keeps_the_older_memo_and_its_dependencies() {
+        let spec = GameSpec::uniform(9, 2);
+        let mut engine = DistanceEngine::new(&spec, Configuration::random(&spec, 4))
+            .with_landmarks(LandmarkPolicy::Forced(2));
+        let u = NodeId::new(0);
+        let out = engine.best_response(u, &opts()).unwrap();
+        let deps = tiered!(engine, e => e.memos[0].deps.clone());
+        let tight = BestResponseOptions {
+            evaluation_limit: 1,
+            ..opts()
+        };
+        assert!(engine.best_response(u, &tight).is_err());
+        assert_eq!(tiered!(engine, e => e.memos[0].deps.clone()), deps);
+        assert_eq!(engine.best_response(u, &opts()).unwrap(), out);
+        assert_eq!(engine.stats().outcome_hits, 1);
+    }
+
+    #[test]
+    fn memory_gauges_stay_flat_along_a_walk() {
+        // A 64-peer circulant{1,8} walk: once every node has been tested,
+        // no structure grows, and the row store holds n rows, not n² — at
+        // most twice the n² row words.
+        let n = 64;
+        let spec = GameSpec::uniform(n, 2);
+        let cfg = Configuration::from_strategies(
+            &spec,
+            (0..n)
+                .map(|i| {
+                    let mut s = vec![NodeId::new((i + 1) % n), NodeId::new((i + 8) % n)];
+                    s.sort_unstable();
+                    s
+                })
+                .collect(),
+        )
+        .unwrap();
+        let mut walk = crate::Walk::new(&spec, cfg).detect_cycles(false);
+        let gauges = |walk: &crate::Walk| {
+            let mut reg = bbc_obs::Registry::new();
+            walk.publish_metrics(&mut reg);
+            [
+                "engine/row_store_bytes",
+                "engine/stage_bytes",
+                "engine/memo_bytes",
+            ]
+            .map(|name| reg.gauge(name).unwrap())
+        };
+        walk.run(64).unwrap();
+        let early = gauges(&walk);
+        walk.run(256).unwrap();
+        assert_eq!(walk.stats().steps, 256);
+        assert!(walk.stats().moves > 0);
+        assert_eq!(gauges(&walk), early);
+        assert_eq!(RowTier::auto(&spec), RowTier::U32);
+        let bound = 2 * n * n * std::mem::size_of::<u32>();
+        assert!(early[0] > 0 && early[0] <= bound as u64, "{early:?}");
     }
 
     #[test]
@@ -2211,18 +2194,21 @@ pub(crate) mod tests {
         // policy-independent); a different node forces a fresh search.
         assert_eq!(engine.best_response(u, &opts()).unwrap(), a);
         let v = NodeId::new(7);
+        let picked = [0, 2, 4, 6, 8];
+        let cold = tiered!(engine, e => picked.iter().filter(|&&l| !e.store.is_valid(l)).count());
         let b = engine.best_response(v, &opts()).unwrap();
+        assert!(cold < picked.len(), "node 4's search left some rows warm");
         assert_eq!(
             engine.stats().landmark_rows_computed,
-            2 + 5,
-            "resizing rebuilds the whole set"
+            2 + cold as u64,
+            "the re-pick fills only the landmarks whose base rows are cold"
         );
         assert!(b.same_decision(&best_response::exact(&spec, &cfg, v, &opts()).unwrap()));
         engine.set_landmark_policy(LandmarkPolicy::Off);
         let c = engine.best_response(NodeId::new(8), &opts()).unwrap();
         assert_eq!(
             engine.stats().landmark_rows_computed,
-            7,
+            2 + cold as u64,
             "Off builds nothing"
         );
         assert!(

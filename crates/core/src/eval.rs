@@ -5,7 +5,7 @@
 //! the max-variant `max_v w(u,v)·d(u,v)` (§5). [`Evaluator`] computes both
 //! from the distance rows of a [`DistanceEngine`].
 
-use bbc_graph::{BitSet, UNREACHABLE};
+use bbc_graph::{BitSet, RowWord, UNREACHABLE};
 
 use crate::{Configuration, CostModel, DistanceEngine, GameSpec, NodeId};
 
@@ -77,9 +77,13 @@ impl<'a> Evaluator<'a> {
 /// Aggregates a distance vector into `u`'s cost under the spec's cost model,
 /// substituting the disconnection penalty for unreachable nodes.
 ///
+/// `dist` holds raw distances ([`UNREACHABLE`] where no path exists) or
+/// rows clamped at the penalty, at either row width: a clamped entry
+/// already is the penalty it would be charged.
+///
 /// Exposed for the engine and the frozen reference, which produce distance
 /// rows without a full `Evaluator`.
-pub fn cost_from_distances(spec: &GameSpec, u: NodeId, dist: &[u64]) -> u64 {
+pub fn cost_from_distances<W: RowWord>(spec: &GameSpec, u: NodeId, dist: &[W]) -> u64 {
     debug_assert_eq!(dist.len(), spec.node_count());
     let m = spec.penalty();
     match spec.cost_model() {
@@ -93,7 +97,7 @@ pub fn cost_from_distances(spec: &GameSpec, u: NodeId, dist: &[u64]) -> u64 {
                 if w == 0 {
                     continue;
                 }
-                let d = dist[v.index()];
+                let d = dist[v.index()].widen();
                 total += w * if d == UNREACHABLE { m } else { d };
             }
             total
@@ -108,7 +112,7 @@ pub fn cost_from_distances(spec: &GameSpec, u: NodeId, dist: &[u64]) -> u64 {
                 if w == 0 {
                     continue;
                 }
-                let d = dist[v.index()];
+                let d = dist[v.index()].widen();
                 worst = worst.max(w * if d == UNREACHABLE { m } else { d });
             }
             worst
@@ -123,7 +127,12 @@ pub fn cost_from_distances(spec: &GameSpec, u: NodeId, dist: &[u64]) -> u64 {
 /// This is the aggregation rule of the churn runtime
 /// ([`crate::DistanceEngine::remove_node`]); with every node live it reduces
 /// to [`cost_from_distances`].
-pub fn cost_from_distances_masked(spec: &GameSpec, u: NodeId, dist: &[u64], live: &BitSet) -> u64 {
+pub fn cost_from_distances_masked<W: RowWord>(
+    spec: &GameSpec,
+    u: NodeId,
+    dist: &[W],
+    live: &BitSet,
+) -> u64 {
     debug_assert_eq!(dist.len(), spec.node_count());
     let m = spec.penalty();
     let mut total = 0u64;
@@ -136,7 +145,7 @@ pub fn cost_from_distances_masked(spec: &GameSpec, u: NodeId, dist: &[u64], live
         if w == 0 {
             continue;
         }
-        let d = dist[v.index()];
+        let d = dist[v.index()].widen();
         let term = w * if d == UNREACHABLE { m } else { d };
         total += term;
         worst = worst.max(term);

@@ -62,6 +62,7 @@ pub mod landmark;
 pub mod node;
 pub mod par;
 pub mod reference;
+mod row_store;
 pub mod spec;
 pub mod stability;
 
@@ -69,7 +70,7 @@ pub use best_response::{BestResponseOptions, BestResponseOutcome};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnReport, ChurnSim};
 pub use config::Configuration;
 pub use dynamics::{MoveRecord, Scheduler, Walk, WalkOutcome, WalkStats};
-pub use engine::{DistanceEngine, EngineStats, RowTier};
+pub use engine::{DeviationRow, DistanceEngine, EngineStats, RowTier};
 pub use enumerate::{EnumerationResult, ProfileSpace};
 pub use error::{Error, Result};
 pub use eval::Evaluator;

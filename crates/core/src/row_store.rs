@@ -1,0 +1,547 @@
+//! The engine's one distance-row store: `n` shared full-graph rows
+//! `d_G(c, ·)`, and the derivation of every deviation row from them.
+//!
+//! The paper prices a deviation of node `u` through the rows
+//! `ℓ(u,c) + d_{G∖u}(c, ·)` of its candidate targets `c` (Lemmas 3–5).
+//! Caching one such row per (deviator, candidate) pair costs `O(n³)`
+//! memory, yet a deviation row differs from the full-graph row `d_G(c, ·)`
+//! only at the vertices all of whose shortest paths from `c` run through
+//! `u`. [`RowStore`] therefore keeps one *base row* per source, `O(n²)` in
+//! all, and derives each deviation row straight into the caller's buffer by
+//! re-deriving just that *affected set* `A` — the failed-vertex idea behind
+//! the distance-avoiding oracles of Demetrescu, Thorup, Chowdhury and
+//! Ramachandran (SIAM J. Comput. 2008):
+//!
+//! 1. Copy base row `c`. If `u` is unreached from `c`, `A` is empty.
+//! 2. Otherwise decide `A` from `u`'s children in `c`'s shortest-path DAG,
+//!    in increasing distance (FIFO order for unit lengths, a heap
+//!    otherwise): `v` joins `A` iff every in-neighbour `w` with
+//!    `d(w) + ℓ(w,v) = d(v)` is `u` or already in `A`.
+//! 3. Reset the members of `A` to the penalty `M`, seed each from its
+//!    unaffected in-neighbours other than `u`, and traverse inside `A`.
+//! 4. Add the link length `ℓ(u,c)` and clamp at `M`. Entries are at most
+//!    `M` and `ℓ < M`, so the sum stays below `2M ≤ n·M`, which the row
+//!    tier represents.
+//!
+//! A vertex outside `A` keeps a shortest path that avoids `u`, so its
+//! distance is the same in `G∖u`; a member of `A` lost every shortest path,
+//! and its `G∖u` distance is a path that enters `A` from outside through an
+//! arc not leaving `u`, which is exactly what step 3 explores. The result,
+//! and its touched set, equal those of the skip traversal
+//! [`ClampedBfs::run_skipping`] / [`ClampedDijkstra::run_skipping`], which
+//! the tests below and the differential suite use as the oracle.
+//!
+//! Base rows are clamped at `M` at the row width, allocated on first use,
+//! and follow the touched-set invalidation rule with no mover exemption: a
+//! rewire of `m` drops exactly the rows whose traversal expanded `m`.
+
+use std::{cmp::Reverse, collections::BinaryHeap};
+
+use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph, ReverseCsr, RowWord};
+
+use crate::par;
+
+/// Derivation marks, one per vertex.
+const UNSEEN: u8 = 0;
+/// Queued for the affected-set decision, or decided outside the set.
+const CANDIDATE: u8 = 1;
+/// Decided inside the affected set.
+const AFFECTED: u8 = 2;
+
+/// `n` base rows `d_G(c, ·)` clamped at the penalty, their touched sets,
+/// and the scratch that derives deviation rows from them.
+#[derive(Debug)]
+pub(crate) struct RowStore<W> {
+    n: usize,
+    /// Whether every link has unit length (BFS and FIFO order suffice).
+    unit: bool,
+    penalty: W,
+    /// Base rows, stride `n`; empty until the first row is filled.
+    rows: Vec<W>,
+    /// Each base row's touched set: the nodes its traversal expanded.
+    touched: Vec<BitSet>,
+    valid: BitSet,
+    bfs: ClampedBfs<W>,
+    dijkstra: ClampedDijkstra<W>,
+    rev: ReverseCsr,
+    /// Whether `rev` lags the graph; rebuilt by the next derivation that
+    /// needs it.
+    rev_stale: bool,
+    scratch: Derivation<W>,
+    /// The touched set of the last derived row.
+    derived_touched: BitSet,
+}
+
+impl<W: RowWord> RowStore<W> {
+    /// An empty store for graphs of `n` nodes; no row memory is allocated
+    /// until a row is first filled.
+    pub(crate) fn new(n: usize, unit: bool, penalty: W) -> Self {
+        Self {
+            n,
+            unit,
+            penalty,
+            rows: Vec::new(),
+            touched: Vec::new(),
+            valid: BitSet::new(n),
+            bfs: ClampedBfs::new(n),
+            dijkstra: ClampedDijkstra::new(n),
+            rev: ReverseCsr::new(),
+            rev_stale: true,
+            scratch: Derivation::new(n),
+            derived_touched: BitSet::new(n),
+        }
+    }
+
+    /// Whether base row `c` is filled and current.
+    #[inline]
+    pub(crate) fn is_valid(&self, c: usize) -> bool {
+        self.valid.contains(c)
+    }
+
+    /// Base row `c`: `d_G(c, ·)`, the penalty where unreachable. Must be
+    /// valid.
+    #[inline]
+    pub(crate) fn row(&self, c: usize) -> &[W] {
+        debug_assert!(self.is_valid(c), "base row {c} is not filled");
+        &self.rows[c * self.n..(c + 1) * self.n]
+    }
+
+    /// Fills base row `c` when it is invalid; returns whether that took a
+    /// traversal.
+    pub(crate) fn ensure(&mut self, csr: &CsrGraph, c: usize) -> bool {
+        if self.valid.contains(c) {
+            return false;
+        }
+        self.allocate();
+        let (dist, touched) = if self.unit {
+            self.bfs.run(csr, c, W::ZERO, self.penalty);
+            (self.bfs.distances(), self.bfs.touched())
+        } else {
+            self.dijkstra.run(csr, c, W::ZERO, self.penalty);
+            (self.dijkstra.distances(), self.dijkstra.touched())
+        };
+        let n = self.n;
+        self.rows[c * n..(c + 1) * n].copy_from_slice(dist);
+        self.touched[c].copy_from(touched);
+        self.valid.insert(c);
+        true
+    }
+
+    /// Fills every invalid base row among `sources` on `threads` workers and
+    /// returns the number of traversals run. Workers read the graph
+    /// immutably and rows are written in `sources` order, so the store ends
+    /// in the same state at every thread count.
+    pub(crate) fn fill(&mut self, csr: &CsrGraph, sources: &[usize], threads: usize) -> usize {
+        let todo: Vec<usize> = sources
+            .iter()
+            .copied()
+            .filter(|&c| !self.valid.contains(c))
+            .collect();
+        if todo.is_empty() {
+            return 0;
+        }
+        self.allocate();
+        let (n, unit, penalty) = (self.n, self.unit, self.penalty);
+        let Self {
+            rows,
+            touched,
+            valid,
+            ..
+        } = self;
+        par::ordered_fan_out(
+            0..todo.len() as u64,
+            threads,
+            "row store fill",
+            || (ClampedBfs::<W>::new(n), ClampedDijkstra::<W>::new(n)),
+            |(bfs, dijkstra), i| {
+                let c = todo[i as usize];
+                Ok(if unit {
+                    bfs.run(csr, c, W::ZERO, penalty);
+                    (bfs.distances().to_vec(), bfs.touched().clone())
+                } else {
+                    dijkstra.run(csr, c, W::ZERO, penalty);
+                    (dijkstra.distances().to_vec(), dijkstra.touched().clone())
+                })
+            },
+            |_| false,
+            |i, (dist, t)| {
+                let c = todo[i as usize];
+                rows[c * n..(c + 1) * n].copy_from_slice(&dist);
+                touched[c] = t;
+                valid.insert(c);
+            },
+        )
+        // bbc-lint: allow(panic, a traversal panic is a bug and the fill returns a count, not a Result; re-raising it is the only sound option)
+        .expect("a row-filling worker panicked");
+        todo.len()
+    }
+
+    /// Drops every valid base row whose traversal expanded `moved`, calling
+    /// `on_drop` with each dropped source. Call after every arc patch: it
+    /// also marks the reverse adjacency stale.
+    pub(crate) fn invalidate(&mut self, moved: usize, mut on_drop: impl FnMut(usize)) {
+        self.rev_stale = true;
+        if self.touched.is_empty() {
+            return;
+        }
+        for c in 0..self.n {
+            if self.valid.contains(c) && self.touched[c].contains(moved) {
+                self.valid.remove(c);
+                on_drop(c);
+            }
+        }
+    }
+
+    /// Derives `u`'s deviation row through candidate `c` into `dst`:
+    /// `offset + d_{G∖u}(c, ·)` clamped at the penalty, where `offset` is
+    /// the link length `ℓ(u,c)`. Fills base row `c` first when it is
+    /// invalid and returns whether that took a traversal. The row's touched
+    /// set is left in [`RowStore::derived_touched`] and its affected set in
+    /// [`RowStore::affected`].
+    pub(crate) fn derive(
+        &mut self,
+        csr: &CsrGraph,
+        u: usize,
+        c: usize,
+        offset: W,
+        dst: &mut [W],
+    ) -> bool {
+        debug_assert_ne!(u, c, "a node is never its own candidate");
+        let filled = self.ensure(csr, c);
+        let penalty = self.penalty;
+        let base = &self.rows[c * self.n..(c + 1) * self.n];
+        dst.copy_from_slice(base);
+        self.derived_touched.copy_from(&self.touched[c]);
+        self.derived_touched.remove(u);
+        self.scratch.reset();
+        if base[u] != penalty {
+            if self.rev_stale {
+                self.rev.rebuild(csr);
+                self.rev_stale = false;
+            }
+            self.scratch.decide(csr, &self.rev, base, u, self.unit);
+            self.scratch.rederive(csr, &self.rev, u, penalty, dst);
+            for &v in &self.scratch.members {
+                if dst[v as usize] == penalty {
+                    self.derived_touched.remove(v as usize);
+                }
+            }
+        }
+        for d in dst.iter_mut() {
+            *d = penalty.min(*d + offset);
+        }
+        filled
+    }
+
+    /// The touched set of the last derived row: the nodes the skip
+    /// traversal `G∖u` from its candidate expands.
+    #[inline]
+    pub(crate) fn derived_touched(&self) -> &BitSet {
+        &self.derived_touched
+    }
+
+    /// The affected set of the last derived row, in decision order.
+    pub(crate) fn affected(&self) -> impl Iterator<Item = usize> + '_ {
+        self.scratch.members.iter().map(|&v| v as usize)
+    }
+
+    /// Bytes held by the base rows, their touched sets and validity bits,
+    /// and the reverse adjacency (by capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.rows.capacity() * size_of::<W>()
+            + self.touched.capacity() * size_of::<BitSet>()
+            + self.touched.iter().map(bitset_bytes).sum::<usize>()
+            + bitset_bytes(&self.valid)
+            + self.rev.heap_bytes()
+    }
+
+    fn allocate(&mut self) {
+        if self.touched.len() != self.n {
+            self.rows = vec![self.penalty; self.n * self.n];
+            self.touched = (0..self.n).map(|_| BitSet::new(self.n)).collect();
+        }
+    }
+}
+
+/// Heap bytes of a bitset's words.
+pub(crate) fn bitset_bytes(s: &BitSet) -> usize {
+    s.capacity().div_ceil(64) * size_of::<u64>()
+}
+
+/// Scratch for one affected-set derivation.
+#[derive(Debug)]
+struct Derivation<W> {
+    mark: Vec<u8>,
+    /// Every vertex marked by the current derivation, in marking order (the
+    /// FIFO of the unit-length decision).
+    marked: Vec<u32>,
+    /// Members of the affected set, in decision order.
+    members: Vec<u32>,
+    heap: BinaryHeap<Reverse<(W, u32)>>,
+}
+
+impl<W: RowWord> Derivation<W> {
+    fn new(n: usize) -> Self {
+        Self {
+            mark: vec![UNSEEN; n],
+            marked: Vec::new(),
+            members: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Clears the last derivation's marks.
+    fn reset(&mut self) {
+        for &v in &self.marked {
+            self.mark[v as usize] = UNSEEN;
+        }
+        self.marked.clear();
+        self.members.clear();
+        self.heap.clear();
+    }
+
+    /// Decides the affected set of `u` in the shortest-path DAG of `base`.
+    fn decide(&mut self, csr: &CsrGraph, rev: &ReverseCsr, base: &[W], u: usize, unit: bool) {
+        self.offer_children(csr, base, u, unit);
+        let mut head = 0;
+        loop {
+            // Increasing distance, so every DAG predecessor of `v` (strictly
+            // closer, as lengths are positive) is decided before `v`.
+            let v = if unit {
+                let Some(&v) = self.marked.get(head) else {
+                    break;
+                };
+                head += 1;
+                v as usize
+            } else {
+                let Some(Reverse((_, v))) = self.heap.pop() else {
+                    break;
+                };
+                v as usize
+            };
+            let dv = base[v].widen();
+            let (sources, lengths) = rev.in_arcs(v);
+            let cut = sources.iter().zip(lengths).all(|(&w, &len)| {
+                let w = w as usize;
+                w == u || self.mark[w] == AFFECTED || base[w].widen().saturating_add(len) != dv
+            });
+            if cut {
+                self.mark[v] = AFFECTED;
+                // bbc-lint: allow(narrowing-cast, v < n <= u32::MAX per the CsrGraph constructor assert)
+                self.members.push(v as u32);
+                self.offer_children(csr, base, v, unit);
+            }
+        }
+    }
+
+    /// Queues every unseen child of reached node `p` in the DAG: the
+    /// out-neighbours `t` with `d(p) + ℓ(p,t) = d(t)`.
+    fn offer_children(&mut self, csr: &CsrGraph, base: &[W], p: usize, unit: bool) {
+        let dp = base[p].widen();
+        let (targets, lengths) = csr.out(p);
+        for (&t, &len) in targets.iter().zip(lengths) {
+            let ti = t as usize;
+            if self.mark[ti] == UNSEEN && dp + len == base[ti].widen() {
+                self.mark[ti] = CANDIDATE;
+                self.marked.push(t);
+                if !unit {
+                    self.heap.push(Reverse((base[ti], t)));
+                }
+            }
+        }
+    }
+
+    /// Re-derives the members of the affected set in `dst` (which holds the
+    /// base row): reset to `penalty`, seed from unaffected in-neighbours
+    /// other than `u`, then a Dijkstra that relaxes only arcs into the set.
+    fn rederive(&mut self, csr: &CsrGraph, rev: &ReverseCsr, u: usize, penalty: W, dst: &mut [W]) {
+        for &v in &self.members {
+            dst[v as usize] = penalty;
+        }
+        for &v in &self.members {
+            let (sources, lengths) = rev.in_arcs(v as usize);
+            let mut best = penalty.widen();
+            for (&w, &len) in sources.iter().zip(lengths) {
+                let w = w as usize;
+                if w != u && self.mark[w] != AFFECTED && dst[w] != penalty {
+                    best = best.min(dst[w].widen() + len);
+                }
+            }
+            if best < penalty.widen() {
+                // bbc-lint: allow(panic, best < penalty, and the tier guarantees the penalty fits W)
+                let d = W::from_u64(best).expect("seed distance below the penalty");
+                dst[v as usize] = d;
+                self.heap.push(Reverse((d, v)));
+            }
+        }
+        while let Some(Reverse((d, v))) = self.heap.pop() {
+            if d > dst[v as usize] {
+                continue;
+            }
+            let (targets, lengths) = csr.out(v as usize);
+            for (&t, &len) in targets.iter().zip(lengths) {
+                let ti = t as usize;
+                if self.mark[ti] != AFFECTED {
+                    continue;
+                }
+                let nd = d.widen() + len;
+                if nd < dst[ti].widen() {
+                    // bbc-lint: allow(panic, nd < dst[t] <= penalty, and the tier guarantees the penalty fits W)
+                    let nd = W::from_u64(nd).expect("relaxed distance below the penalty");
+                    dst[ti] = nd;
+                    self.heap.push(Reverse((nd, t)));
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const M: u64 = 1_000;
+
+    fn graph(n: usize, arcs: &[(usize, usize, u64)]) -> CsrGraph {
+        let mut g = CsrGraph::new(n);
+        for u in 0..n {
+            let links: Vec<(u32, u64)> = arcs
+                .iter()
+                .filter(|a| a.0 == u)
+                .map(|&(_, t, len)| (t as u32, len))
+                .collect();
+            g.set_out_links(u, &links);
+        }
+        g
+    }
+
+    /// Derives `(u, c)` on both tiers, asserts row and touched set equal the
+    /// skip traversal's, and returns the affected set.
+    fn check(g: &CsrGraph, u: usize, c: usize, offset: u64) -> Vec<usize> {
+        let unit = g.is_unit_length();
+        let n = g.node_count();
+        let (want, want_touched) = if unit {
+            let mut bfs = ClampedBfs::<u64>::new(n);
+            bfs.run_skipping(g, c, u, offset, M);
+            (bfs.distances().to_vec(), bfs.touched().clone())
+        } else {
+            let mut dij = ClampedDijkstra::<u64>::new(n);
+            dij.run_skipping(g, c, u, offset, M);
+            (dij.distances().to_vec(), dij.touched().clone())
+        };
+        let mut wide = RowStore::<u64>::new(n, unit, M);
+        let mut row = vec![0u64; n];
+        assert!(wide.derive(g, u, c, offset, &mut row), "cold base row");
+        assert_eq!(row, want, "u64 row ({u}, {c})");
+        assert_eq!(wide.derived_touched(), &want_touched, "touched ({u}, {c})");
+        let affected: Vec<usize> = wide.affected().collect();
+
+        let mut narrow = RowStore::<u32>::new(n, unit, M as u32);
+        let mut row32 = vec![0u32; n];
+        narrow.derive(g, u, c, offset as u32, &mut row32);
+        let widened: Vec<u64> = row32.iter().map(|&d| d.widen()).collect();
+        assert_eq!(widened, want, "u32 row ({u}, {c})");
+        assert_eq!(narrow.derived_touched(), &want_touched);
+        affected
+    }
+
+    #[test]
+    fn unreached_deviator_leaves_the_base_row() {
+        // 0 → 1 → 2, and 3 → 0: node 3 is unreached from 0.
+        let g = graph(4, &[(0, 1, 1), (1, 2, 1), (3, 0, 1)]);
+        assert!(check(&g, 3, 0, 2).is_empty());
+    }
+
+    #[test]
+    fn a_node_reached_only_through_the_deviator_becomes_unreachable() {
+        // 0 → 1 → 2 → 3: without 1's arcs, 2 and 3 are cut off.
+        let g = graph(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        assert_eq!(check(&g, 1, 0, 1), vec![2, 3]);
+    }
+
+    #[test]
+    fn a_second_shortest_predecessor_keeps_a_node_unaffected() {
+        // 0 → {1, 2} → 3 → 4: node 3 keeps its shortest path through 2, so
+        // nothing behind the deviator 1 is affected.
+        let g = graph(5, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1), (3, 4, 1)]);
+        assert!(check(&g, 1, 0, 3).is_empty());
+    }
+
+    #[test]
+    fn an_affected_node_is_rederived_through_a_longer_detour() {
+        // 0 → 1 → 2 → 3, with a detour 0 → 4 → 5 → 2: node 2 and 3 lose
+        // every shortest path through 1 but stay reachable.
+        let g = graph(
+            6,
+            &[
+                (0, 1, 1),
+                (1, 2, 1),
+                (2, 3, 1),
+                (0, 4, 1),
+                (4, 5, 1),
+                (5, 2, 1),
+            ],
+        );
+        assert_eq!(check(&g, 1, 0, 1), vec![2, 3]);
+    }
+
+    #[test]
+    fn weighted_distance_ties_are_decided_exactly() {
+        // d(0,3) = 4 both via 1 (1 + 3) and via 2 (2 + 2); 5 hangs off 3 and
+        // off 1 directly at a tie (1 + 6 = 4 + 3). Deviating 1 keeps 3 and 5;
+        // deviating 2 affects nothing; node 6 is reached only through 1.
+        let g = graph(
+            7,
+            &[
+                (0, 1, 1),
+                (0, 2, 2),
+                (1, 3, 3),
+                (2, 3, 2),
+                (3, 5, 3),
+                (1, 5, 6),
+                (1, 6, 4),
+                (6, 4, 1),
+                (3, 4, 2),
+            ],
+        );
+        assert!(!g.is_unit_length());
+        assert_eq!(check(&g, 1, 0, 2), vec![6]);
+        assert!(check(&g, 2, 0, 5).is_empty());
+        assert_eq!(check(&g, 3, 0, 1), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn every_pair_matches_the_skip_traversal_after_patches() {
+        // A dense little graph patched a few times: every derived row, on a
+        // store whose base rows survive the patches they are not touched by.
+        let mut g = graph(
+            7,
+            &[
+                (0, 1, 1),
+                (1, 2, 1),
+                (2, 0, 1),
+                (2, 3, 1),
+                (3, 4, 1),
+                (4, 5, 1),
+                (5, 6, 1),
+                (6, 3, 1),
+                (1, 4, 1),
+            ],
+        );
+        let mut store = RowStore::<u32>::new(7, true, M as u32);
+        let mut bfs = ClampedBfs::<u32>::new(7);
+        let mut row = vec![0u32; 7];
+        for (patch, links) in [(3usize, vec![(0u32, 1u64)]), (1, vec![(5, 1)]), (6, vec![])] {
+            for u in 0..7 {
+                for c in (0..7).filter(|&c| c != u) {
+                    store.derive(&g, u, c, 2, &mut row);
+                    bfs.run_skipping(&g, c, u, 2, M as u32);
+                    assert_eq!(row, bfs.distances(), "({u}, {c}) before patch {patch}");
+                    assert_eq!(store.derived_touched(), bfs.touched());
+                }
+            }
+            g.set_out_links(patch, &links);
+            store.invalidate(patch, |_| {});
+        }
+    }
+}

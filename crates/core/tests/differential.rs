@@ -18,6 +18,7 @@ use bbc_core::{
     ChurnSim, Configuration, CostModel, DistanceEngine, GameSpec, LandmarkPolicy, NodeId, RowTier,
     Scheduler, StabilityChecker, Walk, WalkOutcome,
 };
+use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph};
 use proptest::prelude::*;
 
 /// Arbitrary uniform game plus a seeded random configuration.
@@ -399,6 +400,97 @@ proptest! {
                 let warm = engine.best_response(u, &options).expect("search fits");
                 let cold = fresh.best_response(u, &options).expect("search fits");
                 prop_assert_eq!(warm, cold, "step {}: best response of {} diverged", step, u);
+            }
+        }
+    }
+}
+
+// ===== derived deviation rows: the row store against the skip traversal ==
+//
+// The engine keeps one full-graph base row per source and derives every
+// deviation row `ℓ(u,c) + d_{G∖u}(c, ·)` from base row `c` by re-deriving
+// only the affected set. The `G∖u` skip traversal is the definition that
+// derivation must reproduce, value for value and touched set for touched
+// set — including after rewires and departures, when the base rows it
+// starts from are the ones that survived the touched-set invalidation.
+
+/// Asserts that every deviation row `(u, c)` between live nodes that
+/// `engine` derives equals the skip traversal from `c` in `G∖u` seeded at
+/// `ℓ(u,c)` and clamped at the penalty, touched set included, and that its
+/// affected set is exactly the nodes reached from `c` whose distance grows
+/// without `u`'s arcs.
+fn assert_derived_rows_match_skip_traversal(
+    spec: &GameSpec,
+    engine: &mut DistanceEngine<'_>,
+    context: &str,
+) {
+    let n = spec.node_count();
+    let m = spec.penalty();
+    let csr = CsrGraph::from_digraph(&engine.config().to_graph(spec));
+    let mut bfs = ClampedBfs::<u64>::new(n);
+    let mut dijkstra = ClampedDijkstra::<u64>::new(n);
+    // `skip = usize::MAX` skips nothing: the full-graph row.
+    let mut run = |source: usize, skip: usize, offset: u64| -> (Vec<u64>, BitSet) {
+        if spec.has_unit_lengths() {
+            bfs.run_skipping(&csr, source, skip, offset, m);
+            (bfs.distances().to_vec(), bfs.touched().clone())
+        } else {
+            dijkstra.run_skipping(&csr, source, skip, offset, m);
+            (dijkstra.distances().to_vec(), dijkstra.touched().clone())
+        }
+    };
+    let live: Vec<NodeId> = engine.live_nodes().collect();
+    for &u in &live {
+        for &c in live.iter().filter(|&&c| c != u) {
+            let derived = engine.deviation_row(u, c);
+            let (row, touched) = run(c.index(), u.index(), spec.link_length(u, c));
+            assert_eq!(derived.row, row, "{context}: row ({u}, {c})");
+            assert_eq!(derived.touched, touched, "{context}: touched ({u}, {c})");
+            let (full, _) = run(c.index(), usize::MAX, 0);
+            let (avoiding, _) = run(c.index(), u.index(), 0);
+            let affected: Vec<NodeId> = (0..n)
+                .filter(|&v| v != u.index() && full[v] < m && avoiding[v] > full[v])
+                .map(NodeId::new)
+                .collect();
+            assert_eq!(
+                derived.affected, affected,
+                "{context}: affected set ({u}, {c})"
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn derived_rows_match_the_skip_traversal(
+        use_weighted in proptest::bool::ANY,
+        uniform in arb_uniform_instance(),
+        weighted in arb_weighted_instance(),
+        script in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..8),
+    ) {
+        // Uniform games have unit lengths (BFS rows, FIFO decisions);
+        // weighted ones mostly do not (Dijkstra rows, heap decisions).
+        let (spec, cfg) = if use_weighted { weighted } else { uniform };
+        let tiers: &[RowTier] = match RowTier::auto(&spec) {
+            RowTier::U32 => &[RowTier::U32, RowTier::U64],
+            RowTier::U64 => &[RowTier::U64],
+        };
+        for &tier in tiers {
+            let mut engine =
+                DistanceEngine::with_tier(&spec, cfg.clone(), tier).expect("the tier fits");
+            assert_derived_rows_match_skip_traversal(&spec, &mut engine, &format!("{tier:?} start"));
+            for (step, &(action, node_sel, seed)) in script.iter().enumerate() {
+                let i = (node_sel % engine.live_count() as u64) as usize;
+                let u = engine.live_nodes().nth(i).expect("live index");
+                // Mostly rewires, with the odd departure.
+                if action % 5 == 0 && engine.live_count() > 2 {
+                    engine.remove_node(u).expect("live node departs");
+                } else {
+                    let s = seeded_live_strategy(&spec, &engine, u, seed);
+                    engine.apply_strategy(u, s).expect("seeded strategy validates");
+                }
+                let context = format!("{tier:?} after step {step}");
+                assert_derived_rows_match_skip_traversal(&spec, &mut engine, &context);
             }
         }
     }

@@ -18,7 +18,9 @@
 //! Shortest-path rows over this layout come from the clamped kernels of
 //! [`crate::rows`] ([`crate::ClampedBfs`], [`crate::ClampedDijkstra`]),
 //! including the *skip-node* traversal (`G∖u`: ignore one node's out-arcs)
-//! that the game layer's deviation rows are built on.
+//! that defines the game layer's deviation rows. [`ReverseCsr`] holds the
+//! in-arcs that the game layer needs to derive those rows from full-graph
+//! rows, and that the strong-connectivity check sweeps backwards.
 
 use crate::{bitset::BitSet, DiGraph};
 
@@ -282,19 +284,103 @@ impl CsrGraph {
     }
 }
 
+/// The reverse adjacency of a [`CsrGraph`]: each node's in-arcs as
+/// `(source, length)` pairs, ascending by source.
+///
+/// [`ReverseCsr::rebuild`] makes one counting sort over the forward arcs
+/// into pooled arenas, so a rebuild allocates nothing once the arenas have
+/// grown to the graph's size.
+///
+/// # Examples
+///
+/// ```
+/// use bbc_graph::csr::{CsrGraph, ReverseCsr};
+///
+/// let mut g = CsrGraph::new(3);
+/// g.set_out_links(0, &[(2, 4)]);
+/// g.set_out_links(1, &[(2, 1), (0, 1)]);
+/// let mut rev = ReverseCsr::new();
+/// rev.rebuild(&g);
+/// assert_eq!(rev.in_arcs(2), (&[0, 1][..], &[4, 1][..]));
+/// assert_eq!(rev.in_arcs(1), (&[][..], &[][..]));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct ReverseCsr {
+    /// `offsets[v]..offsets[v + 1]` spans `v`'s in-arcs.
+    offsets: Vec<u32>,
+    sources: Vec<u32>,
+    lengths: Vec<u64>,
+}
+
+impl ReverseCsr {
+    /// Creates an empty reverse adjacency (arenas grow on first rebuild).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the in-arcs of every node of `g`.
+    pub fn rebuild(&mut self, g: &CsrGraph) {
+        let n = g.node_count();
+        // Count in-degrees one slot to the right, so the prefix sums below
+        // leave `offsets[v]` at the start of `v`'s span.
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for u in 0..n {
+            for &t in g.out_targets(u) {
+                self.offsets[t as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.offsets[i + 1] += self.offsets[i];
+        }
+        let m = self.offsets[n] as usize;
+        self.sources.clear();
+        self.sources.resize(m, 0);
+        self.lengths.clear();
+        self.lengths.resize(m, 0);
+        // Place each arc at its target's cursor. Advancing `offsets[t]`
+        // moves each span start to the next span's start; shifting right by
+        // one slot afterwards restores the starts.
+        for u in 0..n {
+            let (targets, lengths) = g.out(u);
+            for (&t, &len) in targets.iter().zip(lengths) {
+                let slot = self.offsets[t as usize] as usize;
+                // bbc-lint: allow(narrowing-cast, u < n <= u32::MAX per the CsrGraph constructor assert)
+                self.sources[slot] = u as u32;
+                self.lengths[slot] = len;
+                self.offsets[t as usize] += 1;
+            }
+        }
+        self.offsets.copy_within(0..n, 1);
+        self.offsets[0] = 0;
+    }
+
+    /// Sources and lengths of `v`'s in-arcs (parallel slices).
+    #[inline]
+    pub fn in_arcs(&self, v: usize) -> (&[u32], &[u64]) {
+        let range = self.offsets[v] as usize..self.offsets[v + 1] as usize;
+        (&self.sources[range.clone()], &self.lengths[range])
+    }
+
+    /// Bytes held by the arenas (by capacity).
+    pub fn heap_bytes(&self) -> usize {
+        self.offsets.capacity() * std::mem::size_of::<u32>()
+            + self.sources.capacity() * std::mem::size_of::<u32>()
+            + self.lengths.capacity() * std::mem::size_of::<u64>()
+    }
+}
+
 /// Reusable scratch for strong-connectivity checks on [`CsrGraph`]s.
 ///
 /// A graph is strongly connected iff node 0 reaches every node in both `G`
-/// and the reverse graph. The reverse adjacency is rebuilt per call into
-/// pooled buffers (counting sort), so the check allocates nothing after
-/// warm-up — the dynamics engine runs it after every applied move.
+/// and the reverse graph. The reverse adjacency is rebuilt per call into a
+/// pooled [`ReverseCsr`], so the check allocates nothing after warm-up —
+/// the dynamics engine runs it after every applied move.
 #[derive(Clone, Debug, Default)]
 pub struct ConnectivityScratch {
     visited: Vec<bool>,
     stack: Vec<u32>,
-    rev_offsets: Vec<u32>,
-    rev_targets: Vec<u32>,
-    cursor: Vec<u32>,
+    rev: ReverseCsr,
 }
 
 impl ConnectivityScratch {
@@ -350,32 +436,8 @@ impl ConnectivityScratch {
             return false;
         }
 
-        // Reverse adjacency via counting sort into pooled arenas.
-        self.rev_offsets.clear();
-        self.rev_offsets.resize(n + 1, 0);
-        for u in 0..n {
-            for &t in g.out_targets(u) {
-                self.rev_offsets[t as usize + 1] += 1;
-            }
-        }
-        for i in 0..n {
-            self.rev_offsets[i + 1] += self.rev_offsets[i];
-        }
-        let m = self.rev_offsets[n] as usize;
-        self.rev_targets.clear();
-        self.rev_targets.resize(m, 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.rev_offsets[..n]);
-        for u in 0..n {
-            for &t in g.out_targets(u) {
-                let slot = self.cursor[t as usize];
-                // bbc-lint: allow(narrowing-cast, u < n <= u32::MAX per the constructor assert)
-                self.rev_targets[slot as usize] = u as u32;
-                self.cursor[t as usize] += 1;
-            }
-        }
-
         // Backward sweep from the same root over the reverse graph.
+        self.rev.rebuild(g);
         self.visited.clear();
         self.visited.resize(n, false);
         self.stack.clear();
@@ -383,9 +445,7 @@ impl ConnectivityScratch {
         self.stack.push(root);
         let mut seen = 1usize;
         while let Some(u) = self.stack.pop() {
-            let lo = self.rev_offsets[u as usize] as usize;
-            let hi = self.rev_offsets[u as usize + 1] as usize;
-            for &t in &self.rev_targets[lo..hi] {
+            for &t in self.rev.in_arcs(u as usize).0 {
                 if !self.visited[t as usize] && alive(t as usize) {
                     self.visited[t as usize] = true;
                     seen += 1;
@@ -650,6 +710,43 @@ mod tests {
         let mut one = BitSet::new(4);
         one.insert(3);
         assert!(scratch.is_strongly_connected_among(&g, Some(&one)));
+    }
+
+    #[test]
+    fn reverse_csr_lists_every_in_arc_by_source() {
+        let mut g = CsrGraph::new(5);
+        g.set_out_links(3, &[(0, 2), (4, 1)]);
+        g.set_out_links(0, &[(4, 3), (1, 1)]);
+        g.set_out_links(2, &[(4, 5)]);
+        // Relocate node 0's slab so the arena order differs from node order.
+        g.set_out_links(0, &[(4, 3), (1, 1), (2, 1), (3, 7)]);
+        let mut rev = ReverseCsr::new();
+        rev.rebuild(&g);
+        for v in 0..5 {
+            let want: Vec<(u32, u64)> = (0..5u32)
+                .flat_map(|u| {
+                    let (targets, lengths) = g.out(u as usize);
+                    targets
+                        .iter()
+                        .zip(lengths)
+                        .filter(|&(&t, _)| t as usize == v)
+                        .map(move |(_, &len)| (u, len))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            let (sources, lengths) = rev.in_arcs(v);
+            let got: Vec<(u32, u64)> = sources
+                .iter()
+                .copied()
+                .zip(lengths.iter().copied())
+                .collect();
+            assert_eq!(got, want, "in-arcs of {v}");
+        }
+        // Rebuilding after a patch drops the old arcs.
+        g.set_out_links(0, &[]);
+        rev.rebuild(&g);
+        assert_eq!(rev.in_arcs(4).0, &[2, 3]);
+        assert!(rev.in_arcs(1).0.is_empty());
     }
 
     #[test]

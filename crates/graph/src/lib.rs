@@ -46,7 +46,7 @@ pub mod scc;
 pub use bfs::BfsBuffer;
 pub use bitset::BitSet;
 pub use blocks::{BlockEnvelope, BlockPartition};
-pub use csr::{ConnectivityScratch, CsrGraph};
+pub use csr::{ConnectivityScratch, CsrGraph, ReverseCsr};
 pub use diameter::{diameter, eccentricity, Eccentricities};
 pub use digraph::{Arc, DiGraph};
 pub use dijkstra::DijkstraBuffer;

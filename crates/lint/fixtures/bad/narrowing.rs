@@ -13,6 +13,10 @@ pub fn pack_byte(x: u64) -> u8 {
     x as u8 //~ ERROR narrowing-cast
 }
 
+pub fn affected_member(v: usize, members: &mut Vec<u32>) {
+    members.push(v as u32); //~ ERROR narrowing-cast
+}
+
 pub fn widening_is_fine(x: u32) -> u64 {
     x as u64
 }

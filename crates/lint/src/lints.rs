@@ -82,6 +82,7 @@ pub const NARROWING_FILES: &[&str] = &[
     "crates/graph/src/csr.rs",
     "crates/graph/src/blocks.rs",
     "crates/core/src/engine.rs",
+    "crates/core/src/row_store.rs",
     "crates/core/src/best_response.rs",
     "crates/core/src/landmark.rs",
 ];
@@ -694,6 +695,15 @@ mod tests {
         assert_eq!(ids("let x = y as u16;", &narrow), [("narrowing-cast", 1)]);
         assert!(ids("let x = y as u64;", &narrow).is_empty());
         assert!(ids("let x = y as u32;", &FileRules::default()).is_empty());
+        // Every file that holds row-width code is on the list.
+        for rel in [
+            "crates/graph/src/rows.rs",
+            "crates/graph/src/csr.rs",
+            "crates/core/src/engine.rs",
+            "crates/core/src/row_store.rs",
+        ] {
+            assert!(FileRules::for_repo_path(rel).narrowing, "{rel}");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! (seeded `SmallRng`, FNV-hashed lookup-only history), so these values must
 //! reproduce bit-for-bit across Rust versions and platforms.
 
+use bbc::constructions::CayleyGraph;
 use bbc::core::{DistanceEngine, EngineStats};
 use bbc::prelude::*;
 
@@ -25,16 +26,16 @@ fn fixed_seed_walk_trajectory_is_pinned() {
     assert_eq!(walk.stats().moves, 1_914);
     assert_eq!(social_cost(&spec, walk.config()), 1_479);
     // Effort counters are pure functions of the inputs too. On this dense
-    // game every move invalidates nearly every row, so each step rebuilds
-    // all 23 of the tested node's deviation rows.
+    // game every move invalidates nearly every base row, so each step
+    // refills about 22 of the 23 base rows its deviation rows derive from.
     assert_eq!(
         walk.engine_stats(),
         EngineStats {
-            oracle_rows_computed: 46_000,
-            oracle_row_hits: 0,
+            oracle_rows_computed: 44_071,
+            oracle_row_hits: 1_929,
             outcome_hits: 0,
             searches_run: 2_000,
-            rows_invalidated: 45_977,
+            rows_invalidated: 44_071,
             patches_applied: 1_914,
             eval_rows_computed: 0,
             landmark_rows_computed: 0,
@@ -73,8 +74,10 @@ fn fixed_seed_walk_converges_from_random_start() {
 #[test]
 fn landmark_walk_prefix_effort_is_pinned() {
     // The same walk's first 500 steps on the landmark-bounded search: the
-    // held strategy's 3 rows are filled before staging (3 row hits per
-    // step), the rest only when the search includes their candidate.
+    // held strategy's 3 rows are derived before the search, the rest only
+    // when the search includes their candidate. Each derived row counts
+    // once, as a traversal or as a hit on a valid base row (a landmark's,
+    // say), so the two sum to `rows_materialized`.
     let spec = GameSpec::uniform(24, 3);
     let mut walk = Walk::new(&spec, Configuration::random(&spec, 7))
         .detect_cycles(false)
@@ -86,11 +89,11 @@ fn landmark_walk_prefix_effort_is_pinned() {
     assert_eq!(
         walk.engine_stats(),
         EngineStats {
-            oracle_rows_computed: 11_474,
-            oracle_row_hits: 1_500,
+            oracle_rows_computed: 9_156,
+            oracle_row_hits: 2_318,
             outcome_hits: 0,
             searches_run: 500,
-            rows_invalidated: 13_364,
+            rows_invalidated: 11_069,
             patches_applied: 479,
             eval_rows_computed: 0,
             landmark_rows_computed: 1_913,
@@ -105,13 +108,15 @@ fn landmark_walk_prefix_effort_is_pinned() {
 #[test]
 fn start_configuration_search_effort_is_pinned() {
     // One best response per node on the walk's start configuration: the
-    // summed `evaluations` pin the search's pruning, per bound source.
+    // summed `evaluations` pin the search's pruning, per bound source. The
+    // nodes share base rows, so the exact path runs one traversal per
+    // node, not one per (node, candidate) pair.
     let spec = GameSpec::uniform(24, 3);
     let start = Configuration::random(&spec, 7);
     let options = BestResponseOptions::default();
     for (policy, evaluations, rows_computed, row_hits) in [
-        (LandmarkPolicy::Off, 801, 552, 0),
-        (LandmarkPolicy::Forced(4), 1_472, 530, 72),
+        (LandmarkPolicy::Off, 801, 24, 528),
+        (LandmarkPolicy::Forced(4), 1_472, 20, 510),
     ] {
         let mut engine = DistanceEngine::new(&spec, start.clone()).with_landmarks(policy);
         let total: u64 = NodeId::all(24)
@@ -133,5 +138,78 @@ fn start_configuration_search_effort_is_pinned() {
             (rows_computed, row_hits, 24),
             "{policy:?}"
         );
+    }
+}
+
+#[test]
+fn overlay512_walk_prefix_effort_is_pinned() {
+    // The first 8 stability tests of the benchmark's 512-peer walk (the e13
+    // point): the designed circulant{1,23}, identity round-robin order, no
+    // cycle detection, replayed through the engine so the summed search
+    // effort is visible. Every test moves, and each move touches every base
+    // row, so each search refills all 511 rows its deviation rows derive
+    // from. A 512-peer search takes seconds without optimization, so debug
+    // builds skip this.
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("512 admits circulant{1,23}");
+    let spec = overlay.spec();
+    let options = BestResponseOptions::default();
+    for (policy, evaluations, rows_materialized, stats) in [
+        (
+            LandmarkPolicy::Auto,
+            1_046_536,
+            4_088,
+            EngineStats {
+                oracle_rows_computed: 3_913,
+                oracle_row_hits: 175,
+                outcome_hits: 0,
+                searches_run: 8,
+                rows_invalidated: 4_089,
+                patches_applied: 8,
+                eval_rows_computed: 0,
+                landmark_rows_computed: 176,
+            },
+        ),
+        (
+            LandmarkPolicy::Off,
+            1_006_341,
+            0,
+            EngineStats {
+                oracle_rows_computed: 4_088,
+                oracle_row_hits: 0,
+                outcome_hits: 0,
+                searches_run: 8,
+                rows_invalidated: 4_088,
+                patches_applied: 8,
+                eval_rows_computed: 0,
+                landmark_rows_computed: 0,
+            },
+        ),
+    ] {
+        let mut engine = DistanceEngine::new(&spec, overlay.configuration()).with_landmarks(policy);
+        let mut summed = (0u64, 0u64, 0u64, 0u64);
+        for u in NodeId::all(8) {
+            let out = engine
+                .best_response(u, &options)
+                .expect("the default budget fits a 512-peer search");
+            summed.1 += out.evaluations;
+            summed.2 += out.bounds_hit;
+            summed.3 += out.rows_materialized;
+            if out.improves() {
+                engine
+                    .apply_strategy(u, out.best_strategy)
+                    .expect("a best response is a valid strategy");
+                summed.0 += 1;
+            }
+        }
+        assert_eq!(engine.state_digest(), 0x9216_af62_00e6_2f31, "{policy:?}");
+        assert_eq!(
+            summed,
+            (8, evaluations, 0, rows_materialized),
+            "{policy:?}: moves, evaluations, bounds_hit, rows_materialized"
+        );
+        assert_eq!(engine.stats(), stats, "{policy:?}");
     }
 }
