@@ -155,16 +155,16 @@ fn bench_churn_step(c: &mut Criterion) {
             sim.run().expect("phases fit budget").trajectory_digest
         })
     });
-    // The same workload pinned to each row tier (auto picks u32 here —
-    // n·M = 32·1024 fits — so the u32 case doubles as a guard that the
-    // default path stays on the narrow kernel). Digest equality across
-    // tiers is asserted before timing.
+    // The same workload pinned to each row tier (auto picks i16 here —
+    // n·max ℓ = 32 is below 16,383 — so the i16 case doubles as a guard
+    // that the default path stays on the narrow kernel). Digest equality
+    // across tiers is asserted before timing.
     let digest = {
         let mut sim = ChurnSim::with_tier(&spec, designed.clone(), cfg.clone(), RowTier::U64)
             .expect("u64 always fits");
         sim.run().expect("phases fit budget").trajectory_digest
     };
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         let mut sim = ChurnSim::with_tier(&spec, designed.clone(), cfg.clone(), tier)
             .expect("32-peer overlay fits both tiers");
         assert_eq!(
@@ -185,9 +185,9 @@ fn bench_churn_step(c: &mut Criterion) {
 
 fn bench_e13_point_tiers(c: &mut Criterion) {
     // The E13 512-peer sweep point's inner loop — round-robin selfish play
-    // on the circulant{1,23} overlay, the workload the u32 row kernel
+    // on the circulant{1,23} overlay, the workload the i16 row kernel
     // exists for (rows and search scratch at n = 512 stop fitting cache at
-    // u64 width). Both tiers run the identical trajectory (asserted), so
+    // u64 width, and M = 512² runs every cost through the lift). Both tiers run the identical trajectory (asserted), so
     // the median ratio is a pure kernel speedup. The landmark policy is
     // pinned `Off`: this group is the exact-path kernel baseline — the
     // engine's default (`Auto`) path is timed by `e13_point_512_landmark`.
@@ -205,14 +205,14 @@ fn bench_e13_point_tiers(c: &mut Criterion) {
         (walk.stats().moves, walk.state_digest())
     };
     assert_eq!(
-        run(RowTier::U32),
+        run(RowTier::I16),
         run(RowTier::U64),
         "tiers diverged on the e13 point"
     );
 
     let mut group = c.benchmark_group("e13_point_512");
     group.sample_size(10);
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         group.bench_function(format!("steps24_{tier:?}").to_lowercase(), |b| {
             b.iter(|| run(tier))
         });
@@ -276,7 +276,7 @@ fn bench_e13_point_512_landmark(c: &mut Criterion) {
         walk.run(STEPS).expect("walk fits");
         (walk.stats().moves, walk.state_digest())
     };
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         assert_eq!(
             run(tier, LandmarkPolicy::Auto),
             run(tier, LandmarkPolicy::Off),
@@ -286,7 +286,7 @@ fn bench_e13_point_512_landmark(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("e13_point_512_landmark");
     group.sample_size(10);
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         group.bench_function(format!("steps24_{tier:?}_auto").to_lowercase(), |b| {
             b.iter(|| run(tier, LandmarkPolicy::Auto))
         });

@@ -24,14 +24,27 @@
 //! ## Row representation
 //!
 //! Oracle rows are stored *penalty-clamped*: the entry for an unreachable
-//! target holds the disconnection penalty `M` instead of a sentinel. Because
-//! every finite through-distance `ℓ(u,c) + d` is strictly below `M` (the spec
-//! enforces `M > n·max ℓ`), clamping commutes with the elementwise `min` the
-//! search is built on, and the branch-and-bound inner loops become branchless
-//! sums over flat rows — the difference between ~300µs and ~40µs per
-//! best-response step at `n = 24, k = 3`. The frozen pre-refactor
-//! implementation lives in [`crate::reference`] and the differential suite
-//! proves the two byte-identical.
+//! target holds the clamp `C = min(M, SATURATED)` of the engine's row word
+//! (see [`bbc_graph::RowWord`]) instead of a sentinel, and every cost reads
+//! it through [`RowWord::lift`], which charges the disconnection penalty `M`
+//! for it. Because every finite through-distance `ℓ(u,c) + d` is strictly
+//! below `C` (the spec enforces `M > n·max ℓ`, the i16 tier `n·max ℓ <
+//! SATURATED`), clamping commutes with the elementwise `min` the search is
+//! built on, and the branch-and-bound inner loops become branchless sums
+//! over flat rows — the difference between ~300µs and ~40µs per
+//! best-response step at `n = 24, k = 3`. The plain-sum kernels sum raw
+//! entries, bail out early on the raw sums (a raw sum never exceeds the
+//! lifted one), and recount the clamped entries only when they need the
+//! exact value.
+//!
+//! Under partial membership a departed node is unreachable from every
+//! candidate, so the empty strategy's row holds 0 at its entry. Every row the
+//! search prices or bounds with is an elementwise min with that row or a
+//! level built from it, so the plain row sum equals the masked cost over
+//! live targets; the staged rows keep the clamp there. The landmark bound
+//! rows hold 0 there too, or their O(1) ceiling would charge `M` for it. The frozen
+//! pre-refactor implementation lives in [`crate::reference`] and the
+//! differential suite proves the two byte-identical.
 
 use bbc_graph::RowWord;
 
@@ -137,8 +150,8 @@ impl BestResponseOutcome {
 /// The strategy-independent inputs of one node's best-response search, as
 /// the [`crate::DistanceEngine`] stages them. The clamped through-rows
 /// travel beside the view, flattened with stride `n` at the engine's row
-/// width: `rows[i*n + v] = ℓ(u, c_i) + d_{G∖u}(c_i, v)`, with `M` for
-/// unreachable `v`.
+/// width: `rows[i*n + v] = ℓ(u, c_i) + d_{G∖u}(c_i, v)`, with the clamp for
+/// unreachable (and departed) `v`.
 pub(crate) struct OracleView<'r> {
     pub spec: &'r GameSpec,
     pub node: NodeId,
@@ -151,11 +164,11 @@ pub(crate) struct OracleView<'r> {
     /// targets.
     pub weighted_targets: &'r [(u32, u64)],
     pub budget: u64,
-    /// `true` when every node of the game is a live member. Partial
-    /// membership forces the weighted aggregation path even for uniform
-    /// games — departed nodes must contribute neither distance terms nor
-    /// disconnection penalties, which the plain row-sum cannot express.
-    pub all_live: bool,
+    /// The departed nodes, ascending (empty under full membership). The
+    /// empty strategy's row holds 0 at their entries, and every row a cost
+    /// is read from is an elementwise min with it, so no plain sum charges
+    /// them a distance or a penalty.
+    pub departed: &'r [u32],
 }
 
 impl OracleView<'_> {
@@ -165,28 +178,30 @@ impl OracleView<'_> {
     }
 
     /// `true` when costs collapse to a plain row sum minus the diagonal:
-    /// unit weights everywhere, the sum-distance model, and full membership
-    /// (a departed node's row entry must not enter any sum).
+    /// unit weights everywhere and the sum-distance model. Partial
+    /// membership qualifies too, because departed entries read 0 in every
+    /// row a cost is read from.
     #[inline]
     fn plain_sum(&self) -> bool {
-        self.all_live && self.spec.is_uniform() && self.spec.cost_model() == CostModel::SumDistance
+        self.spec.is_uniform() && self.spec.cost_model() == CostModel::SumDistance
     }
 
     /// Aggregates a clamped distance row into a cost under the spec's model.
     fn aggregate<W: RowWord>(&self, row: &[W]) -> u64 {
+        let m = self.spec.penalty();
         if self.plain_sum() {
-            return row.iter().map(|d| d.widen()).sum::<u64>() - row[self.node.index()].widen();
+            return row.iter().map(|d| d.lift(m)).sum::<u64>() - row[self.node.index()].lift(m);
         }
         match self.spec.cost_model() {
             CostModel::SumDistance => self
                 .weighted_targets
                 .iter()
-                .map(|&(v, w)| w * row[v as usize].widen())
+                .map(|&(v, w)| w * row[v as usize].lift(m))
                 .sum(),
             CostModel::MaxDistance => self
                 .weighted_targets
                 .iter()
-                .map(|&(v, w)| w * row[v as usize].widen())
+                .map(|&(v, w)| w * row[v as usize].lift(m))
                 .max()
                 .unwrap_or(0),
         }
@@ -195,30 +210,40 @@ impl OracleView<'_> {
     /// Aggregates the elementwise minimum of two clamped rows without
     /// materializing it.
     fn aggregate_min<W: RowWord>(&self, a: &[W], b: &[W]) -> u64 {
+        let m = self.spec.penalty();
         if self.plain_sum() {
-            let total: u64 = a.iter().zip(b).map(|(&x, &y)| x.min(y).widen()).sum();
+            let total: u64 = a.iter().zip(b).map(|(&x, &y)| x.min(y).lift(m)).sum();
             let u = self.node.index();
-            return total - a[u].min(b[u]).widen();
+            return total - a[u].min(b[u]).lift(m);
         }
         match self.spec.cost_model() {
             CostModel::SumDistance => self
                 .weighted_targets
                 .iter()
-                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).widen())
+                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).lift(m))
                 .sum(),
             CostModel::MaxDistance => self
                 .weighted_targets
                 .iter()
-                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).widen())
+                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).lift(m))
                 .max()
                 .unwrap_or(0),
         }
     }
 
-    /// The disconnection penalty at row width.
-    fn penalty<W: RowWord>(&self) -> W {
-        // bbc-lint: allow(panic, the engine's tier check proved the penalty representable in W)
-        W::from_u64(self.spec.penalty()).expect("penalty fits the row tier")
+    /// Writes 0 at every departed entry of `row`.
+    #[inline]
+    fn zero_departed<W: RowWord>(&self, row: &mut [W]) {
+        for &v in self.departed {
+            row[v as usize] = W::ZERO;
+        }
+    }
+
+    /// Fills `row` with the empty strategy's row: every live target at the
+    /// clamp, every departed one at 0.
+    fn empty_row<W: RowWord>(&self, row: &mut [W]) {
+        row.fill(clamp_for(self.spec));
+        self.zero_departed(row);
     }
 
     /// Cost of `strategy` priced through `rows`, with `scratch` holding its
@@ -232,7 +257,8 @@ impl OracleView<'_> {
     ) -> u64 {
         let n = self.n();
         scratch.clear();
-        scratch.resize(n, self.penalty());
+        scratch.resize(n, W::ZERO);
+        self.empty_row(scratch);
         for &t in strategy {
             let i = self
                 .candidates
@@ -243,6 +269,14 @@ impl OracleView<'_> {
         }
         self.aggregate(scratch)
     }
+}
+
+/// The row clamp of `spec` at width `W`: `min(M, W::SATURATED)`. An entry
+/// equal to it means "unreachable", and [`RowWord::lift`] charges `M` for it.
+pub(crate) fn clamp_for<W: RowWord>(spec: &GameSpec) -> W {
+    W::from_u64(spec.penalty().min(W::SATURATED))
+        // bbc-lint: allow(panic, SATURATED fits its own word, and the engine's tier check proved a smaller penalty does too)
+        .expect("the clamp fits the row tier")
 }
 
 /// `dst[v] = min(dst[v], src[v])` elementwise.
@@ -264,10 +298,9 @@ fn copy_min<W: RowWord>(dst: &mut [W], a: &[W], b: &[W]) {
 /// Cost aggregation, monomorphized per game shape *and* per row word so the
 /// branch-and-bound inner loops compile to tight branch-free passes (the
 /// generic dispatch in [`OracleView::aggregate`] costs more than the
-/// arithmetic at `n ≈ 24`). Minima run at the row width `W`; every running
-/// total widens each term into `u64` first ([`RowWord::widen`] is free for
-/// `u64` and a zero-extension the vectorizer folds into the add for `u32`),
-/// so both widths compute bit-identical costs and bounds.
+/// arithmetic at `n ≈ 24`). Minima run at the row width `W`; every cost is
+/// the *lifted* one ([`RowWord::lift`] charges `M` for a clamped entry), so
+/// both widths compute bit-identical costs and bounds.
 pub(crate) trait Aggregate<W: RowWord> {
     /// Cost of a clamped row.
     fn row(&self, row: &[W]) -> u64;
@@ -300,7 +333,7 @@ pub(crate) trait Aggregate<W: RowWord> {
     }
 }
 
-/// Unit weights, sum-distance model: cost = Σ row − row[u].
+/// Unit weights, sum-distance model: cost = Σ row − row[u], lifted.
 ///
 /// Its prune bound adds the BFS-packing correction of Theorem 4's
 /// accounting: in a `(n,k)`-uniform game at most `k` targets can sit at
@@ -311,121 +344,149 @@ pub(crate) trait Aggregate<W: RowWord> {
 /// A_d`: `Σf − Σt = Σ_d #{v : t(v) ≤ d < f(v)} ≥ Σ_d (C_d − A_d)⁺` — the
 /// correction is admissible, so pruning with it never cuts the subtree
 /// holding the DFS-first optimum and every reported field stays identical.
-struct PlainSum {
+/// Under partial membership the departed entries read 0 and would inflate
+/// the counts, so the bound runs without the correction there.
+///
+/// The sums run through the row word's kernels ([`RowWord::sum_min`] and
+/// friends) on raw entries. Only a sum that must be exact recounts the
+/// clamped entries and adds `M − C` for each; a bail-out on a raw partial
+/// sum is sound because the lifted sum is never smaller.
+struct PlainSum<W> {
     u: usize,
-    /// `A_1 = k`: max targets at distance 1.
-    allowed1: u64,
-    /// `A_2 = k + k²`: max targets at distance ≤ 2.
-    allowed2: u64,
+    /// The row clamp `C`.
+    clamp: W,
+    /// The penalty `M` a clamped entry stands for.
+    penalty: u64,
+    /// `M − C`: what lifting adds per clamped entry (0 unless the penalty
+    /// exceeds the row word's saturated value).
+    extra: u64,
+    /// `(A_1, A_2) = (k, k + k²)`: max targets at distance 1 and ≤ 2; `None`
+    /// when the bound runs without the packing correction.
+    packing: Option<(u64, u64)>,
 }
 
-impl<W: RowWord> Aggregate<W> for PlainSum {
-    // Every total below accumulates at the row width `W`, not `u64`: the
-    // tier invariant (`n·M` fits `W`, checked before any `W = u32` engine
-    // is built) bounds any sum of ≤ n clamped entries by `n·M`, and the
-    // packing counters by `n`, so no partial value can wrap. Keeping the
-    // loops at width `W` is what makes the narrow tier pay: u32 lanes
-    // vectorize with native unsigned SIMD min/add (u64 has no unsigned
-    // vector min on common ISAs), and the `u64` instantiation is
-    // bit-identical to accumulating in `u64` directly.
+impl<W: RowWord> PlainSum<W> {
+    /// Whether a row whose raw sum is `raw` can hold a clamped entry that
+    /// lifting would raise: each one adds `C` to the raw sum by itself.
+    #[inline(always)]
+    fn may_lift(&self, raw: u64) -> bool {
+        self.extra > 0 && raw >= self.clamp.widen()
+    }
+
+    /// `M − C` for each clamped entry among `entries`, whose raw sum is
+    /// `raw`.
+    #[inline]
+    fn recount(&self, entries: impl Iterator<Item = W>, raw: u64) -> u64 {
+        if !self.may_lift(raw) {
+            return 0;
+        }
+        self.extra * entries.filter(|&d| d == self.clamp).count() as u64
+    }
+
+    /// The lifted diagonal `min(a[u], b[u])` and the limit a sum including
+    /// it must stay below for the cost to stay below `cutoff`.
+    #[inline(always)]
+    fn diagonal(&self, a: &[W], b: &[W], cutoff: u64) -> (W, u64, u64) {
+        let sub = a[self.u].min(b[self.u]);
+        let lifted = sub.lift(self.penalty);
+        (sub, lifted, cutoff.saturating_add(lifted))
+    }
+}
+
+impl<W: RowWord> Aggregate<W> for PlainSum<W> {
     #[inline(always)]
     fn row(&self, row: &[W]) -> u64 {
-        let mut total = W::ZERO;
-        for &d in row {
-            total = total + d;
-        }
-        total.widen() - row[self.u].widen()
+        let raw = W::sum(row);
+        raw + self.recount(row.iter().copied(), raw) - row[self.u].lift(self.penalty)
     }
 
     #[inline(always)]
     fn min2(&self, a: &[W], b: &[W], cutoff: u64) -> u64 {
+        let Some((allowed1, allowed2)) = self.packing else {
+            return self.eval2(a, b, cutoff);
+        };
         // The diagonal term is subtracted at the end; fold it into the limit
         // so the chunked partial sums compare against an exact threshold.
-        let sub = a[self.u].min(b[self.u]);
-        let limit = cutoff.saturating_add(sub.widen());
-        let one = W::ONE;
-        let two = W::ONE + W::ONE;
-        let mut total = W::ZERO;
-        let mut le1 = W::ZERO;
-        let mut le2 = W::ZERO;
+        let (sub, lifted, limit) = self.diagonal(a, b, cutoff);
+        let (mut total, mut le1, mut le2) = (0u64, 0u64, 0u64);
         for (ca, cb) in a.chunks(64).zip(b.chunks(64)) {
-            for (&x, &y) in ca.iter().zip(cb) {
-                let v = x.min(y);
-                total = total + v;
-                le1 = le1 + if v <= one { W::ONE } else { W::ZERO };
-                le2 = le2 + if v <= two { W::ONE } else { W::ZERO };
-            }
+            let (t, c1, c2) = W::sum_min_counts(ca, cb);
+            total += t;
+            le1 += c1;
+            le2 += c2;
             // Early-exit granularity only decides whether a doomed bound
             // reports `u64::MAX` or its exact value ≥ cutoff — the caller
             // prunes either way, so the chunk size is a pure tuning knob.
-            if total.widen() >= limit {
+            if total >= limit {
                 return u64::MAX;
             }
         }
+        total += self.recount(a.iter().zip(b).map(|(&x, &y)| x.min(y)), total);
+        if total >= limit {
+            return u64::MAX;
+        }
         // Exclude the diagonal from the packing counts, then charge the
         // capacity excess at distances 1 and ≤ 2.
-        let le1 = le1.widen() - u64::from(sub <= one);
-        let le2 = le2.widen() - u64::from(sub <= two);
-        let correction = le1.saturating_sub(self.allowed1) + le2.saturating_sub(self.allowed2);
-        (total.widen() - sub.widen()).saturating_add(correction)
+        let le1 = le1 - u64::from(sub <= W::ONE);
+        let le2 = le2 - u64::from(sub <= W::ONE + W::ONE);
+        let correction = le1.saturating_sub(allowed1) + le2.saturating_sub(allowed2);
+        (total - lifted).saturating_add(correction)
     }
 
     #[inline(always)]
     fn copy_min2(&self, dst: &mut [W], a: &[W], b: &[W]) -> u64 {
-        let mut total = W::ZERO;
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            let v = x.min(y);
-            *d = v;
-            total = total + v;
-        }
-        total.widen() - dst[self.u].widen()
+        let raw = W::copy_min_sum(dst, a, b);
+        raw + self.recount(dst.iter().copied(), raw) - dst[self.u].lift(self.penalty)
     }
 
     #[inline(always)]
     fn min2_ceiling(&self, b: &[W]) -> u64 {
+        let Some((allowed1, allowed2)) = self.packing else {
+            // Σ_{v≠u} min(a[v], b[v]) never exceeds Σ_{v≠u} b[v].
+            return self.row(b);
+        };
         // `min2` returns `Σ min(a,b) − diag + correction ≤ Σ b + correction`,
         // and each packing count is at most `n` targets, so the correction
         // caps at `(n − A_d)⁺` per distance class.
-        let mut total = W::ZERO;
-        for &d in b {
-            total = total + d;
-        }
         let n = b.len() as u64;
-        total.widen() + n.saturating_sub(self.allowed1) + n.saturating_sub(self.allowed2)
+        let raw = W::sum(b);
+        raw + self.recount(b.iter().copied(), raw)
+            + n.saturating_sub(allowed1)
+            + n.saturating_sub(allowed2)
     }
 
     #[inline(always)]
     fn eval2(&self, a: &[W], b: &[W], cutoff: u64) -> u64 {
         // Exact (no packing correction — that is a *bound* device and would
-        // over-report a recordable cost), with `min2`'s early exit per
-        // 64-entry chunk. Fixed-size chunks plus one remainder pass: this
-        // runs at every budget leaf, and on rows shorter than a chunk the
+        // over-report a recordable cost), with an early exit per 64-entry
+        // chunk. Fixed-size chunks plus one remainder pass: this runs at
+        // every budget leaf, and on rows shorter than a chunk the
         // variable-size chunking measured slower than the plain pass.
-        let sub = a[self.u].min(b[self.u]);
-        let limit = cutoff.saturating_add(sub.widen());
-        let mut total = W::ZERO;
+        let (_, lifted, limit) = self.diagonal(a, b, cutoff);
+        let mut total = 0u64;
         let (mut ca, mut cb) = (a.chunks_exact(64), b.chunks_exact(64));
         for (xa, xb) in (&mut ca).zip(&mut cb) {
-            for (&x, &y) in xa.iter().zip(xb) {
-                total = total + x.min(y);
-            }
-            if total.widen() >= limit {
+            total += W::sum_min(xa, xb);
+            if total >= limit {
                 return u64::MAX;
             }
         }
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            total = total + x.min(y);
-        }
-        if total.widen() >= limit {
+        total += W::sum_min(ca.remainder(), cb.remainder());
+        if total >= limit {
             return u64::MAX;
         }
-        total.widen() - sub.widen()
+        total += self.recount(a.iter().zip(b).map(|(&x, &y)| x.min(y)), total);
+        if total >= limit {
+            return u64::MAX;
+        }
+        total - lifted
     }
 }
 
 /// General weights, sum-distance model.
 struct WeightedSum<'a> {
     targets: &'a [(u32, u64)],
+    penalty: u64,
 }
 
 impl<W: RowWord> Aggregate<W> for WeightedSum<'_> {
@@ -433,7 +494,7 @@ impl<W: RowWord> Aggregate<W> for WeightedSum<'_> {
     fn row(&self, row: &[W]) -> u64 {
         self.targets
             .iter()
-            .map(|&(v, w)| w * row[v as usize].widen())
+            .map(|&(v, w)| w * row[v as usize].lift(self.penalty))
             .sum()
     }
 
@@ -443,7 +504,7 @@ impl<W: RowWord> Aggregate<W> for WeightedSum<'_> {
         for chunk in self.targets.chunks(16) {
             total += chunk
                 .iter()
-                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).widen())
+                .map(|&(v, w)| w * a[v as usize].min(b[v as usize]).lift(self.penalty))
                 .sum::<u64>();
             if total >= cutoff {
                 return u64::MAX;
@@ -462,6 +523,7 @@ impl<W: RowWord> Aggregate<W> for WeightedSum<'_> {
 /// General weights, max-distance model (§5's BBC-max).
 struct WeightedMax<'a> {
     targets: &'a [(u32, u64)],
+    penalty: u64,
 }
 
 impl<W: RowWord> Aggregate<W> for WeightedMax<'_> {
@@ -469,7 +531,7 @@ impl<W: RowWord> Aggregate<W> for WeightedMax<'_> {
     fn row(&self, row: &[W]) -> u64 {
         self.targets
             .iter()
-            .map(|&(v, w)| w * row[v as usize].widen())
+            .map(|&(v, w)| w * row[v as usize].lift(self.penalty))
             .max()
             .unwrap_or(0)
     }
@@ -478,7 +540,7 @@ impl<W: RowWord> Aggregate<W> for WeightedMax<'_> {
     fn min2(&self, a: &[W], b: &[W], cutoff: u64) -> u64 {
         let mut worst = 0u64;
         for &(v, w) in self.targets {
-            worst = worst.max(w * a[v as usize].min(b[v as usize]).widen());
+            worst = worst.max(w * a[v as usize].min(b[v as usize]).lift(self.penalty));
             if worst >= cutoff {
                 return u64::MAX;
             }
@@ -614,10 +676,10 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
     let n = view.n();
     let m = view.candidates.len();
     let current_cost = view.strategy_cost(staged.rows, strategy, &mut scratch.current);
-    // The empty strategy's row: every target at the penalty distance.
+    // The empty strategy's row: every live target at the penalty distance.
     scratch.levels.clear();
     scratch.levels.resize((m + 1) * n, W::ZERO);
-    scratch.levels[..n].fill(view.penalty());
+    view.empty_row(&mut scratch.levels[..n]);
     scratch.selection.clear();
     scratch.min_price_suffix.clear();
     scratch.min_price_suffix.resize(m + 1, u64::MAX);
@@ -632,10 +694,16 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
             .uniform_k()
             // bbc-lint: allow(panic, plain_sum() returns true only for uniform sum games)
             .expect("plain_sum implies a uniform game");
+        let clamp: W = clamp_for(view.spec);
         let agg = PlainSum {
             u: view.node.index(),
-            allowed1: k,
-            allowed2: k.saturating_add(k.saturating_mul(k)),
+            clamp,
+            penalty: view.spec.penalty(),
+            extra: view.spec.penalty() - clamp.widen(),
+            packing: view
+                .departed
+                .is_empty()
+                .then(|| (k, k.saturating_add(k.saturating_mul(k)))),
         };
         search_with(view, agg, staged, bounds, current_cost, options, scratch)
     } else {
@@ -643,12 +711,14 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
             CostModel::SumDistance => {
                 let agg = WeightedSum {
                     targets: view.weighted_targets,
+                    penalty: view.spec.penalty(),
                 };
                 search_with(view, agg, staged, bounds, current_cost, options, scratch)
             }
             CostModel::MaxDistance => {
                 let agg = WeightedMax {
                     targets: view.weighted_targets,
+                    penalty: view.spec.penalty(),
                 };
                 search_with(view, agg, staged, bounds, current_cost, options, scratch)
             }
@@ -741,30 +811,40 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
         Ok(())
     }
 
-    fn dfs(&mut self, i: usize, level: usize, spent: u64) -> Result<()> {
-        if self.done || i == self.view.candidates.len() {
-            return Ok(());
-        }
-        // Nothing left the budget can pay for: no deeper selection will ever
-        // be evaluated, so the whole subtree (an evaluation-free exclude
-        // chain) can be skipped without touching any reported field.
-        if spent.saturating_add(self.scratch.min_price_suffix[i]) > self.view.budget {
-            return Ok(());
-        }
+    /// Extends the selection whose min-row is `level` by candidates
+    /// `first..`, spending at most the budget left after `spent`. Each
+    /// iteration includes candidate `i` (recursing only when the include
+    /// is not a budget leaf) and then moves on to exclude it, so the visit
+    /// order is include-before-exclude, candidates ascending.
+    fn dfs(&mut self, first: usize, level: usize, spent: u64) -> Result<()> {
         let n = self.view.n();
-        // Optimistic bound: even taking every remaining candidate for free
-        // cannot beat the incumbent -> prune.
-        let cur = &self.scratch.levels[level * n..(level + 1) * n];
-        if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
-            if B::COUNTS_HITS {
-                self.bounds_hit += 1;
+        for i in first..self.view.candidates.len() {
+            if self.done {
+                return Ok(());
             }
-            return Ok(());
-        }
+            // Nothing left the budget can pay for: no deeper selection will
+            // ever be evaluated, so the rest of the loop (an evaluation-free
+            // exclude chain) can be skipped without touching any reported
+            // field.
+            if spent.saturating_add(self.scratch.min_price_suffix[i]) > self.view.budget {
+                return Ok(());
+            }
+            // Optimistic bound: even taking every remaining candidate for
+            // free cannot beat the incumbent -> prune.
+            let cur = &self.scratch.levels[level * n..(level + 1) * n];
+            if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
+                if B::COUNTS_HITS {
+                    self.bounds_hit += 1;
+                }
+                return Ok(());
+            }
 
-        // Include candidate i if affordable.
-        let price = self.view.prices[i];
-        if spent + price <= self.view.budget {
+            // Include candidate i if affordable; the next iteration
+            // excludes it.
+            let price = self.view.prices[i];
+            if spent + price > self.view.budget {
+                continue;
+            }
             if !self.staged.present[i] {
                 (self.staged.fetch)(i, &mut self.staged.rows[i * n..(i + 1) * n]);
                 self.staged.present[i] = true;
@@ -789,8 +869,7 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
             }
             self.scratch.selection.pop();
         }
-        // Exclude candidate i.
-        self.dfs(i + 1, level, spent)
+        Ok(())
     }
 }
 
@@ -950,7 +1029,7 @@ impl<W: RowWord> LandmarkScratch<W> {
     ) {
         let candidates = view.candidates;
         let n = view.n();
-        let penalty: W = view.penalty();
+        let clamp: W = clamp_for(view.spec);
         let m = candidates.len();
         self.group_of.clear();
         self.groups = 0;
@@ -985,13 +1064,13 @@ impl<W: RowWord> LandmarkScratch<W> {
 
         // Suffix-min link length per group.
         self.lmin.clear();
-        self.lmin.resize(groups, penalty);
-        let mut running = penalty;
+        self.lmin.resize(groups, clamp);
+        let mut running = clamp;
         for g in (0..groups).rev() {
             for &c in &candidates[group_start[g] as usize..group_end(g)] {
                 let len = W::from_u64(view.spec.link_length(view.node, c))
-                    // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-                    .expect("link length is below the penalty, which fits the tier");
+                    // bbc-lint: allow(panic, link lengths are below the clamp, which the tier check proved representable)
+                    .expect("link length is below the clamp, which fits the tier");
                 running = running.min(len);
             }
             self.lmin[g] = running;
@@ -1038,7 +1117,8 @@ impl<W: RowWord> LandmarkScratch<W> {
 
         // Final bound rows, built in three vector passes per group: seed with
         // the coarse block term, raise by each landmark term, then add the
-        // suffix-min link length and clamp at the penalty.
+        // suffix-min link length (clamp + ℓ still fits the row word), clamp,
+        // and zero the departed entries like every row the search reads.
         self.bsfx.clear();
         self.bsfx.resize(groups * n, W::ZERO);
         for g in 0..groups {
@@ -1056,8 +1136,9 @@ impl<W: RowWord> LandmarkScratch<W> {
             }
             let lmin = self.lmin[g];
             for d in dst.iter_mut() {
-                *d = penalty.min(lmin + *d);
+                *d = clamp.min(lmin + *d);
             }
+            view.zero_departed(dst);
         }
     }
 }
@@ -1105,14 +1186,13 @@ pub(crate) fn greedy_on<W: RowWord>(
 ) -> BestResponseOutcome {
     let n = view.n();
     let m = view.candidates.len();
-    let penalty: W = view.penalty();
     let row_of = |i: usize| &rows[i * n..(i + 1) * n];
     let mut row = Vec::new();
     let current_cost = view.strategy_cost(rows, strategy, &mut row);
     let mut evaluations = 0u64;
 
     let mut selected: Vec<usize> = Vec::new();
-    row.fill(penalty);
+    view.empty_row(&mut row);
     let mut spent = 0u64;
 
     // Greedy additions.
@@ -1152,7 +1232,7 @@ pub(crate) fn greedy_on<W: RowWord>(
                     continue;
                 }
                 // Rebuild the row without `out`, with `i`.
-                trial.fill(penalty);
+                view.empty_row(&mut trial);
                 for &sj in &selected {
                     if sj != out {
                         min_into(&mut trial, row_of(sj));

@@ -190,7 +190,7 @@ impl<'a> Walk<'a> {
     }
 
     /// [`Walk::new`] on an explicit engine row tier (the differential
-    /// suite pins u32 walks against u64 walks with this).
+    /// suite pins i16 walks against u64 walks with this).
     ///
     /// # Errors
     ///

@@ -9,9 +9,10 @@
 //!   when one node rewires (a best-response move rewrites one arc slab, not
 //!   the graph);
 //! * one store of `n` **base rows** `d_G(c, ·)`, each clamped at the
-//!   penalty `M` at the engine's row width and allocated on first use, plus
-//!   each row's *touched set* (the nodes whose out-arcs the traversal
-//!   expanded). Every distance row the engine uses comes from it:
+//!   engine's row width ([`RowTier`]: at `M`, or at the i16 word's
+//!   saturated stand-in that every cost lifts back to `M`) and allocated on
+//!   first use, plus each row's *touched set* (the nodes whose out-arcs the
+//!   traversal expanded). Every distance row the engine uses comes from it:
 //!   - a search of `u` derives the deviation rows `ℓ(u,c) + d_{G∖u}(c, ·)`
 //!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
 //!     into its stage, re-deriving from base row `c` only the vertices all
@@ -52,10 +53,13 @@
 //! peer that leaves and rejoins with no in-links costs no traversal at all.
 //! Under partial membership, cost aggregation masks departed targets (they
 //! contribute neither distances nor disconnection penalties) and the
-//! best-response search draws candidates from live nodes only. Every churn
-//! op canonicalizes the CSR layout, so [`DistanceEngine::state_digest`]
-//! after a remove/re-add round trip is byte-identical to a fresh
-//! [`DistanceEngine::with_membership`] build of the same state.
+//! best-response search draws candidates from live nodes only. The empty
+//! strategy's row and the landmark bound rows hold 0 at the departed
+//! entries, so uniform games keep the plain row-sum kernels under churn.
+//! Every churn op canonicalizes the CSR layout, so
+//! [`DistanceEngine::state_digest`] after a remove/re-add round trip is
+//! byte-identical to a fresh [`DistanceEngine::with_membership`] build of
+//! the same state.
 //!
 //! # One best-response path
 //!
@@ -78,7 +82,8 @@ use bbc_graph::{
 
 use crate::{
     best_response::{
-        greedy_on, search, LandmarkScratch, OracleView, SearchScratch, StagedRows, SuffixBounds,
+        clamp_for, greedy_on, search, LandmarkScratch, OracleView, SearchScratch, StagedRows,
+        SuffixBounds,
     },
     eval::{cost_from_distances, cost_from_distances_masked},
     row_store::{bitset_bytes, RowStore},
@@ -88,39 +93,43 @@ use crate::{
 
 /// The word width of the engine's distance rows.
 ///
-/// Selected per spec at construction via a checked `n·M` bound: the narrow
-/// tier is valid exactly when every clamped row entry *and* every plain row
-/// sum (at most `n·M`) fits in 32 bits. Both tiers compute bit-identical
-/// decisions, costs, and digests — the cross-width differential suite pins
-/// this — so the tier is purely a bandwidth choice.
+/// Selected per spec at construction. Rows are clamped at `min(M,
+/// SATURATED)` of the word ([`RowWord::SATURATED`]), and every cost reads a
+/// clamped entry as `M` ([`RowWord::lift`]), so both tiers compute
+/// bit-identical decisions, costs, and digests — the cross-width
+/// differential suite pins this — and the tier is purely a bandwidth
+/// choice.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RowTier {
-    /// 32-bit rows: half the memory traffic in the search and BFS hot
-    /// loops. Requires `n·M ≤ u32::MAX`.
-    U32,
-    /// 64-bit rows: always valid (the pre-tier behavior).
+    /// 16-bit rows clamped at `min(M, 2¹⁴ − 1)`: a quarter of the u64
+    /// tier's memory traffic, and minima on the signed 16-bit vector min of
+    /// every x86-64 target. Requires `n·max ℓ < 2¹⁴ − 1`, so every finite
+    /// distance lies below the clamp, and `n·M` to fit `u64`.
+    I16,
+    /// 64-bit rows clamped at `M`: always valid.
     U64,
 }
 
 impl RowTier {
-    /// The tier [`DistanceEngine::new`] picks for `spec`: [`RowTier::U32`]
-    /// whenever the checked product `n·M` fits `u32`, else [`RowTier::U64`].
-    /// Non-uniform weights and lengths fall back automatically because they
-    /// inflate the spec's penalty past the bound.
+    /// The tier [`DistanceEngine::new`] picks for `spec`: [`RowTier::I16`]
+    /// whenever `n·max ℓ < 2¹⁴ − 1` and the checked product `n·M` fits
+    /// `u64`, else [`RowTier::U64`]. Uniform games ride the narrow tier up
+    /// to n = 16,382 whatever their penalty; long links fall back.
     pub fn auto(spec: &GameSpec) -> Self {
-        if Self::u32_fits(spec) {
-            RowTier::U32
+        if Self::i16_fits(spec) {
+            RowTier::I16
         } else {
             RowTier::U64
         }
     }
 
-    /// `true` when the u32 tier can represent every clamped row entry and
-    /// plain row sum of `spec` without wrapping.
-    fn u32_fits(spec: &GameSpec) -> bool {
-        (spec.node_count() as u64)
-            .checked_mul(spec.penalty())
-            .is_some_and(|nm| nm <= u64::from(u32::MAX))
+    /// `true` when every finite row entry of `spec` lies below the i16
+    /// tier's saturated value, and every lifted row sum fits `u64`.
+    fn i16_fits(spec: &GameSpec) -> bool {
+        let n = spec.node_count() as u64;
+        n.checked_mul(spec.max_link_length())
+            .is_some_and(|span| span < <i16 as RowWord>::SATURATED)
+            && n.checked_mul(spec.penalty()).is_some()
     }
 }
 
@@ -286,7 +295,7 @@ pub struct DistanceEngine<'a> {
 /// The tier-monomorphized engine body behind [`DistanceEngine`].
 #[derive(Debug)]
 enum EngineInner<'a> {
-    U32(EngineCore<'a, u32>),
+    I16(EngineCore<'a, i16>),
     U64(EngineCore<'a, u64>),
 }
 
@@ -296,13 +305,13 @@ enum EngineInner<'a> {
 macro_rules! tiered {
     ($self:expr, $e:ident => $body:expr) => {
         match &$self.inner {
-            EngineInner::U32($e) => $body,
+            EngineInner::I16($e) => $body,
             EngineInner::U64($e) => $body,
         }
     };
     (mut $self:expr, $e:ident => $body:expr) => {
         match &mut $self.inner {
-            EngineInner::U32($e) => $body,
+            EngineInner::I16($e) => $body,
             EngineInner::U64($e) => $body,
         }
     };
@@ -313,10 +322,9 @@ struct EngineCore<'a, W: RowWord> {
     spec: &'a GameSpec,
     config: Configuration,
     csr: CsrGraph,
-    /// The disconnection penalty at the row width (the clamp every row is
-    /// filled against). The tier check at construction guarantees the
-    /// conversion is exact.
-    penalty: W,
+    /// The row clamp `min(M, W::SATURATED)` every row is filled against;
+    /// an entry equal to it means "unreachable" and costs `M`.
+    clamp: W,
     store: RowStore<W>,
     /// [`DistanceEngine::distances_from`]'s raw `u64` view of one base row
     /// ([`UNREACHABLE`] for the penalty): the public contract is
@@ -340,6 +348,9 @@ struct EngineCore<'a, W: RowWord> {
     /// hold no links, receive none, and drop out of every cost aggregate.
     live: BitSet,
     live_count: usize,
+    /// The nodes outside `live`, ascending: the rows a search starts from
+    /// hold 0 at their entries.
+    departed: Vec<u32>,
     /// Bumped by every join/leave; masked caches carry the version they
     /// were built against.
     membership_version: u64,
@@ -360,7 +371,7 @@ impl<'a> DistanceEngine<'a> {
     /// Panics if `config`'s node count differs from the spec's.
     pub fn new(spec: &'a GameSpec, config: Configuration) -> Self {
         Self::with_tier(spec, config, RowTier::auto(spec))
-            // bbc-lint: allow(panic, RowTier::auto picks u64 whenever u32 does not fit, and the u64 tier never errs)
+            // bbc-lint: allow(panic, RowTier::auto picks u64 whenever i16 does not fit, and the u64 tier never errs)
             .expect("the automatic tier always fits the spec")
     }
 
@@ -368,9 +379,10 @@ impl<'a> DistanceEngine<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::RowTierOverflow`] when `tier` is [`RowTier::U32`] and the
-    /// spec's `n·M` product does not fit `u32` — the narrow rows could
-    /// wrap, so the engine refuses instead.
+    /// [`Error::RowTierOverflow`] when `tier` is [`RowTier::I16`] and the
+    /// spec does not fit it (`n·max ℓ ≥ 2¹⁴ − 1`, or `n·M` beyond `u64`) —
+    /// a finite distance could reach the clamp, so the engine refuses
+    /// instead.
     ///
     /// # Panics
     ///
@@ -427,14 +439,15 @@ impl<'a> DistanceEngine<'a> {
         tier: RowTier,
     ) -> Result<Self> {
         let inner = match tier {
-            RowTier::U32 => {
-                if !RowTier::u32_fits(spec) {
+            RowTier::I16 => {
+                if !RowTier::i16_fits(spec) {
                     return Err(Error::RowTierOverflow {
                         n: spec.node_count(),
+                        max_length: spec.max_link_length(),
                         penalty: spec.penalty(),
                     });
                 }
-                EngineInner::U32(EngineCore::with_membership(spec, config, live)?)
+                EngineInner::I16(EngineCore::with_membership(spec, config, live)?)
             }
             RowTier::U64 => EngineInner::U64(EngineCore::with_membership(spec, config, live)?),
         };
@@ -444,7 +457,7 @@ impl<'a> DistanceEngine<'a> {
     /// The row tier this engine runs on.
     pub fn row_tier(&self) -> RowTier {
         match &self.inner {
-            EngineInner::U32(_) => RowTier::U32,
+            EngineInner::I16(_) => RowTier::I16,
             EngineInner::U64(_) => RowTier::U64,
         }
     }
@@ -463,7 +476,7 @@ impl<'a> DistanceEngine<'a> {
     /// copying it.
     pub fn into_config(self) -> Configuration {
         match self.inner {
-            EngineInner::U32(e) => e.config,
+            EngineInner::I16(e) => e.config,
             EngineInner::U64(e) => e.config,
         }
     }
@@ -766,8 +779,8 @@ impl<W: RowWord> Deriver<'_, W> {
     /// dependency set.
     fn derive(&mut self, c: NodeId, dst: &mut [W]) {
         let offset = W::from_u64(self.spec.link_length(self.u, c))
-            // bbc-lint: allow(panic, link lengths are below the penalty, which the tier check proved representable)
-            .expect("link length is below the penalty, which fits the tier");
+            // bbc-lint: allow(panic, link lengths are below the clamp, which the tier check proved representable)
+            .expect("link length is below the clamp, which fits the tier");
         if self
             .store
             .derive(self.csr, self.u.index(), c.index(), offset, dst)
@@ -816,14 +829,14 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             fill_links(spec, u, config.strategy(u), &mut link_scratch);
             csr.set_out_links(u.index(), &link_scratch);
         }
-        // bbc-lint: allow(panic, with_tier validated the penalty against the tier before reaching here)
-        let penalty = W::from_u64(spec.penalty()).expect("tier checked before construction");
+        let clamp = clamp_for(spec);
+        let departed = departed_nodes(&members);
         Ok(Self {
             spec,
             config,
             csr,
-            penalty,
-            store: RowStore::new(n, spec.has_unit_lengths(), penalty),
+            clamp,
+            store: RowStore::new(n, spec.has_unit_lengths(), clamp),
             raw: Vec::new(),
             conn: ConnectivityScratch::new(),
             memos: (0..n)
@@ -850,6 +863,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             link_scratch,
             live: members,
             live_count,
+            departed,
             membership_version: 1,
             live_targets: vec![LiveTargets::default(); n],
             eval_dirty: BitSet::new(n),
@@ -949,14 +963,14 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             self.lm.envelope.rebuild(
                 &self.lm.partition,
                 self.lm.landmarks.iter().map(|l| store.row(l.index())),
-                self.penalty,
+                self.clamp,
             );
             self.lm.env_valid = true;
         }
     }
 
     /// Stages `u`'s live affordable candidates in ascending id order, with
-    /// a penalty placeholder row (not `present`) for each.
+    /// a clamp placeholder row (not `present`) for each.
     fn stage(&mut self, u: NodeId) {
         let n = self.spec.node_count();
         self.ensure_live_targets(u);
@@ -969,7 +983,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
         let m = stage.candidates.len();
         stage.rows.clear();
-        stage.rows.resize(m * n, self.penalty);
+        stage.rows.resize(m * n, self.clamp);
         stage.present.clear();
         stage.present.resize(m, false);
     }
@@ -1012,7 +1026,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             prices,
             weighted_targets: &self.live_targets[u.index()].targets,
             budget: self.spec.budget(u),
-            all_live: self.live_count == self.spec.node_count(),
+            departed: &self.departed,
         };
         if bounded {
             let store = &self.store;
@@ -1117,7 +1131,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             prices: &self.stage.prices,
             weighted_targets: &self.live_targets[u.index()].targets,
             budget: self.spec.budget(u),
-            all_live: self.live_count == self.spec.node_count(),
+            departed: &self.departed,
         };
         greedy_on(&view, &self.stage.rows, self.config.strategy(u))
     }
@@ -1127,7 +1141,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             u != c && self.live.contains(u.index()) && self.live.contains(c.index()),
             "deviation_row({u}, {c}) needs two distinct live nodes"
         );
-        let mut row = vec![self.penalty; self.spec.node_count()];
+        let mut row = vec![self.clamp; self.spec.node_count()];
         Deriver {
             store: &mut self.store,
             csr: &self.csr,
@@ -1139,8 +1153,9 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         .derive(c, &mut row);
         let mut affected: Vec<NodeId> = self.store.affected().map(NodeId::new).collect();
         affected.sort_unstable();
+        let m = self.spec.penalty();
         DeviationRow {
-            row: row.iter().map(|d| d.widen()).collect(),
+            row: row.iter().map(|d| d.lift(m)).collect(),
             touched: self.store.derived_touched().clone(),
             affected,
         }
@@ -1181,8 +1196,8 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         if self.store.ensure(&self.csr, u.index()) {
             self.stats.eval_rows_computed += 1;
         }
-        // Unreachable entries hold the penalty, which is exactly what the
-        // cost charges for them.
+        // Unreachable entries hold the clamp, which the cost lifts to the
+        // penalty.
         let row = self.store.row(u.index());
         let cost = if self.live_count == self.spec.node_count() {
             cost_from_distances(self.spec, u, row)
@@ -1209,10 +1224,10 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             "distances_from({u}): node is not a live member"
         );
         self.node_cost(u);
-        let penalty = self.penalty;
+        let clamp = self.clamp;
         self.raw.clear();
         self.raw.extend(self.store.row(u.index()).iter().map(|&d| {
-            if d == penalty {
+            if d == clamp {
                 UNREACHABLE
             } else {
                 d.widen()
@@ -1238,7 +1253,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             let row = self.store.row(u);
             for &v in &live {
                 if v != u
-                    && row[v] == self.penalty
+                    && row[v] == self.clamp
                     && self.spec.weight(NodeId::new(u), NodeId::new(v)) > 0
                 {
                     total += 1;
@@ -1376,6 +1391,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
     /// here already covered them.
     fn after_membership_change(&mut self) {
         self.membership_version += 1;
+        self.departed = departed_nodes(&self.live);
         self.csr.rebuild_canonical();
         for memo in &mut self.memos {
             memo.outcome = None;
@@ -1441,6 +1457,15 @@ fn live_candidates<'s>(
         .filter(move |&c| c != u)
         .map(move |c| (c, spec.link_cost(u, c)))
         .filter(move |&(_, price)| price <= budget)
+}
+
+/// The nodes outside `live`, ascending.
+fn departed_nodes(live: &BitSet) -> Vec<u32> {
+    (0..live.capacity())
+        .filter(|&v| !live.contains(v))
+        // bbc-lint: allow(narrowing-cast, node ids are < n <= u32::MAX per GameSpec validation)
+        .map(|v| v as u32)
+        .collect()
 }
 
 /// Assembles `(target, length)` pairs for one node's strategy.
@@ -1921,8 +1946,8 @@ pub(crate) mod tests {
         assert_eq!(walk.stats().steps, 256);
         assert!(walk.stats().moves > 0);
         assert_eq!(gauges(&walk), early);
-        assert_eq!(RowTier::auto(&spec), RowTier::U32);
-        let bound = 2 * n * n * std::mem::size_of::<u32>();
+        assert_eq!(RowTier::auto(&spec), RowTier::I16);
+        let bound = 2 * n * n * std::mem::size_of::<i16>();
         assert!(early[0] > 0 && early[0] <= bound as u64, "{early:?}");
     }
 
@@ -1943,22 +1968,23 @@ pub(crate) mod tests {
     // ----- row tiers -------------------------------------------------
 
     #[test]
-    fn tier_auto_straddles_the_u32_boundary() {
-        // n = 16, so n·M crosses 2³² exactly at M = 2²⁸. One below fits
-        // the narrow word; at the boundary the product equals 2³² which
-        // exceeds u32::MAX = 2³² − 1, so the engine must fall back.
-        let below = GameSpec::uniform(16, 1)
-            .with_penalty((1 << 28) - 1)
-            .unwrap();
-        let at = GameSpec::uniform(16, 1).with_penalty(1 << 28).unwrap();
-        assert_eq!(RowTier::auto(&below), RowTier::U32);
+    fn tier_auto_straddles_the_i16_boundary() {
+        // The narrow tier needs n·max ℓ < SATURATED = 16,383, whatever the
+        // penalty: uniform games fit up to n = 16,382.
+        assert_eq!(RowTier::auto(&GameSpec::uniform(16_382, 1)), RowTier::I16);
+        assert_eq!(RowTier::auto(&GameSpec::uniform(16_383, 1)), RowTier::U64);
+        // n·max ℓ = 2·8,191 = 16,382 fits; 2·8,192 = 16,384 does not.
+        let long = |len: u64| GameSpec::builder(2).link_length(0, 1, len).build().unwrap();
+        let below = long(8_191);
+        let at = long(8_192);
+        assert_eq!(RowTier::auto(&below), RowTier::I16);
         assert_eq!(RowTier::auto(&at), RowTier::U64);
         assert_eq!(
-            DistanceEngine::new(&below, Configuration::empty(16)).row_tier(),
-            RowTier::U32
+            DistanceEngine::new(&below, Configuration::empty(2)).row_tier(),
+            RowTier::I16
         );
         assert_eq!(
-            DistanceEngine::new(&at, Configuration::empty(16)).row_tier(),
+            DistanceEngine::new(&at, Configuration::empty(2)).row_tier(),
             RowTier::U64
         );
     }
@@ -1971,33 +1997,42 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn forced_u32_rejects_an_oversized_spec() {
-        let spec = GameSpec::uniform(16, 1).with_penalty(1 << 28).unwrap();
-        let err = DistanceEngine::with_tier(&spec, Configuration::empty(16), RowTier::U32)
-            .expect_err("a 2³² product cannot ride the u32 tier");
+    fn forced_i16_rejects_an_oversized_spec() {
+        let spec = GameSpec::uniform(16_383, 1);
+        let err = DistanceEngine::with_tier(&spec, Configuration::empty(16_383), RowTier::I16)
+            .expect_err("a finite distance could reach the saturated value");
         assert_eq!(
             err,
             Error::RowTierOverflow {
-                n: 16,
-                penalty: 1 << 28
+                n: 16_383,
+                max_length: 1,
+                penalty: 16_383 * 16_383
             }
         );
     }
 
     #[test]
-    fn forced_u64_matches_the_u32_tier_exactly() {
-        let spec = GameSpec::uniform(8, 2);
-        assert_eq!(RowTier::auto(&spec), RowTier::U32);
+    fn forced_u64_matches_the_i16_tier_exactly() {
+        // M = 100,003 exceeds SATURATED, so the i16 rows hold the saturated
+        // stand-in for every unreachable target and each cost lifts it.
+        let spec = GameSpec::uniform(8, 2).with_penalty(100_003).unwrap();
+        assert_eq!(RowTier::auto(&spec), RowTier::I16);
         for seed in 0..4 {
-            let cfg = Configuration::random(&spec, seed);
+            let mut cfg = Configuration::random(&spec, seed);
+            // A node with no links leaves targets unreachable.
+            cfg.set_strategy(&spec, NodeId::new(seed as usize), vec![])
+                .unwrap();
             let mut narrow = DistanceEngine::new(&spec, cfg.clone());
             let mut wide = DistanceEngine::with_tier(&spec, cfg, RowTier::U64).unwrap();
             assert_eq!(narrow.node_costs(), wide.node_costs(), "seed {seed}");
+            assert!(narrow.node_costs().iter().any(|&c| c >= 100_003));
             for u in NodeId::all(8) {
                 let a = narrow.best_response(u, &opts()).unwrap();
                 let b = wide.best_response(u, &opts()).unwrap();
                 assert_eq!(a, b, "seed {seed} node {u}");
+                assert_eq!(narrow.distances_from(u), wide.distances_from(u));
             }
+            assert_eq!(narrow.greedy(NodeId::new(1)), wide.greedy(NodeId::new(1)));
             assert_eq!(narrow.state_digest(), wide.state_digest());
         }
     }
@@ -2105,7 +2140,7 @@ pub(crate) mod tests {
             let bound = e.lm_scratch.bound_row(i, n);
             for v in 0..n {
                 assert!(
-                    bound[v].widen() <= exact[v],
+                    bound[v].lift(e.spec.penalty()) <= exact[v],
                     "{context}: node {u} position {i} target {v}: bound {bound:?} vs exact {exact:?}"
                 );
             }
@@ -2148,13 +2183,16 @@ pub(crate) mod tests {
                 GameSpec::uniform(9, 2),
                 GameSpec::uniform(12, 3),
                 weighted_spec(10, seed),
+                // The i16 clamp stands in for this penalty: the bound rows
+                // hold the saturated value, lifted back to M.
+                GameSpec::uniform(12, 3).with_penalty(100_003).unwrap(),
             ];
             for (idx, spec) in specs.iter().enumerate() {
                 let cfg = Configuration::random(spec, seed);
-                // One churned membership: two departures from a (12,3) game.
-                let churned = seed == 0 && idx == 1;
+                // Churned memberships: two departures from a (12,3) game.
+                let churned = seed == 0 && (idx == 1 || idx == 3);
                 let tiers: &[RowTier] = match RowTier::auto(spec) {
-                    RowTier::U32 => &[RowTier::U32, RowTier::U64],
+                    RowTier::I16 => &[RowTier::I16, RowTier::U64],
                     RowTier::U64 => &[RowTier::U64],
                 };
                 for &tier in tiers {

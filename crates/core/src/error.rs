@@ -96,12 +96,15 @@ pub enum Error {
         /// Which parallel section lost the worker.
         section: &'static str,
     },
-    /// A forced-u32 engine was requested for a spec whose clamped rows do
-    /// not fit the narrow word: `n·M` must stay within `u32::MAX` so that
-    /// every row aggregate is representable without wrapping.
+    /// A forced-i16 engine was requested for a spec whose rows do not fit
+    /// the narrow word: every finite distance must lie below the word's
+    /// saturated value (`n·max ℓ < 2¹⁴ − 1`), and every lifted row sum must
+    /// fit `u64` (`n·M ≤ u64::MAX`).
     RowTierOverflow {
         /// The game size.
         n: usize,
+        /// The game's largest link length.
+        max_length: u64,
         /// The configured disconnection penalty.
         penalty: u64,
     },
@@ -158,10 +161,16 @@ impl fmt::Display for Error {
             Error::WorkerPanicked { section } => {
                 write!(f, "a {section} worker thread panicked")
             }
-            Error::RowTierOverflow { n, penalty } => {
+            Error::RowTierOverflow {
+                n,
+                max_length,
+                penalty,
+            } => {
                 write!(
                     f,
-                    "u32 row tier cannot hold n*penalty = {n}*{penalty}; use the u64 tier"
+                    "i16 row tier needs n*max_length < 16383 and n*penalty within u64, \
+                     got n = {n}, max_length = {max_length}, penalty = {penalty}; \
+                     use the u64 tier"
                 )
             }
         }

@@ -5,7 +5,7 @@
 //! the max-variant `max_v w(u,v)·d(u,v)` (§5). [`Evaluator`] computes both
 //! from the distance rows of a [`DistanceEngine`].
 
-use bbc_graph::{BitSet, RowWord, UNREACHABLE};
+use bbc_graph::{BitSet, RowWord};
 
 use crate::{Configuration, CostModel, DistanceEngine, GameSpec, NodeId};
 
@@ -77,9 +77,10 @@ impl<'a> Evaluator<'a> {
 /// Aggregates a distance vector into `u`'s cost under the spec's cost model,
 /// substituting the disconnection penalty for unreachable nodes.
 ///
-/// `dist` holds raw distances ([`UNREACHABLE`] where no path exists) or
-/// rows clamped at the penalty, at either row width: a clamped entry
-/// already is the penalty it would be charged.
+/// `dist` holds raw `u64` distances ([`bbc_graph::UNREACHABLE`] where no
+/// path exists) or rows clamped at `min(M, SATURATED)`, at either row
+/// width: every entry is read through [`RowWord::lift`], which charges the
+/// penalty for the saturated value and for nothing else.
 ///
 /// Exposed for the engine and the frozen reference, which produce distance
 /// rows without a full `Evaluator`.
@@ -97,8 +98,7 @@ pub fn cost_from_distances<W: RowWord>(spec: &GameSpec, u: NodeId, dist: &[W]) -
                 if w == 0 {
                     continue;
                 }
-                let d = dist[v.index()].widen();
-                total += w * if d == UNREACHABLE { m } else { d };
+                total += w * dist[v.index()].lift(m);
             }
             total
         }
@@ -112,8 +112,7 @@ pub fn cost_from_distances<W: RowWord>(spec: &GameSpec, u: NodeId, dist: &[W]) -
                 if w == 0 {
                     continue;
                 }
-                let d = dist[v.index()].widen();
-                worst = worst.max(w * if d == UNREACHABLE { m } else { d });
+                worst = worst.max(w * dist[v.index()].lift(m));
             }
             worst
         }
@@ -145,8 +144,7 @@ pub fn cost_from_distances_masked<W: RowWord>(
         if w == 0 {
             continue;
         }
-        let d = dist[v.index()].widen();
-        let term = w * if d == UNREACHABLE { m } else { d };
+        let term = w * dist[v.index()].lift(m);
         total += term;
         worst = worst.max(term);
     }

@@ -17,11 +17,11 @@
 //!    in increasing distance (FIFO order for unit lengths, a heap
 //!    otherwise): `v` joins `A` iff every in-neighbour `w` with
 //!    `d(w) + ℓ(w,v) = d(v)` is `u` or already in `A`.
-//! 3. Reset the members of `A` to the penalty `M`, seed each from its
+//! 3. Reset the members of `A` to the clamp `C`, seed each from its
 //!    unaffected in-neighbours other than `u`, and traverse inside `A`.
-//! 4. Add the link length `ℓ(u,c)` and clamp at `M`. Entries are at most
-//!    `M` and `ℓ < M`, so the sum stays below `2M ≤ n·M`, which the row
-//!    tier represents.
+//! 4. Add the link length `ℓ(u,c)` and clamp at `C`. Entries are at most
+//!    `C` and `ℓ < C`, so the sum stays below `2C`, which the row word
+//!    represents (`2·SATURATED` fits i16).
 //!
 //! A vertex outside `A` keeps a shortest path that avoids `u`, so its
 //! distance is the same in `G∖u`; a member of `A` lost every shortest path,
@@ -31,9 +31,11 @@
 //! [`ClampedBfs::run_skipping`] / [`ClampedDijkstra::run_skipping`], which
 //! the tests below and the differential suite use as the oracle.
 //!
-//! Base rows are clamped at `M` at the row width, allocated on first use,
-//! and follow the touched-set invalidation rule with no mover exemption: a
-//! rewire of `m` drops exactly the rows whose traversal expanded `m`.
+//! Base rows are clamped at the row width's clamp `C = min(M, SATURATED)`
+//! (see [`bbc_graph::RowWord`]; an entry at `C` means "unreachable"),
+//! allocated on first use, and follow the touched-set invalidation rule with
+//! no mover exemption: a rewire of `m` drops exactly the rows whose
+//! traversal expanded `m`.
 
 use std::{cmp::Reverse, collections::BinaryHeap};
 
@@ -48,14 +50,15 @@ const CANDIDATE: u8 = 1;
 /// Decided inside the affected set.
 const AFFECTED: u8 = 2;
 
-/// `n` base rows `d_G(c, ·)` clamped at the penalty, their touched sets,
+/// `n` base rows `d_G(c, ·)` clamped at the row clamp, their touched sets,
 /// and the scratch that derives deviation rows from them.
 #[derive(Debug)]
 pub(crate) struct RowStore<W> {
     n: usize,
     /// Whether every link has unit length (BFS and FIFO order suffice).
     unit: bool,
-    penalty: W,
+    /// The clamp every row is filled against.
+    clamp: W,
     /// Base rows, stride `n`; empty until the first row is filled.
     rows: Vec<W>,
     /// Each base row's touched set: the nodes its traversal expanded.
@@ -75,11 +78,11 @@ pub(crate) struct RowStore<W> {
 impl<W: RowWord> RowStore<W> {
     /// An empty store for graphs of `n` nodes; no row memory is allocated
     /// until a row is first filled.
-    pub(crate) fn new(n: usize, unit: bool, penalty: W) -> Self {
+    pub(crate) fn new(n: usize, unit: bool, clamp: W) -> Self {
         Self {
             n,
             unit,
-            penalty,
+            clamp,
             rows: Vec::new(),
             touched: Vec::new(),
             valid: BitSet::new(n),
@@ -98,7 +101,7 @@ impl<W: RowWord> RowStore<W> {
         self.valid.contains(c)
     }
 
-    /// Base row `c`: `d_G(c, ·)`, the penalty where unreachable. Must be
+    /// Base row `c`: `d_G(c, ·)`, the clamp where unreachable. Must be
     /// valid.
     #[inline]
     pub(crate) fn row(&self, c: usize) -> &[W] {
@@ -114,10 +117,10 @@ impl<W: RowWord> RowStore<W> {
         }
         self.allocate();
         let (dist, touched) = if self.unit {
-            self.bfs.run(csr, c, W::ZERO, self.penalty);
+            self.bfs.run(csr, c, W::ZERO, self.clamp);
             (self.bfs.distances(), self.bfs.touched())
         } else {
-            self.dijkstra.run(csr, c, W::ZERO, self.penalty);
+            self.dijkstra.run(csr, c, W::ZERO, self.clamp);
             (self.dijkstra.distances(), self.dijkstra.touched())
         };
         let n = self.n;
@@ -141,7 +144,7 @@ impl<W: RowWord> RowStore<W> {
             return 0;
         }
         self.allocate();
-        let (n, unit, penalty) = (self.n, self.unit, self.penalty);
+        let (n, unit, clamp) = (self.n, self.unit, self.clamp);
         let Self {
             rows,
             touched,
@@ -156,10 +159,10 @@ impl<W: RowWord> RowStore<W> {
             |(bfs, dijkstra), i| {
                 let c = todo[i as usize];
                 Ok(if unit {
-                    bfs.run(csr, c, W::ZERO, penalty);
+                    bfs.run(csr, c, W::ZERO, clamp);
                     (bfs.distances().to_vec(), bfs.touched().clone())
                 } else {
-                    dijkstra.run(csr, c, W::ZERO, penalty);
+                    dijkstra.run(csr, c, W::ZERO, clamp);
                     (dijkstra.distances().to_vec(), dijkstra.touched().clone())
                 })
             },
@@ -193,7 +196,7 @@ impl<W: RowWord> RowStore<W> {
     }
 
     /// Derives `u`'s deviation row through candidate `c` into `dst`:
-    /// `offset + d_{G∖u}(c, ·)` clamped at the penalty, where `offset` is
+    /// `offset + d_{G∖u}(c, ·)` clamped at the clamp, where `offset` is
     /// the link length `ℓ(u,c)`. Fills base row `c` first when it is
     /// invalid and returns whether that took a traversal. The row's touched
     /// set is left in [`RowStore::derived_touched`] and its affected set in
@@ -208,27 +211,27 @@ impl<W: RowWord> RowStore<W> {
     ) -> bool {
         debug_assert_ne!(u, c, "a node is never its own candidate");
         let filled = self.ensure(csr, c);
-        let penalty = self.penalty;
+        let clamp = self.clamp;
         let base = &self.rows[c * self.n..(c + 1) * self.n];
         dst.copy_from_slice(base);
         self.derived_touched.copy_from(&self.touched[c]);
         self.derived_touched.remove(u);
         self.scratch.reset();
-        if base[u] != penalty {
+        if base[u] != clamp {
             if self.rev_stale {
                 self.rev.rebuild(csr);
                 self.rev_stale = false;
             }
             self.scratch.decide(csr, &self.rev, base, u, self.unit);
-            self.scratch.rederive(csr, &self.rev, u, penalty, dst);
+            self.scratch.rederive(csr, &self.rev, u, clamp, dst);
             for &v in &self.scratch.members {
-                if dst[v as usize] == penalty {
+                if dst[v as usize] == clamp {
                     self.derived_touched.remove(v as usize);
                 }
             }
         }
         for d in dst.iter_mut() {
-            *d = penalty.min(*d + offset);
+            *d = clamp.min(*d + offset);
         }
         filled
     }
@@ -257,7 +260,7 @@ impl<W: RowWord> RowStore<W> {
 
     fn allocate(&mut self) {
         if self.touched.len() != self.n {
-            self.rows = vec![self.penalty; self.n * self.n];
+            self.rows = vec![self.clamp; self.n * self.n];
             self.touched = (0..self.n).map(|_| BitSet::new(self.n)).collect();
         }
     }
@@ -352,24 +355,24 @@ impl<W: RowWord> Derivation<W> {
     }
 
     /// Re-derives the members of the affected set in `dst` (which holds the
-    /// base row): reset to `penalty`, seed from unaffected in-neighbours
+    /// base row): reset to `clamp`, seed from unaffected in-neighbours
     /// other than `u`, then a Dijkstra that relaxes only arcs into the set.
-    fn rederive(&mut self, csr: &CsrGraph, rev: &ReverseCsr, u: usize, penalty: W, dst: &mut [W]) {
+    fn rederive(&mut self, csr: &CsrGraph, rev: &ReverseCsr, u: usize, clamp: W, dst: &mut [W]) {
         for &v in &self.members {
-            dst[v as usize] = penalty;
+            dst[v as usize] = clamp;
         }
         for &v in &self.members {
             let (sources, lengths) = rev.in_arcs(v as usize);
-            let mut best = penalty.widen();
+            let mut best = clamp.widen();
             for (&w, &len) in sources.iter().zip(lengths) {
                 let w = w as usize;
-                if w != u && self.mark[w] != AFFECTED && dst[w] != penalty {
+                if w != u && self.mark[w] != AFFECTED && dst[w] != clamp {
                     best = best.min(dst[w].widen() + len);
                 }
             }
-            if best < penalty.widen() {
-                // bbc-lint: allow(panic, best < penalty, and the tier guarantees the penalty fits W)
-                let d = W::from_u64(best).expect("seed distance below the penalty");
+            if best < clamp.widen() {
+                // bbc-lint: allow(panic, best < clamp, and the clamp fits W)
+                let d = W::from_u64(best).expect("seed distance below the clamp");
                 dst[v as usize] = d;
                 self.heap.push(Reverse((d, v)));
             }
@@ -386,8 +389,8 @@ impl<W: RowWord> Derivation<W> {
                 }
                 let nd = d.widen() + len;
                 if nd < dst[ti].widen() {
-                    // bbc-lint: allow(panic, nd < dst[t] <= penalty, and the tier guarantees the penalty fits W)
-                    let nd = W::from_u64(nd).expect("relaxed distance below the penalty");
+                    // bbc-lint: allow(panic, nd < dst[t] <= clamp, and the clamp fits W)
+                    let nd = W::from_u64(nd).expect("relaxed distance below the clamp");
                     dst[ti] = nd;
                     self.heap.push(Reverse((nd, t)));
                 }
@@ -401,6 +404,11 @@ mod tests {
     use super::*;
 
     const M: u64 = 1_000;
+
+    /// `v` as an i16 row entry (test values always fit).
+    fn short(v: u64) -> i16 {
+        i16::from_u64(v).unwrap()
+    }
 
     fn graph(n: usize, arcs: &[(usize, usize, u64)]) -> CsrGraph {
         let mut g = CsrGraph::new(n);
@@ -436,11 +444,11 @@ mod tests {
         assert_eq!(wide.derived_touched(), &want_touched, "touched ({u}, {c})");
         let affected: Vec<usize> = wide.affected().collect();
 
-        let mut narrow = RowStore::<u32>::new(n, unit, M as u32);
-        let mut row32 = vec![0u32; n];
-        narrow.derive(g, u, c, offset as u32, &mut row32);
-        let widened: Vec<u64> = row32.iter().map(|&d| d.widen()).collect();
-        assert_eq!(widened, want, "u32 row ({u}, {c})");
+        let mut narrow = RowStore::<i16>::new(n, unit, short(M));
+        let mut row16 = vec![0i16; n];
+        narrow.derive(g, u, c, short(offset), &mut row16);
+        let widened: Vec<u64> = row16.iter().map(|&d| d.widen()).collect();
+        assert_eq!(widened, want, "i16 row ({u}, {c})");
         assert_eq!(narrow.derived_touched(), &want_touched);
         affected
     }
@@ -528,14 +536,14 @@ mod tests {
                 (1, 4, 1),
             ],
         );
-        let mut store = RowStore::<u32>::new(7, true, M as u32);
-        let mut bfs = ClampedBfs::<u32>::new(7);
-        let mut row = vec![0u32; 7];
+        let mut store = RowStore::<i16>::new(7, true, short(M));
+        let mut bfs = ClampedBfs::<i16>::new(7);
+        let mut row = vec![0i16; 7];
         for (patch, links) in [(3usize, vec![(0u32, 1u64)]), (1, vec![(5, 1)]), (6, vec![])] {
             for u in 0..7 {
                 for c in (0..7).filter(|&c| c != u) {
                     store.derive(&g, u, c, 2, &mut row);
-                    bfs.run_skipping(&g, c, u, 2, M as u32);
+                    bfs.run_skipping(&g, c, u, 2, short(M));
                     assert_eq!(row, bfs.distances(), "({u}, {c}) before patch {patch}");
                     assert_eq!(store.derived_touched(), bfs.touched());
                 }

@@ -21,17 +21,27 @@ use bbc_core::{
 use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph};
 use proptest::prelude::*;
 
-/// Arbitrary uniform game plus a seeded random configuration.
+/// A penalty above the i16 tier's saturated value (16,383): the narrow
+/// rows then hold the saturated stand-in for every unreachable target, and
+/// every cost must lift it back to this penalty.
+const HIGH_PENALTY: u64 = 100_003;
+
+/// Arbitrary uniform game plus a seeded random configuration; about half
+/// the games carry [`HIGH_PENALTY`] instead of the default `n²`.
 fn arb_uniform_instance() -> impl Strategy<Value = (GameSpec, Configuration)> {
-    (2usize..=9, 1u64..=3, any::<u64>()).prop_map(|(n, k, seed)| {
-        let spec = GameSpec::uniform(n, k);
+    (2usize..=9, 1u64..=3, any::<u64>(), proptest::bool::ANY).prop_map(|(n, k, seed, high)| {
+        let mut spec = GameSpec::uniform(n, k);
+        if high {
+            spec = spec.with_penalty(HIGH_PENALTY).expect("above n·max ℓ");
+        }
         let cfg = Configuration::random(&spec, seed);
         (spec, cfg)
     })
 }
 
 /// Arbitrary weighted game (weights, lengths, costs, budgets, both cost
-/// models) plus a random configuration.
+/// models) plus a random configuration; about half the games carry
+/// [`HIGH_PENALTY`] instead of the builder's `n·max ℓ + 1`.
 fn arb_weighted_instance() -> impl Strategy<Value = (GameSpec, Configuration)> {
     (2usize..=7, any::<u64>()).prop_flat_map(|(n, seed)| {
         (
@@ -40,8 +50,9 @@ fn arb_weighted_instance() -> impl Strategy<Value = (GameSpec, Configuration)> {
             proptest::collection::vec(1u64..=3, n * n),
             proptest::collection::vec(0u64..=4, n),
             proptest::bool::ANY,
+            proptest::bool::ANY,
         )
-            .prop_map(move |(ws, ls, cs, bs, use_max)| {
+            .prop_map(move |(ws, ls, cs, bs, use_max, high)| {
                 let mut b = GameSpec::builder(n);
                 for u in 0..n {
                     for v in 0..n {
@@ -54,6 +65,9 @@ fn arb_weighted_instance() -> impl Strategy<Value = (GameSpec, Configuration)> {
                 }
                 if use_max {
                     b = b.cost_model(CostModel::MaxDistance);
+                }
+                if high {
+                    b = b.penalty(HIGH_PENALTY);
                 }
                 let spec = b.build().expect("valid spec");
                 let cfg = Configuration::random(&spec, seed);
@@ -399,7 +413,26 @@ proptest! {
             for u in engine.live_nodes().collect::<Vec<_>>() {
                 let warm = engine.best_response(u, &options).expect("search fits");
                 let cold = fresh.best_response(u, &options).expect("search fits");
-                prop_assert_eq!(warm, cold, "step {}: best response of {} diverged", step, u);
+                prop_assert_eq!(&warm, &cold, "step {}: best response of {} diverged", step, u);
+                // The search prices strategies from staged deviation rows,
+                // the evaluator from base row `u` masked to the live set:
+                // both must agree on the held and on the best strategy.
+                prop_assert_eq!(
+                    warm.current_cost,
+                    engine.node_cost(u),
+                    "step {}: search and evaluator price {}'s strategy differently", step, u
+                );
+                let mut moved = engine.config().clone();
+                moved
+                    .set_strategy(&spec, u, warm.best_strategy.clone())
+                    .expect("the best strategy validates");
+                let mut probe = DistanceEngine::with_membership(&spec, moved, &live)
+                    .expect("the best strategy targets live nodes");
+                prop_assert_eq!(
+                    warm.best_cost,
+                    probe.node_cost(u),
+                    "step {}: {}'s best strategy costs otherwise", step, u
+                );
             }
         }
     }
@@ -472,7 +505,7 @@ proptest! {
         // weighted ones mostly do not (Dijkstra rows, heap decisions).
         let (spec, cfg) = if use_weighted { weighted } else { uniform };
         let tiers: &[RowTier] = match RowTier::auto(&spec) {
-            RowTier::U32 => &[RowTier::U32, RowTier::U64],
+            RowTier::I16 => &[RowTier::I16, RowTier::U64],
             RowTier::U64 => &[RowTier::U64],
         };
         for &tier in tiers {
@@ -496,22 +529,23 @@ proptest! {
     }
 }
 
-// ===== cross-width differential: u32 tier vs u64 tier ===================
+// ===== cross-width differential: i16 tier vs u64 tier ===================
 //
-// The u32 row kernel's contract is byte-identity, not approximation: every
+// The i16 row kernel's contract is byte-identity, not approximation: every
 // cost, decision, digest, and walk trajectory must equal the u64 tier's.
-// Aggregation totals accumulate in u64 on both tiers, so any divergence
-// here means a narrow-word wrap or a traversal-order change — exactly the
-// bugs this suite exists to catch.
+// Every cost lifts the saturated stand-in back to the penalty, so any
+// divergence here means a missed lift, a 16-bit lane overflow or a
+// traversal-order change — exactly the bugs this suite exists to catch.
+// The tests keep the names they had when the narrow tier was 32 bits wide.
 
 /// Both tiers of an engine over the same instance; the small proptest
-/// instances always fit u32 (`n ≤ 9`, penalty ≤ n·maxℓ+1 scale).
+/// instances always fit i16 (`n ≤ 9`, `max ℓ ≤ 5`).
 fn both_tiers<'a>(
     spec: &'a GameSpec,
     cfg: &Configuration,
 ) -> (DistanceEngine<'a>, DistanceEngine<'a>) {
-    let narrow = DistanceEngine::with_tier(spec, cfg.clone(), RowTier::U32)
-        .expect("proptest instances fit the u32 tier");
+    let narrow = DistanceEngine::with_tier(spec, cfg.clone(), RowTier::I16)
+        .expect("proptest instances fit the i16 tier");
     let wide = DistanceEngine::with_tier(spec, cfg.clone(), RowTier::U64).expect("u64 always fits");
     (narrow, wide)
 }
@@ -639,7 +673,7 @@ proptest! {
         sched_sel in 0usize..3,
         rng_seed in any::<u64>(),
     ) {
-        // Same scheduler, same instance, every prefill width: the u32 walk
+        // Same scheduler, same instance, every prefill width: the i16 walk
         // must apply the identical move sequence and land in the identical
         // state as the u64 walk.
         let scheduler = match sched_sel {
@@ -648,7 +682,7 @@ proptest! {
             _ => Scheduler::Random { seed: rng_seed },
         };
         let mut runs = Vec::new();
-        for tier in [RowTier::U32, RowTier::U64] {
+        for tier in [RowTier::I16, RowTier::U64] {
             for threads in [1usize, 2, 4] {
                 let mut walk = Walk::with_tier(&spec, cfg.clone(), tier)
                     .expect("proptest instances fit both tiers")
@@ -881,7 +915,7 @@ const POLICIES: [LandmarkPolicy; 3] = [
 fn landmark_policies_never_change_walks_at_auto_scale() {
     let (spec, cfg) = auto_scale_instance();
     let mut runs = Vec::new();
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         for policy in POLICIES {
             let mut walk = Walk::with_tier(&spec, cfg.clone(), tier)
                 .expect("fits both tiers")
@@ -957,11 +991,11 @@ fn landmark_policies_never_change_churn_digests() {
 #[test]
 fn landmark_decisions_match_exact_at_auto_scale() {
     // Full-equality spot check on the 36-node instance: every node's
-    // pruned decision (u32 and u64 tiers, Auto and Forced) against the
+    // pruned decision (i16 and u64 tiers, Auto and Forced) against the
     // one-shot exact search.
     let (spec, cfg) = auto_scale_instance();
     let options = BestResponseOptions::default();
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         for policy in [LandmarkPolicy::Auto, LandmarkPolicy::Forced(5)] {
             let mut engine = DistanceEngine::with_tier(&spec, cfg.clone(), tier)
                 .expect("fits both tiers")

@@ -131,11 +131,12 @@ fn e13_fast_sweep_completes_with_parallel_prefill() {
     assert_eq!(resumed.report.csv, outcome.report.csv);
 }
 
-/// The `--full` 512-peer sweep point, cross-width: the u32 row kernel
+/// The `--full` 512-peer sweep point, cross-width: the i16 row kernel
 /// (which [`bbc_core::RowTier::auto`] selects for every overlay in the E13
-/// grid — n·M = 512·512² fits u32) must walk the identical trajectory as
-/// the u64 tier, pinned by one shared fixed-seed digest so *any* kernel
-/// drift fails loudly rather than as a silent fingerprint change.
+/// grid — n·max ℓ = 512 is below 16,383) must walk the identical trajectory
+/// as the u64 tier, pinned by one shared fixed-seed digest so *any* kernel
+/// drift fails loudly rather than as a silent fingerprint change. Here
+/// M = 512² exceeds the i16 clamp, so every cost runs the lifted path.
 /// Release-only: 64 best-response steps at 512 peers is a release-grade
 /// workload.
 #[cfg(not(debug_assertions))]
@@ -148,12 +149,12 @@ fn e13_512_point_walks_identically_on_both_tiers() {
     let spec = overlay.spec();
     assert_eq!(
         RowTier::auto(&spec),
-        RowTier::U32,
+        RowTier::I16,
         "the E13 512-peer point must ride the narrow kernel by default"
     );
 
     let mut runs = Vec::new();
-    for tier in [RowTier::U32, RowTier::U64] {
+    for tier in [RowTier::I16, RowTier::U64] {
         for threads in [1usize, 2] {
             let mut walk = Walk::with_tier(&spec, overlay.configuration(), tier)
                 .expect("512-peer overlay fits both tiers")

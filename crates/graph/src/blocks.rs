@@ -232,6 +232,18 @@ mod tests {
                     );
                 }
             }
+            // The i16 tier builds the identical envelope.
+            let short: Vec<Vec<i16>> = rs
+                .iter()
+                .map(|r| r.iter().map(|&d| i16::from_u64(d).unwrap()).collect())
+                .collect();
+            let mut env16 = BlockEnvelope::new();
+            env16.rebuild(&part, short.iter().map(Vec::as_slice), clamp as i16);
+            for a in 0..part.block_count() {
+                for b in 0..part.block_count() {
+                    assert_eq!(env16.bound(a, b).widen(), env.bound(a, b), "seed {seed}");
+                }
+            }
         }
     }
 
@@ -251,7 +263,7 @@ mod tests {
     #[test]
     fn empty_rebuild_is_vacuous() {
         let part = BlockPartition::new(9);
-        let mut env = BlockEnvelope::<u32>::new();
+        let mut env = BlockEnvelope::<i16>::new();
         env.rebuild(&part, std::iter::empty(), 100);
         assert_eq!(env.block_count(), part.block_count());
         for a in 0..part.block_count() {

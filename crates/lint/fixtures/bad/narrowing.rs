@@ -17,6 +17,10 @@ pub fn affected_member(v: usize, members: &mut Vec<u32>) {
     members.push(v as u32); //~ ERROR narrowing-cast
 }
 
+pub fn row_entry(d: u64) -> i16 {
+    d as i16 //~ ERROR narrowing-cast
+}
+
 pub fn widening_is_fine(x: u32) -> u64 {
     x as u64
 }

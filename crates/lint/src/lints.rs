@@ -462,14 +462,15 @@ fn has_explicit_hasher(code: &[&Token], i: usize) -> bool {
     false
 }
 
-/// L2: bare `as u32` / `as u16` / `as u8` in row-width-critical files.
+/// L2: bare `as u32` / `as u16` / `as u8` / `as i16` / `as i8` in
+/// row-width-critical files.
 fn narrowing(file: &str, code: &[&Token], out: &mut Vec<Diagnostic>) {
     for (i, t) in code.iter().enumerate() {
         if t.text == "as"
             && t.kind == TokenKind::Ident
             && code
                 .get(i + 1)
-                .is_some_and(|n| matches!(n.text.as_str(), "u32" | "u16" | "u8"))
+                .is_some_and(|n| matches!(n.text.as_str(), "u32" | "u16" | "u8" | "i16" | "i8"))
         {
             push(
                 out,
@@ -693,7 +694,11 @@ mod tests {
         };
         assert_eq!(ids("let x = y as u32;", &narrow), [("narrowing-cast", 1)]);
         assert_eq!(ids("let x = y as u16;", &narrow), [("narrowing-cast", 1)]);
+        // The i16 row word and its smaller signed sibling.
+        assert_eq!(ids("let x = y as i16;", &narrow), [("narrowing-cast", 1)]);
+        assert_eq!(ids("let x = y as i8;", &narrow), [("narrowing-cast", 1)]);
         assert!(ids("let x = y as u64;", &narrow).is_empty());
+        assert!(ids("let x = y as i32;", &narrow).is_empty());
         assert!(ids("let x = y as u32;", &FileRules::default()).is_empty());
         // Every file that holds row-width code is on the list.
         for rel in [

@@ -1,8 +1,8 @@
 //! Memory bound of the distance engine at the benchmark's scale.
 //!
 //! The engine holds one full-graph base row per node and derives every
-//! deviation row from them, so its rows take `O(n²)` memory: about 1 MiB at
-//! 512 peers on the u32 tier. A row per (deviator, candidate) pair would be
+//! deviation row from them, so its rows take `O(n²)` memory: 0.5 MiB at
+//! 512 peers on the i16 tier. A row per (deviator, candidate) pair would be
 //! `O(n³)`, over 70 MiB after the first 64 tests of this walk. This file
 //! holds a single test, so its process does nothing else and `VmHWM` (the
 //! process's peak resident set, from `/proc/self/status`) measures the walk
