@@ -344,14 +344,15 @@ impl<'a> Walk<'a> {
         self
     }
 
-    /// Spreads each step's base-row traversals (up to `n − 1` per stability
-    /// test: one per candidate whose full-graph row a move invalidated)
-    /// across `threads` OS threads via
-    /// [`DistanceEngine::best_response_prefilled`]; the deviation rows are
-    /// then derived from them on the calling thread. The walk itself —
-    /// outcome, configuration, steps, moves — is byte-identical for every
-    /// thread count; only wall-clock changes. Values ≤ 1 keep the
-    /// sequential path.
+    /// Spreads each step's base-row traversals across `threads` OS threads
+    /// via [`DistanceEngine::best_response_prefilled`]; the deviation rows
+    /// are then derived from them on the calling thread. A row dropped by
+    /// the latest move alone is repaired in place, serially, before the
+    /// fan-out, so after one move there is usually a single traversal to
+    /// spread (the mover's own row); a cold start, a membership change or
+    /// back-to-back patches leave up to `n − 1`. The walk itself — outcome,
+    /// configuration, steps, moves — is byte-identical for every thread
+    /// count; only wall-clock changes. Values ≤ 1 keep the sequential path.
     #[must_use]
     pub fn prefill_threads(mut self, threads: usize) -> Self {
         self.prefill = threads.max(1);

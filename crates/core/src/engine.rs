@@ -12,7 +12,9 @@
 //!   engine's row width ([`RowTier`]: at `M`, or at the i16 word's
 //!   saturated stand-in that every cost lifts back to `M`) and allocated on
 //!   first use, plus each row's *touched set* (the nodes whose out-arcs the
-//!   traversal expanded). Every distance row the engine uses comes from it:
+//!   traversal expanded). A row that one rewire dropped is repaired from
+//!   its old values when next read instead of traversed again (the
+//!   `row_store` module). Every distance row the engine uses comes from it:
 //!   - a search of `u` derives the deviation rows `ℓ(u,c) + d_{G∖u}(c, ·)`
 //!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
 //!     into its stage, re-deriving from base row `c` only the vertices all
@@ -37,9 +39,12 @@
 //!
 //! | cached item                  | invalidated by a rewire of `m` when    |
 //! |------------------------------|----------------------------------------|
-//! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is) |
+//! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is); for `c ≠ m`, repaired on the next read unless another rewire comes first, else traversed |
 //! | best-response outcome of `u` | `m = u`, `m` ∈ its dependency set, or the memo is incomplete |
 //! | cost of `u`                  | base row `u` is invalidated            |
+//!
+//! A repaired row equals a traversal's, touched set included, so the
+//! rules above do not depend on how a row was refilled.
 //!
 //! # Node churn
 //!
@@ -51,6 +56,9 @@
 //! membership-dependent aggregates (outcome memos, cached costs, masked
 //! weighted-target lists). Base rows untouched by the patches survive, so a
 //! peer that leaves and rejoins with no in-links costs no traversal at all.
+//! A leave with in-links is several patches back to back, so only the rows
+//! that its last patch (clearing the leaver's own links) dropped can be
+//! repaired; the others are traversed when next read.
 //! Under partial membership, cost aggregation masks departed targets (they
 //! contribute neither distances nor disconnection penalties) and the
 //! best-response search draws candidates from live nodes only. The empty
@@ -73,8 +81,9 @@
 //!
 //! Base-row traversals can be spread across OS threads with
 //! [`DistanceEngine::prefill_oracle_rows`] on [`crate::par::ordered_fan_out`]:
-//! traversals read the shared CSR immutably and rows are written back in
-//! ascending source order, so the thread count never changes any value.
+//! pending repairs run first on the calling thread, traversals read the
+//! shared CSR immutably and rows are written back in ascending source
+//! order, so the thread count never changes any value.
 
 use bbc_graph::{
     BitSet, BlockEnvelope, BlockPartition, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE,
@@ -203,18 +212,24 @@ struct LiveTargets {
 }
 
 /// Effort counters (monotone; see [`DistanceEngine::stats`]). Each base-row
-/// traversal counts once, under whatever asked for it.
+/// traversal counts once, under whatever asked for it — including the
+/// mover's row that a repair of another row needs. Repairs themselves are
+/// not traversals; [`DistanceEngine::publish_metrics`] reports them as
+/// `engine/rows_repaired`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Base-row traversals run to stage a search or to prefill.
     pub oracle_rows_computed: u64,
-    /// Deviation rows derived from a base row that was already valid.
+    /// Deviation rows derived without a traversal: from a base row that
+    /// was valid or was repaired in place. Computed plus hits is the number
+    /// of deviation rows derived.
     pub oracle_row_hits: u64,
     /// Whole best-response outcomes served from cache.
     pub outcome_hits: u64,
     /// Best-response searches actually run.
     pub searches_run: u64,
-    /// Base rows dropped by strategy patches (the touched-set rule).
+    /// Base rows dropped by strategy patches (the touched-set rule),
+    /// whether they are later repaired or traversed.
     pub rows_invalidated: u64,
     /// Strategy patches applied to the CSR mirror.
     pub patches_applied: u64,
@@ -487,12 +502,15 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Publishes the engine's effort counters into a metrics registry
-    /// (names under `engine/`), plus derived gauges: the oracle-row hit
-    /// rate and the best-response outcome-memo hit rate, both in permille,
-    /// and the bytes each structure holds, by capacity:
+    /// (names under `engine/`), plus `engine/rows_repaired` (base rows
+    /// repaired in place after a patch instead of traversed again), derived
+    /// gauges for the oracle-row hit rate and the best-response
+    /// outcome-memo hit rate, both in permille, and the bytes each
+    /// structure holds, by capacity:
     ///
-    /// - `engine/row_store_bytes`: base rows, their touched sets and the
-    ///   reverse adjacency;
+    /// - `engine/row_store_bytes`: base rows, their touched sets, the
+    ///   latest patch's record (pending rows and the mover's old arcs) and
+    ///   the reverse adjacency;
     /// - `engine/stage_bytes`: the search stage, both bound sources and the
     ///   search levels;
     /// - `engine/memo_bytes`: outcome memos with their dependency sets, and
@@ -502,6 +520,10 @@ impl<'a> DistanceEngine<'a> {
     /// engine state, so digests and decisions are unaffected.
     pub fn publish_metrics(&self, reg: &mut bbc_obs::Registry) {
         self.stats().publish_metrics(reg);
+        reg.set_counter(
+            "engine/rows_repaired",
+            tiered!(self, e => e.store.repaired()),
+        );
         let [rows, stage, memo] = tiered!(self, e => e.memory());
         reg.set_gauge("engine/row_store_bytes", rows);
         reg.set_gauge("engine/stage_bytes", stage);
@@ -529,7 +551,9 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Rewires one node's strategy, patching the CSR mirror in place and
-    /// invalidating exactly the cached rows whose traversal touched `u`.
+    /// invalidating exactly the cached rows whose traversal touched `u`
+    /// (rows other than `u`'s are repaired when next read, unless another
+    /// patch comes first).
     ///
     /// # Errors
     ///
@@ -661,9 +685,10 @@ impl<'a> DistanceEngine<'a> {
     /// need, across `threads` OS threads on [`crate::par::ordered_fan_out`],
     /// returning the number of traversals run.
     ///
-    /// Traversals read the shared CSR immutably; rows are written back in
-    /// ascending source order, so any thread count produces the same engine
-    /// state as the sequential path.
+    /// Rows the latest patch alone dropped are repaired first, on the
+    /// calling thread. Traversals read the shared CSR immutably; rows are
+    /// written back in ascending source order, so any thread count produces
+    /// the same engine state as the sequential path.
     pub fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
         tiered!(mut self, e => e.prefill_oracle_rows(nodes, threads))
     }
@@ -889,7 +914,14 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             self.config.strategy(u),
             &mut self.link_scratch,
         );
-        self.csr.set_out_links(u.index(), &self.link_scratch);
+        let (costs, dirty, stats) = (&mut self.eval_costs, &mut self.eval_dirty, &mut self.stats);
+        self.store
+            .patch(&mut self.csr, u.index(), &self.link_scratch, |c| {
+                stats.rows_invalidated += 1;
+                if costs[c].take().is_some() {
+                    dirty.insert(c);
+                }
+            });
         self.stats.patches_applied += 1;
         self.invalidate_after_move(u.index());
         Ok(())
@@ -915,6 +947,8 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
     }
 
+    /// The memo and landmark-envelope side of a patch of `moved`; the row
+    /// store has already dropped the rows the patch invalidated.
     fn invalidate_after_move(&mut self, moved: usize) {
         for (u, memo) in self.memos.iter_mut().enumerate() {
             // An incomplete memo depends on rows the search never derived,
@@ -924,13 +958,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 memo.outcome = None;
             }
         }
-        let (costs, dirty, stats) = (&mut self.eval_costs, &mut self.eval_dirty, &mut self.stats);
-        self.store.invalidate(moved, |c| {
-            stats.rows_invalidated += 1;
-            if costs[c].take().is_some() {
-                dirty.insert(c);
-            }
-        });
         if !self
             .lm
             .landmarks
@@ -1891,6 +1918,49 @@ pub(crate) mod tests {
             out.rows_materialized
         );
         assert!(out.rows_materialized <= 7);
+    }
+
+    #[test]
+    fn rows_one_move_dropped_are_repaired_not_traversed() {
+        // After one move, reading the dropped rows traverses only the
+        // mover's and repairs every other one, which `engine/rows_repaired`
+        // reports; the costs they give equal a fresh build's.
+        let n = 8;
+        let spec = GameSpec::uniform(n, 2);
+        let ring = (0..n)
+            .map(|i| vec![NodeId::new((i + 1) % n), NodeId::new((i + 3) % n)])
+            .map(|mut s| {
+                s.sort_unstable();
+                s
+            })
+            .collect();
+        let cfg = Configuration::from_strategies(&spec, ring).unwrap();
+        let mut engine =
+            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Off);
+        engine.node_costs();
+        let before = engine.stats();
+        let mover = NodeId::new(0);
+        let strategy = vec![NodeId::new(3), NodeId::new(5)];
+        assert_ne!(cfg.strategy(mover), &strategy[..]);
+        engine.apply_strategy(mover, strategy).unwrap();
+        let dropped = engine.stats().rows_invalidated - before.rows_invalidated;
+        assert!(dropped >= 2, "the move drops the mover's row and others");
+        engine.best_response(NodeId::new(1), &opts()).unwrap();
+        let costs = engine.node_costs();
+        let stats = engine.stats();
+        assert_eq!(
+            (
+                stats.oracle_rows_computed - before.oracle_rows_computed,
+                stats.oracle_row_hits - before.oracle_row_hits,
+                stats.eval_rows_computed - before.eval_rows_computed,
+            ),
+            (1, 6, 0)
+        );
+        let mut reg = bbc_obs::Registry::new();
+        engine.publish_metrics(&mut reg);
+        assert_eq!(reg.counter("engine/rows_repaired"), Some(dropped - 1));
+        let mut fresh = DistanceEngine::new(&spec, engine.config().clone());
+        assert_eq!(costs, fresh.node_costs());
     }
 
     #[test]

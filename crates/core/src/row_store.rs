@@ -35,7 +35,37 @@
 //! (see [`bbc_graph::RowWord`]; an entry at `C` means "unreachable"),
 //! allocated on first use, and follow the touched-set invalidation rule with
 //! no mover exemption: a rewire of `m` drops exactly the rows whose
-//! traversal expanded `m`.
+//! traversal expanded `m`. Every finite entry lies below `C` (the tier
+//! rule), so a base row's touched set is its reached set `{v : row[v] < C}`.
+//!
+//! # Repairing a row after one patch
+//!
+//! A dropped row need not be traversed again. All arc changes go through
+//! [`RowStore::patch`], which records the rewired node `m` and its out-arcs
+//! before the patch. A shortest path visits a node at most once, so for
+//! `c ≠ m` the new graph `G'` satisfies
+//!
+//! ```text
+//! d_{G'}(c, v) = min(d_{G∖m}(c, v), d_G(c, m) + d_{G'}(m, v)),
+//! ```
+//!
+//! where `G∖m` (`m`'s out-arcs removed) is the same before and after the
+//! patch. The dropped row still holds `d_G(c, ·)`, so the affected-set
+//! derivation above, run in place with `u = m` and `m`'s children taken
+//! from the recorded arcs, turns it into `d_{G∖m}(c, ·)`; one lowering pass
+//! through base row `m` of `G'` finishes it:
+//! `row[v] = min(row[v], row[m] + min(r_m[v], C − row[m]))`, which never
+//! exceeds `C`. The touched set then loses the affected members left at `C`
+//! and gains the entries the lowering brought below `C`, so row, touched
+//! set and every invalidation equal a traversal's.
+//!
+//! Only the rows dropped by the latest patch are *pending*: a second patch
+//! cancels the pending repairs (the row would need `m`'s row as it stood at
+//! each patch), and those rows fall back to a traversal. The repair runs
+//! when a pending row is next read, not inside the patch: a daemon's leave
+//! strips several in-links back to back, and its writes often arrive before
+//! any read, so a repair on write would pay for rows that the next patch
+//! drops again unread.
 
 use std::{cmp::Reverse, collections::BinaryHeap};
 
@@ -51,7 +81,8 @@ const CANDIDATE: u8 = 1;
 const AFFECTED: u8 = 2;
 
 /// `n` base rows `d_G(c, ·)` clamped at the row clamp, their touched sets,
-/// and the scratch that derives deviation rows from them.
+/// the record of the latest patch, and the scratch that derives deviation
+/// rows from them.
 #[derive(Debug)]
 pub(crate) struct RowStore<W> {
     n: usize,
@@ -64,6 +95,17 @@ pub(crate) struct RowStore<W> {
     /// Each base row's touched set: the nodes its traversal expanded.
     touched: Vec<BitSet>,
     valid: BitSet,
+    /// The rows the latest patch dropped, the mover's own excepted: each
+    /// still holds its values from before that patch and is repaired when
+    /// next read.
+    pending: BitSet,
+    /// The node the latest patch rewired.
+    patched: usize,
+    /// `patched`'s out-arcs before the latest patch: targets and lengths.
+    old_targets: Vec<u32>,
+    old_lengths: Vec<u64>,
+    /// Pending rows repaired so far.
+    repaired: u64,
     bfs: ClampedBfs<W>,
     dijkstra: ClampedDijkstra<W>,
     rev: ReverseCsr,
@@ -86,11 +128,16 @@ impl<W: RowWord> RowStore<W> {
             rows: Vec::new(),
             touched: Vec::new(),
             valid: BitSet::new(n),
+            pending: BitSet::new(n),
+            patched: 0,
+            old_targets: Vec::new(),
+            old_lengths: Vec::new(),
+            repaired: 0,
             bfs: ClampedBfs::new(n),
             dijkstra: ClampedDijkstra::new(n),
             rev: ReverseCsr::new(),
             rev_stale: true,
-            scratch: Derivation::new(n),
+            scratch: Derivation::new(n, unit, clamp),
             derived_touched: BitSet::new(n),
         }
     }
@@ -110,10 +157,17 @@ impl<W: RowWord> RowStore<W> {
     }
 
     /// Fills base row `c` when it is invalid; returns whether that took a
-    /// traversal.
+    /// traversal. A pending row is repaired instead, which traverses only
+    /// when the mover's own base row is invalid too.
     pub(crate) fn ensure(&mut self, csr: &CsrGraph, c: usize) -> bool {
         if self.valid.contains(c) {
             return false;
+        }
+        if self.pending.contains(c) {
+            // The mover is never pending, so this recursion is one level deep.
+            let filled = self.ensure(csr, self.patched);
+            self.repair(csr, c);
+            return filled;
         }
         self.allocate();
         let (dist, touched) = if self.unit {
@@ -130,18 +184,25 @@ impl<W: RowWord> RowStore<W> {
         true
     }
 
-    /// Fills every invalid base row among `sources` on `threads` workers and
-    /// returns the number of traversals run. Workers read the graph
-    /// immutably and rows are written in `sources` order, so the store ends
-    /// in the same state at every thread count.
+    /// Fills every invalid base row among `sources` and returns the number
+    /// of traversals run. Pending rows are repaired first, serially; the
+    /// remaining traversals run on `threads` workers, which read the graph
+    /// immutably and write rows in `sources` order, so the store ends in
+    /// the same state at every thread count.
     pub(crate) fn fill(&mut self, csr: &CsrGraph, sources: &[usize], threads: usize) -> usize {
+        let mut traversals = 0;
+        for &c in sources {
+            if self.pending.contains(c) {
+                traversals += usize::from(self.ensure(csr, c));
+            }
+        }
         let todo: Vec<usize> = sources
             .iter()
             .copied()
             .filter(|&c| !self.valid.contains(c))
             .collect();
         if todo.is_empty() {
-            return 0;
+            return traversals;
         }
         self.allocate();
         let (n, unit, clamp) = (self.n, self.unit, self.clamp);
@@ -176,23 +237,79 @@ impl<W: RowWord> RowStore<W> {
         )
         // bbc-lint: allow(panic, a traversal panic is a bug and the fill returns a count, not a Result; re-raising it is the only sound option)
         .expect("a row-filling worker panicked");
-        todo.len()
+        traversals + todo.len()
     }
 
-    /// Drops every valid base row whose traversal expanded `moved`, calling
-    /// `on_drop` with each dropped source. Call after every arc patch: it
-    /// also marks the reverse adjacency stale.
-    pub(crate) fn invalidate(&mut self, moved: usize, mut on_drop: impl FnMut(usize)) {
+    /// Rewires `m`'s out-links in `csr` to `links` and drops every valid
+    /// base row whose traversal expanded `m`, calling `on_drop` with each
+    /// dropped source. Every arc change goes through here: the store records
+    /// `m`'s old arcs, and the dropped rows other than `m`'s own replace the
+    /// previous patch's as the pending set.
+    pub(crate) fn patch(
+        &mut self,
+        csr: &mut CsrGraph,
+        m: usize,
+        links: &[(u32, u64)],
+        mut on_drop: impl FnMut(usize),
+    ) {
+        let (targets, lengths) = csr.out(m);
+        self.old_targets.clear();
+        self.old_targets.extend_from_slice(targets);
+        self.old_lengths.clear();
+        self.old_lengths.extend_from_slice(lengths);
+        csr.set_out_links(m, links);
         self.rev_stale = true;
+        self.patched = m;
+        self.pending.clear();
         if self.touched.is_empty() {
             return;
         }
         for c in 0..self.n {
-            if self.valid.contains(c) && self.touched[c].contains(moved) {
+            if self.valid.contains(c) && self.touched[c].contains(m) {
                 self.valid.remove(c);
+                if c != m {
+                    self.pending.insert(c);
+                }
                 on_drop(c);
             }
         }
+    }
+
+    /// Repairs pending row `c` to the current graph (see the module docs):
+    /// the affected-set derivation of the patched node `m` over its recorded
+    /// arcs, in place, then one lowering pass through base row `m`, which
+    /// must be valid.
+    fn repair(&mut self, csr: &CsrGraph, c: usize) {
+        let (n, m, clamp) = (self.n, self.patched, self.clamp);
+        self.sync_rev(csr);
+        let (row, mover) = if c < m {
+            let (head, tail) = self.rows.split_at_mut(m * n);
+            (&mut head[c * n..(c + 1) * n], &tail[..n])
+        } else {
+            let (head, tail) = self.rows.split_at_mut(c * n);
+            (&mut tail[..n], &head[m * n..(m + 1) * n])
+        };
+        // The row was dropped because its traversal expanded `m`.
+        debug_assert!(row[m] < clamp, "a pending row reaches the mover");
+        let old_arcs = (&self.old_targets[..], &self.old_lengths[..]);
+        let touched = &mut self.touched[c];
+        self.scratch.cut(csr, &self.rev, row, m, old_arcs, touched);
+        let via = row[m];
+        let room = clamp - via;
+        for (d, &e) in row.iter_mut().zip(mover) {
+            *d = (*d).min(via + e.min(room));
+        }
+        if touched.len() < n {
+            touched.insert_absent_where(|v| row[v] < clamp);
+        }
+        self.pending.remove(c);
+        self.valid.insert(c);
+        self.repaired += 1;
+    }
+
+    /// Pending rows repaired since construction.
+    pub(crate) fn repaired(&self) -> u64 {
+        self.repaired
     }
 
     /// Derives `u`'s deviation row through candidate `c` into `dst`:
@@ -211,24 +328,17 @@ impl<W: RowWord> RowStore<W> {
     ) -> bool {
         debug_assert_ne!(u, c, "a node is never its own candidate");
         let filled = self.ensure(csr, c);
-        let clamp = self.clamp;
-        let base = &self.rows[c * self.n..(c + 1) * self.n];
-        dst.copy_from_slice(base);
+        let (n, clamp) = (self.n, self.clamp);
+        dst.copy_from_slice(&self.rows[c * n..(c + 1) * n]);
         self.derived_touched.copy_from(&self.touched[c]);
         self.derived_touched.remove(u);
-        self.scratch.reset();
-        if base[u] != clamp {
-            if self.rev_stale {
-                self.rev.rebuild(csr);
-                self.rev_stale = false;
-            }
-            self.scratch.decide(csr, &self.rev, base, u, self.unit);
-            self.scratch.rederive(csr, &self.rev, u, clamp, dst);
-            for &v in &self.scratch.members {
-                if dst[v as usize] == clamp {
-                    self.derived_touched.remove(v as usize);
-                }
-            }
+        if dst[u] == clamp {
+            self.scratch.reset();
+        } else {
+            self.sync_rev(csr);
+            let touched = &mut self.derived_touched;
+            self.scratch
+                .cut(csr, &self.rev, dst, u, csr.out(u), touched);
         }
         for d in dst.iter_mut() {
             *d = clamp.min(*d + offset);
@@ -248,14 +358,26 @@ impl<W: RowWord> RowStore<W> {
         self.scratch.members.iter().map(|&v| v as usize)
     }
 
-    /// Bytes held by the base rows, their touched sets and validity bits,
-    /// and the reverse adjacency (by capacity).
+    /// Bytes held by the base rows, their touched sets, validity and
+    /// pending bits, the recorded arcs, and the reverse adjacency (by
+    /// capacity).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.rows.capacity() * size_of::<W>()
             + self.touched.capacity() * size_of::<BitSet>()
             + self.touched.iter().map(bitset_bytes).sum::<usize>()
             + bitset_bytes(&self.valid)
+            + bitset_bytes(&self.pending)
+            + self.old_targets.capacity() * size_of::<u32>()
+            + self.old_lengths.capacity() * size_of::<u64>()
             + self.rev.heap_bytes()
+    }
+
+    /// Rebuilds the reverse adjacency if a patch left it stale.
+    fn sync_rev(&mut self, csr: &CsrGraph) {
+        if self.rev_stale {
+            self.rev.rebuild(csr);
+            self.rev_stale = false;
+        }
     }
 
     fn allocate(&mut self) {
@@ -274,6 +396,10 @@ pub(crate) fn bitset_bytes(s: &BitSet) -> usize {
 /// Scratch for one affected-set derivation.
 #[derive(Debug)]
 struct Derivation<W> {
+    /// Whether every link has unit length (FIFO order suffices).
+    unit: bool,
+    /// The clamp the rows hold where unreachable.
+    clamp: W,
     mark: Vec<u8>,
     /// Every vertex marked by the current derivation, in marking order (the
     /// FIFO of the unit-length decision).
@@ -284,8 +410,10 @@ struct Derivation<W> {
 }
 
 impl<W: RowWord> Derivation<W> {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, unit: bool, clamp: W) -> Self {
         Self {
+            unit,
+            clamp,
             mark: vec![UNSEEN; n],
             marked: Vec::new(),
             members: Vec::new(),
@@ -303,9 +431,45 @@ impl<W: RowWord> Derivation<W> {
         self.heap.clear();
     }
 
-    /// Decides the affected set of `u` in the shortest-path DAG of `base`.
-    fn decide(&mut self, csr: &CsrGraph, rev: &ReverseCsr, base: &[W], u: usize, unit: bool) {
-        self.offer_children(csr, base, u, unit);
+    /// Removes `u`'s out-arcs from `row` in place. `row` holds the clamped
+    /// distances from some source that reaches `u`, in the graph whose arcs
+    /// out of `u` are `root` (targets and lengths) and out of every other
+    /// node are `csr`'s; `rev` lists that graph's in-arcs, except that
+    /// those leaving `u` may differ (they are skipped). Decides and
+    /// re-derives `u`'s affected set, which is left in `members`, and
+    /// removes from `touched` the members left unreachable.
+    fn cut(
+        &mut self,
+        csr: &CsrGraph,
+        rev: &ReverseCsr,
+        row: &mut [W],
+        u: usize,
+        root: (&[u32], &[u64]),
+        touched: &mut BitSet,
+    ) {
+        self.reset();
+        self.decide(csr, rev, row, u, root);
+        self.rederive(csr, rev, u, row);
+        for &v in &self.members {
+            if row[v as usize] == self.clamp {
+                touched.remove(v as usize);
+            }
+        }
+    }
+
+    /// Decides the affected set of `u` in the shortest-path DAG of `base`,
+    /// whose arcs out of `u` are `root` and out of any other node are
+    /// `csr`'s.
+    fn decide(
+        &mut self,
+        csr: &CsrGraph,
+        rev: &ReverseCsr,
+        base: &[W],
+        u: usize,
+        root: (&[u32], &[u64]),
+    ) {
+        let unit = self.unit;
+        self.offer_children(base, u, root);
         let mut head = 0;
         loop {
             // Increasing distance, so every DAG predecessor of `v` (strictly
@@ -332,22 +496,21 @@ impl<W: RowWord> Derivation<W> {
                 self.mark[v] = AFFECTED;
                 // bbc-lint: allow(narrowing-cast, v < n <= u32::MAX per the CsrGraph constructor assert)
                 self.members.push(v as u32);
-                self.offer_children(csr, base, v, unit);
+                self.offer_children(base, v, csr.out(v));
             }
         }
     }
 
     /// Queues every unseen child of reached node `p` in the DAG: the
-    /// out-neighbours `t` with `d(p) + ℓ(p,t) = d(t)`.
-    fn offer_children(&mut self, csr: &CsrGraph, base: &[W], p: usize, unit: bool) {
+    /// targets `t` of `p`'s arcs with `d(p) + ℓ(p,t) = d(t)`.
+    fn offer_children(&mut self, base: &[W], p: usize, (targets, lengths): (&[u32], &[u64])) {
         let dp = base[p].widen();
-        let (targets, lengths) = csr.out(p);
         for (&t, &len) in targets.iter().zip(lengths) {
             let ti = t as usize;
             if self.mark[ti] == UNSEEN && dp + len == base[ti].widen() {
                 self.mark[ti] = CANDIDATE;
                 self.marked.push(t);
-                if !unit {
+                if !self.unit {
                     self.heap.push(Reverse((base[ti], t)));
                 }
             }
@@ -355,9 +518,11 @@ impl<W: RowWord> Derivation<W> {
     }
 
     /// Re-derives the members of the affected set in `dst` (which holds the
-    /// base row): reset to `clamp`, seed from unaffected in-neighbours
-    /// other than `u`, then a Dijkstra that relaxes only arcs into the set.
-    fn rederive(&mut self, csr: &CsrGraph, rev: &ReverseCsr, u: usize, clamp: W, dst: &mut [W]) {
+    /// row they were decided on): reset to the clamp, seed from unaffected
+    /// in-neighbours other than `u`, then a Dijkstra that relaxes only arcs
+    /// into the set.
+    fn rederive(&mut self, csr: &CsrGraph, rev: &ReverseCsr, u: usize, dst: &mut [W]) {
+        let clamp = self.clamp;
         for &v in &self.members {
             dst[v as usize] = clamp;
         }
@@ -548,8 +713,172 @@ mod tests {
                     assert_eq!(store.derived_touched(), bfs.touched());
                 }
             }
-            g.set_out_links(patch, &links);
-            store.invalidate(patch, |_| {});
+            store.patch(&mut g, patch, &links, |_| {});
         }
+    }
+
+    /// Base row `c` of `g` and its touched set, by traversal, clamped at `M`.
+    fn traversal(g: &CsrGraph, c: usize) -> (Vec<u64>, BitSet) {
+        let n = g.node_count();
+        if g.is_unit_length() {
+            let mut bfs = ClampedBfs::<u64>::new(n);
+            bfs.run(g, c, 0, M);
+            (bfs.distances().to_vec(), bfs.touched().clone())
+        } else {
+            let mut dij = ClampedDijkstra::<u64>::new(n);
+            dij.run(g, c, 0, M);
+            (dij.distances().to_vec(), dij.touched().clone())
+        }
+    }
+
+    /// One step of a repair script: fill or read base row `c`, or rewire
+    /// node `m` to the given arcs.
+    #[derive(Clone, Copy)]
+    enum Step<'s> {
+        Read(usize),
+        Patch(usize, &'s [(usize, u64)]),
+    }
+
+    /// Runs `script` on a store of `clamp`'s tier over a copy of `g`,
+    /// asserting after every read that the row and its touched set equal
+    /// a traversal of the current graph. Returns, per read, whether it took
+    /// a traversal, and the repairs run in all.
+    fn replay<W: RowWord>(g: &CsrGraph, clamp: W, script: &[Step<'_>]) -> (Vec<bool>, u64) {
+        let mut g = g.clone();
+        let n = g.node_count();
+        let mut store = RowStore::<W>::new(n, g.is_unit_length(), clamp);
+        let mut traversed = Vec::new();
+        for (i, step) in script.iter().enumerate() {
+            match *step {
+                Step::Read(c) => {
+                    traversed.push(store.ensure(&g, c));
+                    let (want, want_touched) = traversal(&g, c);
+                    let got: Vec<u64> = store.row(c).iter().map(|d| d.widen()).collect();
+                    assert_eq!(got, want, "row {c} at step {i}");
+                    assert_eq!(store.touched[c], want_touched, "touched {c} at step {i}");
+                }
+                Step::Patch(m, arcs) => {
+                    let links: Vec<(u32, u64)> =
+                        arcs.iter().map(|&(t, len)| (t as u32, len)).collect();
+                    store.patch(&mut g, m, &links, |_| {});
+                }
+            }
+        }
+        (traversed, store.repaired())
+    }
+
+    /// [`replay`] on both tiers, which must agree.
+    fn replay_both(g: &CsrGraph, script: &[Step<'_>]) -> (Vec<bool>, u64) {
+        let wide = replay(g, M, script);
+        assert_eq!(replay(g, short(M), script), wide, "i16 vs u64 effort");
+        wide
+    }
+
+    use Step::{Patch, Read};
+
+    #[test]
+    fn a_shortcut_patch_lowers_the_row() {
+        // 0 → 1 → 2 → 3 → 4; node 1 adds the shortcut 1 → 4. Row 1 is read
+        // first, so row 0's repair takes no traversal.
+        let g = graph(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
+        let script = [
+            Read(0),
+            Read(1),
+            Patch(1, &[(2, 1), (4, 1)]),
+            Read(1),
+            Read(0),
+        ];
+        assert_eq!(replay_both(&g, &script), (vec![true, true, true, false], 1));
+    }
+
+    #[test]
+    fn a_cut_route_raises_entries_to_the_clamp() {
+        // 0 → 1 → 2 → {3, 4}, and 0 → 5: node 1 drops 2 for 5, so 2, 3, 4
+        // become unreachable from 0 and leave its touched set, and 5 keeps
+        // its direct route.
+        let g = graph(6, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (2, 4, 1), (0, 5, 1)]);
+        let script = [Read(0), Read(2), Patch(1, &[(5, 1)]), Read(0), Read(2)];
+        // Row 0 repairs (filling row 1 on the way); row 2 never saw node 1.
+        assert_eq!(replay_both(&g, &script), (vec![true, true, true, false], 1));
+    }
+
+    #[test]
+    fn a_reconnecting_patch_reaches_an_unreached_part() {
+        // 0 → 1, and 2 → 3 → 4 apart: node 1 links to 2, so 2, 3, 4 leave
+        // the clamp in row 0 and join its touched set.
+        let g = graph(5, &[(0, 1, 1), (2, 3, 1), (3, 4, 1)]);
+        let script = [Read(0), Read(3), Patch(1, &[(2, 1)]), Read(0), Read(3)];
+        assert_eq!(replay_both(&g, &script), (vec![true, true, true, false], 1));
+    }
+
+    #[test]
+    fn weighted_ties_repair_exactly() {
+        // d(0,3) = 4 both via 1 (1 + 3) and via 2 (2 + 2); 5 hangs off 3 and
+        // off 1 at a tie; 6 is reached only through 1. Each patch is read
+        // back before the next, so every dropped row other than the mover's
+        // is repaired.
+        let g = graph(
+            7,
+            &[
+                (0, 1, 1),
+                (0, 2, 2),
+                (1, 3, 3),
+                (2, 3, 2),
+                (3, 5, 3),
+                (1, 5, 6),
+                (1, 6, 4),
+                (6, 4, 1),
+                (3, 4, 2),
+            ],
+        );
+        assert!(!g.is_unit_length());
+        let all: Vec<Step<'_>> = (0..7).map(Read).collect();
+        let mut script = all.clone();
+        for patch in [
+            // Drop 1's tied arc to 3 and its only route to 6: 3 keeps its
+            // distance through 2, 6 and 4 are raised.
+            Patch(1, &[(5, 6)]),
+            // Drop 2's arc to 3: now 3 is reached only at a longer detour.
+            Patch(2, &[(4, 9)]),
+            // Restore a tie through 1 and a cheaper route to 6.
+            Patch(1, &[(3, 1), (6, 1), (5, 6)]),
+        ] {
+            script.push(patch);
+            script.extend(all.iter().copied());
+        }
+        let (traversed, repaired) = replay_both(&g, &script);
+        assert_eq!(traversed.iter().filter(|&&t| t).count(), 7 + 3);
+        assert!(repaired > 0);
+    }
+
+    #[test]
+    fn two_patches_before_a_read_fall_back_to_a_traversal() {
+        let g = graph(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1)]);
+        let script = [
+            Read(0),
+            Read(1),
+            Read(2),
+            Patch(1, &[(3, 1)]),
+            Patch(2, &[(4, 1)]),
+            Read(0),
+            Read(1),
+            Read(2),
+        ];
+        // Row 0 was dropped by both patches; row 1 by the first only (it is
+        // the mover's, and then no longer pending); row 2 by the second, so
+        // it is the mover's row and traverses too.
+        assert_eq!(
+            replay_both(&g, &script),
+            (vec![true, true, true, true, true, true], 0)
+        );
+    }
+
+    #[test]
+    fn a_cold_mover_row_is_filled_by_the_repair() {
+        // Row 1 was never filled: reading pending row 0 traverses it once
+        // (counted under the read of row 0), and row 1 is then a hit.
+        let g = graph(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
+        let script = [Read(0), Patch(1, &[(3, 1)]), Read(0), Read(1)];
+        assert_eq!(replay_both(&g, &script), (vec![true, true, false], 1));
     }
 }

@@ -529,6 +529,112 @@ proptest! {
     }
 }
 
+/// Asserts that `engine`'s base row of `v` (its raw distances) equals the
+/// row a fresh build of the same configuration and membership computes.
+fn assert_row_matches_fresh_build(
+    spec: &GameSpec,
+    engine: &mut DistanceEngine<'_>,
+    tier: RowTier,
+    v: NodeId,
+    context: &str,
+) {
+    let mut fresh = DistanceEngine::with_membership_tier(
+        spec,
+        engine.config().clone(),
+        engine.live_set(),
+        tier,
+    )
+    .expect("engine state is always a valid membership");
+    assert_eq!(
+        engine.distances_from(v),
+        fresh.distances_from(v),
+        "{context}: distances from {v}"
+    );
+}
+
+proptest! {
+    #[test]
+    fn sparse_reads_match_fresh_builds_across_rewiring_scripts(
+        use_weighted in proptest::bool::ANY,
+        uniform in arb_uniform_instance(),
+        weighted in arb_weighted_instance(),
+        script in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+            1..12,
+        ),
+    ) {
+        // A base row dropped by exactly one patch is repaired when next
+        // read; one dropped again first falls back to a traversal. So reads
+        // here are skipped for a random number of patches, and otherwise
+        // touch a random subset of rows (base rows, and the deviation rows
+        // derived from them), each checked against a fresh build. At the
+        // end, every live node's distances are.
+        let (spec, cfg) = if use_weighted { weighted } else { uniform };
+        let n = spec.node_count();
+        let tiers: &[RowTier] = match RowTier::auto(&spec) {
+            RowTier::I16 => &[RowTier::I16, RowTier::U64],
+            RowTier::U64 => &[RowTier::U64],
+        };
+        for &tier in tiers {
+            let mut engine =
+                DistanceEngine::with_tier(&spec, cfg.clone(), tier).expect("the tier fits");
+            engine.node_costs();
+            for (step, &(action, node_sel, seed, reads)) in script.iter().enumerate() {
+                // Mostly rewires, with the odd departure and rejoin.
+                let dead: Vec<NodeId> = NodeId::all(n).filter(|&u| !engine.is_live(u)).collect();
+                if action % 7 == 0 && !dead.is_empty() {
+                    let u = dead[(node_sel % dead.len() as u64) as usize];
+                    let s = seeded_live_strategy(&spec, &engine, u, seed);
+                    engine.add_node(u, s).expect("seeded join validates");
+                } else {
+                    let i = (node_sel % engine.live_count() as u64) as usize;
+                    let u = engine.live_nodes().nth(i).expect("live index");
+                    if action % 5 == 0 && engine.live_count() > 2 {
+                        engine.remove_node(u).expect("live node departs");
+                    } else {
+                        let s = seeded_live_strategy(&spec, &engine, u, seed);
+                        engine.apply_strategy(u, s).expect("seeded strategy validates");
+                    }
+                }
+                if reads % 3 == 0 {
+                    continue;
+                }
+                let context = format!("{tier:?} after step {step}");
+                let live: Vec<NodeId> = engine.live_nodes().collect();
+                for (j, &v) in live.iter().enumerate() {
+                    match (reads >> (2 + 2 * j)) & 3 {
+                        0 => assert_row_matches_fresh_build(&spec, &mut engine, tier, v, &context),
+                        1 => {
+                            // A deviation row reads base row `c` first.
+                            let u = live[(j + 1) % live.len()];
+                            if u != v {
+                                let derived = engine.deviation_row(u, v);
+                                let mut fresh = DistanceEngine::with_membership_tier(
+                                    &spec,
+                                    engine.config().clone(),
+                                    engine.live_set(),
+                                    tier,
+                                )
+                                .expect("engine state is always a valid membership");
+                                prop_assert_eq!(
+                                    derived,
+                                    fresh.deviation_row(u, v),
+                                    "{}: deviation row ({}, {})", context, u, v
+                                );
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            let live: Vec<NodeId> = engine.live_nodes().collect();
+            for &v in &live {
+                assert_row_matches_fresh_build(&spec, &mut engine, tier, v, &format!("{tier:?} end"));
+            }
+        }
+    }
+}
+
 // ===== cross-width differential: i16 tier vs u64 tier ===================
 //
 // The i16 row kernel's contract is byte-identity, not approximation: every
@@ -536,7 +642,6 @@ proptest! {
 // Every cost lifts the saturated stand-in back to the penalty, so any
 // divergence here means a missed lift, a 16-bit lane overflow or a
 // traversal-order change — exactly the bugs this suite exists to catch.
-// The tests keep the names they had when the narrow tier was 32 bits wide.
 
 /// Both tiers of an engine over the same instance; the small proptest
 /// instances always fit i16 (`n ≤ 9`, `max ℓ ≤ 5`).
@@ -552,7 +657,7 @@ fn both_tiers<'a>(
 
 proptest! {
     #[test]
-    fn u32_tier_matches_u64_on_uniform_games((spec, cfg) in arb_uniform_instance()) {
+    fn i16_tier_matches_u64_on_uniform_games((spec, cfg) in arb_uniform_instance()) {
         let options = BestResponseOptions::default();
         let (mut narrow, mut wide) = both_tiers(&spec, &cfg);
         prop_assert_eq!(narrow.node_costs(), wide.node_costs());
@@ -569,7 +674,7 @@ proptest! {
     }
 
     #[test]
-    fn u32_tier_matches_u64_on_weighted_games((spec, cfg) in arb_weighted_instance()) {
+    fn i16_tier_matches_u64_on_weighted_games((spec, cfg) in arb_weighted_instance()) {
         // Non-unit lengths exercise the clamped Dijkstra kernel (u64
         // relaxation, narrow storage).
         let options = BestResponseOptions::default();
@@ -584,7 +689,7 @@ proptest! {
     }
 
     #[test]
-    fn u32_tier_matches_u64_across_rewiring_scripts(
+    fn i16_tier_matches_u64_across_rewiring_scripts(
         (spec, cfg) in arb_uniform_instance(),
         script in proptest::collection::vec((any::<u64>(), any::<u64>()), 1..10),
     ) {

@@ -146,6 +146,40 @@ impl BitSet {
         changed
     }
 
+    /// Inserts every value below the capacity that is absent and satisfies
+    /// `pred`, calling `pred` only on the absent values, in increasing
+    /// order.
+    ///
+    /// ```
+    /// use bbc_graph::BitSet;
+    ///
+    /// let mut s = BitSet::from_indices(6, [0, 2]);
+    /// let mut asked = Vec::new();
+    /// s.insert_absent_where(|v| {
+    ///     asked.push(v);
+    ///     v % 2 == 1
+    /// });
+    /// assert_eq!(asked, vec![1, 3, 4, 5]);
+    /// assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2, 3, 5]);
+    /// ```
+    pub fn insert_absent_where(&mut self, mut pred: impl FnMut(usize) -> bool) {
+        let capacity = self.capacity;
+        for (wi, word) in self.words.iter_mut().enumerate() {
+            let mut absent = !*word;
+            while absent != 0 {
+                let b = absent.trailing_zeros() as usize;
+                absent &= absent - 1;
+                let v = wi * 64 + b;
+                if v >= capacity {
+                    return;
+                }
+                if pred(v) {
+                    *word |= 1 << b;
+                }
+            }
+        }
+    }
+
     /// Iterates over elements in increasing order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words

@@ -26,13 +26,14 @@ fn fixed_seed_walk_trajectory_is_pinned() {
     assert_eq!(walk.stats().moves, 1_914);
     assert_eq!(social_cost(&spec, walk.config()), 1_479);
     // Effort counters are pure functions of the inputs too. On this dense
-    // game every move invalidates nearly every base row, so each step
-    // refills about 22 of the 23 base rows its deviation rows derive from.
+    // game every move invalidates nearly every base row, and the next step
+    // repairs about 22 of the 23 base rows its deviation rows derive from,
+    // traversing only the mover's.
     assert_eq!(
         walk.engine_stats(),
         EngineStats {
-            oracle_rows_computed: 44_071,
-            oracle_row_hits: 1_929,
+            oracle_rows_computed: 1_936,
+            oracle_row_hits: 44_064,
             outcome_hits: 0,
             searches_run: 2_000,
             rows_invalidated: 44_071,
@@ -76,8 +77,10 @@ fn landmark_walk_prefix_effort_is_pinned() {
     // The same walk's first 500 steps on the landmark-bounded search: the
     // held strategy's 3 rows are derived before the search, the rest only
     // when the search includes their candidate. Each derived row counts
-    // once, as a traversal or as a hit on a valid base row (a landmark's,
-    // say), so the two sum to `rows_materialized`.
+    // once, as a traversal or as a hit on a valid or repaired base row, so
+    // the two sum to `rows_materialized`. A repair fills the mover's base
+    // row even where the bounded search itself would not, so a later patch
+    // can drop that row too.
     let spec = GameSpec::uniform(24, 3);
     let mut walk = Walk::new(&spec, Configuration::random(&spec, 7))
         .detect_cycles(false)
@@ -89,14 +92,14 @@ fn landmark_walk_prefix_effort_is_pinned() {
     assert_eq!(
         walk.engine_stats(),
         EngineStats {
-            oracle_rows_computed: 9_156,
-            oracle_row_hits: 2_318,
+            oracle_rows_computed: 40,
+            oracle_row_hits: 11_434,
             outcome_hits: 0,
             searches_run: 500,
-            rows_invalidated: 11_069,
+            rows_invalidated: 11_070,
             patches_applied: 479,
             eval_rows_computed: 0,
-            landmark_rows_computed: 1_913,
+            landmark_rows_computed: 482,
         }
     );
     assert_eq!(
@@ -146,10 +149,12 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     // The first 8 stability tests of the benchmark's 512-peer walk (the e13
     // point): the designed circulant{1,23}, identity round-robin order, no
     // cycle detection, replayed through the engine so the summed search
-    // effort is visible. Every test moves, and each move touches every base
-    // row, so each search refills all 511 rows its deviation rows derive
-    // from. A 512-peer search takes seconds without optimization, so debug
-    // builds skip this.
+    // effort is visible. Every test moves, and each move drops every base
+    // row. The first search traverses all 511 rows its deviation rows
+    // derive from; each later one traverses only the mover's row and
+    // repairs the other 510 from their old values (on `Off`: 511 + 7
+    // traversals). A 512-peer search takes seconds without optimization, so
+    // debug builds skip this.
     if cfg!(debug_assertions) {
         return;
     }
@@ -162,14 +167,14 @@ fn overlay512_walk_prefix_effort_is_pinned() {
             1_046_536,
             4_088,
             EngineStats {
-                oracle_rows_computed: 3_913,
-                oracle_row_hits: 175,
+                oracle_rows_computed: 490,
+                oracle_row_hits: 3_598,
                 outcome_hits: 0,
                 searches_run: 8,
                 rows_invalidated: 4_089,
                 patches_applied: 8,
                 eval_rows_computed: 0,
-                landmark_rows_computed: 176,
+                landmark_rows_computed: 29,
             },
         ),
         (
@@ -177,8 +182,8 @@ fn overlay512_walk_prefix_effort_is_pinned() {
             1_006_341,
             0,
             EngineStats {
-                oracle_rows_computed: 4_088,
-                oracle_row_hits: 0,
+                oracle_rows_computed: 518,
+                oracle_row_hits: 3_570,
                 outcome_hits: 0,
                 searches_run: 8,
                 rows_invalidated: 4_088,
