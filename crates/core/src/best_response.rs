@@ -14,12 +14,45 @@
 //! [`crate::DistanceEngine`] derives those rows from its shared full-graph
 //! rows and runs the one exact search:
 //! a branch-and-bound DFS whose optimistic bound comes from one of two
-//! sources — the exact per-candidate suffix-min rows, or the engine's cached
-//! landmark bound rows (see [`crate::LandmarkPolicy`]). Both are admissible,
-//! so the source never changes a decision, only the effort counters.
+//! sources — the exact rows built from the staged candidate rows (the
+//! default), or the engine's cached landmark bound rows (only under
+//! [`crate::LandmarkPolicy::Forced`]). Both are admissible, so the source
+//! never changes a decision, only the effort counters.
 //! [`exact`] is a one-shot wrapper over a fresh engine; [`greedy`] is the
 //! greedy-plus-swaps approximation for instances where the exact search is
 //! out of reach.
+//!
+//! ## The exact bound source
+//!
+//! Per query it builds two kinds of rows from the staged candidate rows
+//! `r_0..r_{m−1}`: a *suffix row* `s_i = min(r_i, …, r_{m−1})` per
+//! position, and a *block row* `b_g = min(r_{8g}, …, r_{8g+7})` per block
+//! of 8 consecutive positions (the last block may be shorter).
+//!
+//! * **Suffix rows bound a loop.** The DFS loop that extends a selection
+//!   with min-row `L` by candidates `i..` may stop at the first position
+//!   whose bound `B(i) = min2(L, s_i)` reaches the incumbent: every
+//!   selection after it draws only on `r_i..`, so its row is elementwise ≥
+//!   `min(L, s_i)`. `B` is monotone in `i`: `s_{i+1} ≥ s_i`
+//!   elementwise, and raising one entry from `x` to `y` adds at least
+//!   `y − x` to the lifted sum while removing at most one packing count per
+//!   threshold `d ∈ {1, 2}` with `x ≤ d < y` — at most `y − x` in all (the
+//!   diagonal term is excluded from both). So the loop finds its cutoff by
+//!   bisection over the positions it can still afford, and bisects again
+//!   (below the old cutoff) only when the incumbent has dropped since. The
+//!   cutoff is exactly where a check at every position would return, so
+//!   the visit order and every recorded field are unchanged.
+//! * **Block rows skip budget leaves.** A *leaf level* is one where even the
+//!   two cheapest remaining candidates overrun the budget, so every include
+//!   is a budget leaf costing `min2(L, r_j)` exactly. On a leaf level the
+//!   loop checks `min2(L, b_g)` against the incumbent on entry and at every
+//!   block boundary, and jumps past the block when it reaches the incumbent.
+//!   The skip is admissible: each skipped leaf's row `min(L, r_j)` is
+//!   elementwise ≥ `min(L, b_g)` and is a real strategy's row, so the
+//!   uniform games' packing correction holds for it (the weighted
+//!   aggregators are plainly monotone). No skipped leaf could have been
+//!   recorded under the strict `<`, in first-improvement mode too, so only
+//!   `evaluations` falls.
 //!
 //! ## Row representation
 //!
@@ -95,7 +128,8 @@ pub struct BestResponseOutcome {
     /// Number of strategies whose cost was evaluated — an *effort* counter,
     /// not part of the game-theoretic result. It depends on how aggressively
     /// the search pruned (e.g. [`crate::reference::exact`] evaluates more
-    /// subsets than the incumbent-seeded search here, and the landmark-bounded
+    /// subsets than the incumbent-seeded search here, the exact source's
+    /// block rows skip budget leaves unevaluated, and the landmark-bounded
     /// engine path prunes differently again, for identical
     /// `best_cost`/`best_strategy`), so only the other fields are pinned by
     /// the differential suite.
@@ -103,13 +137,14 @@ pub struct BestResponseOutcome {
     /// `true` when the search provably examined the whole strategy space
     /// (no early exit): `best_cost` is then the node's exact optimum.
     pub optimal: bool,
-    /// Subtrees cut by the cached landmark/block bound cascade (0 on the
-    /// exact path). Effort counter; excluded from equality.
+    /// Subtrees cut by the cached landmark/block bound cascade. Only
+    /// [`crate::LandmarkPolicy::Forced`] runs that cascade; the default
+    /// exact path reports 0. Effort counter; excluded from equality.
     pub bounds_hit: u64,
     /// Exact deviation rows derived *during this call* on the landmark path:
     /// the held strategy's rows plus the rows the bound cascade failed to
-    /// prove unnecessary (0 on the exact path). Effort counter; excluded
-    /// from equality.
+    /// prove unnecessary. The default exact path derives every live row up
+    /// front and reports 0. Effort counter; excluded from equality.
     pub rows_materialized: u64,
 }
 
@@ -560,6 +595,7 @@ impl<W: RowWord> Aggregate<W> for WeightedMax<'_> {
 /// is warm.
 #[derive(Clone, Debug)]
 pub(crate) struct SearchScratch<W> {
+    /// One row per depth up to the largest affordable selection, stride `n`.
     levels: Vec<W>,
     selection: Vec<usize>,
     /// `min_price_suffix[i]` = cheapest link cost among candidates `i..m`
@@ -676,16 +712,22 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
     let n = view.n();
     let m = view.candidates.len();
     let current_cost = view.strategy_cost(staged.rows, strategy, &mut scratch.current);
-    // The empty strategy's row: every live target at the penalty distance.
-    scratch.levels.clear();
-    scratch.levels.resize((m + 1) * n, W::ZERO);
-    view.empty_row(&mut scratch.levels[..n]);
     scratch.selection.clear();
     scratch.min_price_suffix.clear();
     scratch.min_price_suffix.resize(m + 1, u64::MAX);
     for i in (0..m).rev() {
         scratch.min_price_suffix[i] = scratch.min_price_suffix[i + 1].min(view.prices[i]);
     }
+    // No selection outgrows the budget: at most `budget / cheapest`
+    // candidates fit (all `m` when one is free), so no deeper level is ever
+    // written. Level 0 is the empty strategy's row.
+    let depth = match view.budget.checked_div(scratch.min_price_suffix[0]) {
+        Some(fit) => usize::try_from(fit).map_or(m, |fit| fit.min(m)),
+        None => m,
+    };
+    scratch.levels.clear();
+    scratch.levels.resize((depth + 1) * n, W::ZERO);
+    view.empty_row(&mut scratch.levels[..n]);
 
     // Monomorphize the hot loops on the game's cost shape.
     if view.plain_sum() {
@@ -816,62 +858,122 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
     /// iteration includes candidate `i` (recursing only when the include
     /// is not a budget leaf) and then moves on to exclude it, so the visit
     /// order is include-before-exclude, candidates ascending.
+    ///
+    /// The loop returns at the first position whose optimistic bound —
+    /// even taking every remaining candidate for free — cannot beat the
+    /// incumbent. The exact source finds that position by bisection and
+    /// skips blocks of budget leaves on a leaf level (see the module docs);
+    /// the landmark source is checked at every position.
     fn dfs(&mut self, first: usize, level: usize, spent: u64) -> Result<()> {
         let n = self.view.n();
-        for i in first..self.view.candidates.len() {
+        let m = self.view.candidates.len();
+        let budget = self.view.budget;
+        let min_price = &self.scratch.min_price_suffix;
+        // From `stop` on nothing left is affordable: no deeper selection will
+        // ever be evaluated, so the rest of the loop (an evaluation-free
+        // exclude chain) can be skipped without touching any reported field.
+        let stop =
+            first + min_price[first..m].partition_point(|&p| spent.saturating_add(p) <= budget);
+        // Even the two cheapest remaining candidates overrun the budget, so
+        // every include of this loop is a budget leaf.
+        let leaf_level = spent.saturating_add(min_price[first].saturating_mul(2)) > budget;
+        // The exact source's cutoff: the first position whose bound prunes
+        // against the incumbent it was bisected for.
+        let (mut cut, mut cut_for) = (stop, None);
+        let mut i = first;
+        while i < stop {
             if self.done {
                 return Ok(());
             }
-            // Nothing left the budget can pay for: no deeper selection will
-            // ever be evaluated, so the rest of the loop (an evaluation-free
-            // exclude chain) can be skipped without touching any reported
-            // field.
-            if spent.saturating_add(self.scratch.min_price_suffix[i]) > self.view.budget {
-                return Ok(());
-            }
-            // Optimistic bound: even taking every remaining candidate for
-            // free cannot beat the incumbent -> prune.
             let cur = &self.scratch.levels[level * n..(level + 1) * n];
-            if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
-                if B::COUNTS_HITS {
-                    self.bounds_hit += 1;
+            if B::EXACT {
+                // A lower incumbent can only move the cutoff down.
+                if cut_for != Some(self.best_cost) {
+                    cut = first_pruning(self.bounds, &self.agg, cur, i, cut, self.best_cost);
+                    cut_for = Some(self.best_cost);
                 }
+                if i >= cut {
+                    return Ok(());
+                }
+                if leaf_level
+                    && (i == first || i.is_multiple_of(BLOCK))
+                    && self
+                        .bounds
+                        .block_prunes(&self.agg, cur, i / BLOCK, self.best_cost)
+                {
+                    i = (i / BLOCK + 1) * BLOCK;
+                    continue;
+                }
+            } else if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
+                self.bounds_hit += 1;
                 return Ok(());
             }
-
             // Include candidate i if affordable; the next iteration
             // excludes it.
-            let price = self.view.prices[i];
-            if spent + price > self.view.budget {
-                continue;
+            if spent + self.view.prices[i] <= budget {
+                self.include(i, level, spent)?;
             }
-            if !self.staged.present[i] {
-                (self.staged.fetch)(i, &mut self.staged.rows[i * n..(i + 1) * n]);
-                self.staged.present[i] = true;
-            }
-            let row = &self.staged.rows[i * n..(i + 1) * n];
-            self.scratch.selection.push(i);
-            if (spent + price).saturating_add(self.scratch.min_price_suffix[i + 1])
-                > self.view.budget
-            {
-                // Budget leaf: the recursion below this include would exit
-                // at its own price check before recording anything, so the
-                // next-level row would be write-only — cost the selection
-                // without materializing it.
-                let cur = &self.scratch.levels[level * n..(level + 1) * n];
-                let cost = self.agg.eval2(cur, row, self.best_cost);
-                self.record(cost)?;
-            } else {
-                let (cur, next) = self.scratch.levels.split_at_mut((level + 1) * n);
-                let cost = self.agg.copy_min2(&mut next[..n], &cur[level * n..], row);
-                self.record(cost)?;
-                self.dfs(i + 1, level + 1, spent + price)?;
-            }
-            self.scratch.selection.pop();
+            i += 1;
         }
         Ok(())
     }
+
+    /// Adds candidate `i` to the selection whose min-row is `level` and
+    /// which has spent `spent`, records it, and extends it unless the
+    /// include is a budget leaf.
+    fn include(&mut self, i: usize, level: usize, spent: u64) -> Result<()> {
+        let n = self.view.n();
+        if !self.staged.present[i] {
+            (self.staged.fetch)(i, &mut self.staged.rows[i * n..(i + 1) * n]);
+            self.staged.present[i] = true;
+        }
+        let row = &self.staged.rows[i * n..(i + 1) * n];
+        let spent = spent + self.view.prices[i];
+        self.scratch.selection.push(i);
+        if spent.saturating_add(self.scratch.min_price_suffix[i + 1]) > self.view.budget {
+            // Budget leaf: the recursion below this include would exit at
+            // its own price check before recording anything, so the
+            // next-level row would be write-only — cost the selection
+            // without materializing it.
+            let cur = &self.scratch.levels[level * n..(level + 1) * n];
+            let cost = self.agg.eval2(cur, row, self.best_cost);
+            self.record(cost)?;
+        } else {
+            let (cur, next) = self.scratch.levels.split_at_mut((level + 1) * n);
+            let cost = self.agg.copy_min2(&mut next[..n], &cur[level * n..], row);
+            self.record(cost)?;
+            self.dfs(i + 1, level + 1, spent)?;
+        }
+        self.scratch.selection.pop();
+        Ok(())
+    }
 }
+
+/// The first position in `lo..hi` at which `bounds` prunes the selection
+/// whose min-row is `level` against `incumbent`, or `hi` when none does.
+/// Bisection: the bound must be monotone in the position
+/// ([`BoundSource::EXACT`]).
+fn first_pruning<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
+    bounds: &B,
+    agg: &A,
+    level: &[W],
+    mut lo: usize,
+    mut hi: usize,
+    incumbent: u64,
+) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if bounds.prunes(agg, level, mid, incumbent) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// Consecutive staged candidates per block row of the exact bound source.
+const BLOCK: usize = 8;
 
 /// Where the search's optimistic-completion bound comes from.
 ///
@@ -882,46 +984,72 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
 /// changes no recorded decision — only the `evaluations` and `bounds_hit`
 /// effort counters.
 pub(crate) trait BoundSource<W: RowWord> {
-    /// Whether this source's prunes count toward
-    /// [`BestResponseOutcome::bounds_hit`], which reports the landmark
-    /// cascade only (the exact path reports 0).
-    const COUNTS_HITS: bool;
+    /// `true` for the exact source: [`BoundSource::prunes`] is monotone in
+    /// the position, so the search bisects for each loop's cutoff, and
+    /// [`BoundSource::block_prunes`] skips blocks of budget leaves. `false`
+    /// for the landmark source: the search checks it at every position, and
+    /// its prunes count toward [`BestResponseOutcome::bounds_hit`].
+    const EXACT: bool;
     /// Readies the per-query bound state under the search's aggregator.
     /// `rows` holds the `m` staged candidate rows with stride `n`.
     fn prepare<A: Aggregate<W>>(&mut self, agg: &A, rows: &[W], m: usize, n: usize);
     /// `true` when no selection extending the one whose min-row is `level`
     /// by candidates `i..` can cost less than `incumbent`.
     fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool;
+    /// `true` when no affordable selection extending the one whose min-row
+    /// is `level` by exactly one candidate of block `g` (positions `8g..8g +
+    /// 8`) can cost less than `incumbent`. Sources without block rows never
+    /// skip.
+    fn block_prunes<A: Aggregate<W>>(
+        &self,
+        _agg: &A,
+        _level: &[W],
+        _g: usize,
+        _incumbent: u64,
+    ) -> bool {
+        false
+    }
 }
 
-/// The exact bound source: row `i` is the elementwise minimum of the
+/// The exact bound source, built per query in `O(m·n)` from staged rows that
+/// must all be present. Suffix row `i` is the elementwise minimum of the
 /// candidate rows `i..m` — the best any completion drawing on those
-/// candidates can reach. Built per query in `O(m·n)`, from rows that must
-/// all be present.
+/// candidates can reach; block row `g` is the elementwise minimum of the
+/// candidate rows `8g..min(8g + 8, m)`. The module docs give the
+/// monotonicity the search's bisection relies on and why the block skip is
+/// admissible.
 #[derive(Clone, Debug)]
 pub(crate) struct SuffixBounds<W> {
+    /// Suffix rows, stride `n`, one per candidate.
     rows: Vec<W>,
+    /// Block rows, stride `n`, one per block of [`BLOCK`] candidates.
+    blocks: Vec<W>,
 }
 
 impl<W: RowWord> Default for SuffixBounds<W> {
     fn default() -> Self {
-        Self { rows: Vec::new() }
+        Self {
+            rows: Vec::new(),
+            blocks: Vec::new(),
+        }
     }
 }
 
 impl<W: RowWord> SuffixBounds<W> {
-    /// Bytes held by the suffix-min rows (by capacity).
+    /// Bytes held by the suffix and block rows (by capacity).
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.rows.capacity() * size_of::<W>()
+        (self.rows.capacity() + self.blocks.capacity()) * size_of::<W>()
     }
 }
 
 impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
-    const COUNTS_HITS: bool = false;
+    const EXACT: bool = true;
 
     fn prepare<A: Aggregate<W>>(&mut self, _agg: &A, rows: &[W], m: usize, n: usize) {
         self.rows.clear();
         self.rows.resize(m * n, W::ZERO);
+        self.blocks.clear();
+        self.blocks.resize(m.div_ceil(BLOCK) * n, W::ZERO);
         if m == 0 {
             return;
         }
@@ -930,12 +1058,34 @@ impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
             let (head, tail) = self.rows.split_at_mut((i + 1) * n);
             copy_min(&mut head[i * n..], &tail[..n], &rows[i * n..(i + 1) * n]);
         }
+        for (dst, members) in self
+            .blocks
+            .chunks_exact_mut(n)
+            .zip(rows[..m * n].chunks(BLOCK * n))
+        {
+            dst.copy_from_slice(&members[..n]);
+            for row in members[n..].chunks_exact(n) {
+                min_into(dst, row);
+            }
+        }
     }
 
     #[inline]
     fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
         let n = level.len();
         agg.min2(level, &self.rows[i * n..(i + 1) * n], incumbent) >= incumbent
+    }
+
+    #[inline]
+    fn block_prunes<A: Aggregate<W>>(
+        &self,
+        agg: &A,
+        level: &[W],
+        g: usize,
+        incumbent: u64,
+    ) -> bool {
+        let n = level.len();
+        agg.min2(level, &self.blocks[g * n..(g + 1) * n], incumbent) >= incumbent
     }
 }
 
@@ -1144,7 +1294,7 @@ impl<W: RowWord> LandmarkScratch<W> {
 }
 
 impl<W: RowWord> BoundSource<W> for LandmarkScratch<W> {
-    const COUNTS_HITS: bool = true;
+    const EXACT: bool = false;
 
     fn prepare<A: Aggregate<W>>(&mut self, agg: &A, _rows: &[W], _m: usize, n: usize) {
         // Per-group ceilings for the O(1) gate. Static per query; the gate
@@ -1276,6 +1426,8 @@ pub(crate) fn greedy_on<W: RowWord>(
 
 #[cfg(test)]
 mod tests {
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+
     use super::*;
     use crate::{Configuration, Evaluator};
 
@@ -1491,6 +1643,313 @@ mod tests {
         let out = exact(&spec, &cfg, v(0), &opts()).unwrap();
         assert_eq!(out.best_cost, 0);
         assert!(out.best_strategy.is_empty());
+    }
+
+    /// `count` random rows of `n` entries at width `W`: small distances,
+    /// with about one entry in eight at the clamp.
+    fn random_rows<W: RowWord>(rng: &mut SmallRng, count: usize, n: usize, clamp: u64) -> Vec<W> {
+        (0..count * n)
+            .map(|_| {
+                let d = if rng.gen_range(0..8u64) == 0 {
+                    clamp
+                } else {
+                    rng.gen_range(1..=6u64)
+                };
+                W::from_u64(d).unwrap()
+            })
+            .collect()
+    }
+
+    /// Every target but `u`, with random weights in `1..=3`.
+    fn random_targets(rng: &mut SmallRng, n: usize, u: usize) -> Vec<(u32, u64)> {
+        (0..n)
+            .filter(|&v| v != u)
+            .map(|v| (u32::try_from(v).unwrap(), rng.gen_range(1..=3u64)))
+            .collect()
+    }
+
+    /// [`first_pruning`] against a linear scan of [`BoundSource::prunes`]
+    /// over the exact source built from `rows`, for every subrange and for
+    /// incumbents at and beside every position's bound.
+    fn assert_bisection_matches_scan<W: RowWord, A: Aggregate<W>>(
+        agg: &A,
+        rows: &[W],
+        level: &[W],
+        m: usize,
+    ) {
+        let n = level.len();
+        let mut bounds = SuffixBounds::default();
+        bounds.prepare(agg, rows, m, n);
+        let incumbents: Vec<u64> = bounds
+            .rows
+            .chunks_exact(n)
+            .map(|suffix| agg.min2(level, suffix, u64::MAX))
+            .flat_map(|b| [b.saturating_sub(1), b, b.saturating_add(1)])
+            .collect();
+        for incumbent in incumbents {
+            let pruned: Vec<bool> = (0..m)
+                .map(|j| bounds.prunes(agg, level, j, incumbent))
+                .collect();
+            assert!(
+                pruned.windows(2).all(|w| w[0] <= w[1]),
+                "the bound is monotone in the position: {pruned:?} at {incumbent}"
+            );
+            for lo in 0..=m {
+                for hi in lo..=m {
+                    let scan = (lo..hi).find(|&j| pruned[j]).unwrap_or(hi);
+                    assert_eq!(
+                        first_pruning(&bounds, agg, level, lo, hi, incumbent),
+                        scan,
+                        "{lo}..{hi} at {incumbent}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn bisection_cases<W: RowWord>() {
+        let (n, m, u) = (24, 13, 5);
+        let mut rng = SmallRng::seed_from_u64(19);
+        for penalty in [576, 100_003] {
+            let clamp = penalty.min(W::SATURATED);
+            let clamp_w = W::from_u64(clamp).unwrap();
+            for _ in 0..6 {
+                let rows: Vec<W> = random_rows(&mut rng, m, n, clamp);
+                // The empty strategy's row, and a level holding two links.
+                let mut level = vec![clamp_w; n];
+                assert_bisection_matches_scan(
+                    &WeightedMax {
+                        targets: &random_targets(&mut rng, n, u),
+                        penalty,
+                    },
+                    &rows,
+                    &level,
+                    m,
+                );
+                for row in random_rows::<W>(&mut rng, 2, n, clamp).chunks_exact(n) {
+                    min_into(&mut level, row);
+                }
+                for k in [1, 2, 3] {
+                    for packing in [Some((k, k + k * k)), None] {
+                        let agg = PlainSum {
+                            u,
+                            clamp: clamp_w,
+                            penalty,
+                            extra: penalty - clamp,
+                            packing,
+                        };
+                        assert_bisection_matches_scan(&agg, &rows, &level, m);
+                    }
+                }
+                let targets = random_targets(&mut rng, n, u);
+                assert_bisection_matches_scan(
+                    &WeightedSum {
+                        targets: &targets,
+                        penalty,
+                    },
+                    &rows,
+                    &level,
+                    m,
+                );
+                assert_bisection_matches_scan(
+                    &WeightedMax {
+                        targets: &targets,
+                        penalty,
+                    },
+                    &rows,
+                    &level,
+                    m,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bisected_cutoff_matches_a_linear_scan() {
+        bisection_cases::<i16>();
+        bisection_cases::<u64>();
+    }
+
+    fn block_row_cases<W: RowWord>() {
+        let n = 10;
+        let mut rng = SmallRng::seed_from_u64(23);
+        let agg = WeightedSum {
+            targets: &[],
+            penalty: 100,
+        };
+        for m in [1, 7, 8, 9, 16, 21] {
+            let rows: Vec<W> = random_rows(&mut rng, m, n, 100);
+            let mut bounds = SuffixBounds::default();
+            bounds.prepare(&agg, &rows, m, n);
+            assert_eq!(bounds.blocks.len(), m.div_ceil(BLOCK) * n, "m = {m}");
+            for (g, block) in bounds.blocks.chunks_exact(n).enumerate() {
+                let members = &rows[g * BLOCK * n..((g + 1) * BLOCK).min(m) * n];
+                for row in members.chunks_exact(n) {
+                    assert!(
+                        block.iter().zip(row).all(|(b, r)| b <= r),
+                        "m = {m}: block row {g} above a member"
+                    );
+                }
+                for (v, &b) in block.iter().enumerate() {
+                    assert!(
+                        members.chunks_exact(n).any(|row| row[v] == b),
+                        "m = {m}: block row {g} below every member at {v}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_rows_lie_below_each_member() {
+        block_row_cases::<i16>();
+        block_row_cases::<u64>();
+    }
+
+    /// The exact source, checking each block skip by brute force when it
+    /// happens: one more link to any member of the skipped block costs at
+    /// least the incumbent of that moment.
+    struct CheckedBlocks<W> {
+        inner: SuffixBounds<W>,
+        rows: Vec<W>,
+        skips: std::cell::Cell<u64>,
+    }
+
+    impl<W: RowWord> BoundSource<W> for CheckedBlocks<W> {
+        const EXACT: bool = true;
+
+        fn prepare<A: Aggregate<W>>(&mut self, agg: &A, rows: &[W], m: usize, n: usize) {
+            self.inner.prepare(agg, rows, m, n);
+            self.rows = rows[..m * n].to_vec();
+        }
+
+        fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
+            self.inner.prunes(agg, level, i, incumbent)
+        }
+
+        fn block_prunes<A: Aggregate<W>>(
+            &self,
+            agg: &A,
+            level: &[W],
+            g: usize,
+            incumbent: u64,
+        ) -> bool {
+            let skip = self.inner.block_prunes(agg, level, g, incumbent);
+            if skip {
+                let n = level.len();
+                for (j, row) in self
+                    .rows
+                    .chunks_exact(n)
+                    .enumerate()
+                    .skip(g * BLOCK)
+                    .take(BLOCK)
+                {
+                    let mut leaf = level.to_vec();
+                    min_into(&mut leaf, row);
+                    assert!(
+                        agg.row(&leaf) >= incumbent,
+                        "skipped leaf {j} costs {} below the incumbent {incumbent}",
+                        agg.row(&leaf)
+                    );
+                }
+                self.skips.set(self.skips.get() + 1);
+            }
+            skip
+        }
+    }
+
+    /// Runs `u`'s search over rows staged from the engine's deviation rows
+    /// with [`CheckedBlocks`] as the bound source; returns the outcome and
+    /// the number of blocks skipped.
+    fn checked_search<W: RowWord>(
+        spec: &GameSpec,
+        cfg: &Configuration,
+        u: NodeId,
+    ) -> (BestResponseOutcome, u64) {
+        let mut engine = DistanceEngine::new(spec, cfg.clone());
+        let clamp: W = clamp_for(spec);
+        let candidates = spec.affordable_targets(u);
+        let prices: Vec<u64> = candidates.iter().map(|&c| spec.link_cost(u, c)).collect();
+        let mut rows: Vec<W> = candidates
+            .iter()
+            .flat_map(|&c| engine.deviation_row(u, c).row)
+            .map(|d| W::from_u64(d.min(clamp.widen())).unwrap())
+            .collect();
+        let n = spec.node_count();
+        let targets: Vec<(u32, u64)> = NodeId::all(n)
+            .filter(|&v| v != u && spec.weight(u, v) > 0)
+            .map(|v| (u32::try_from(v.index()).unwrap(), spec.weight(u, v)))
+            .collect();
+        let view = OracleView {
+            spec,
+            node: u,
+            candidates: &candidates,
+            prices: &prices,
+            weighted_targets: &targets,
+            budget: spec.budget(u),
+            departed: &[],
+        };
+        let mut present = vec![true; candidates.len()];
+        let mut fetch = |_: usize, _: &mut [W]| unreachable!("every row is staged");
+        let staged = StagedRows {
+            rows: &mut rows,
+            present: &mut present,
+            fetch: &mut fetch,
+        };
+        let mut bounds = CheckedBlocks {
+            inner: SuffixBounds::default(),
+            rows: Vec::new(),
+            skips: std::cell::Cell::new(0),
+        };
+        let out = search(
+            &view,
+            staged,
+            cfg.strategy(u),
+            &mut bounds,
+            &opts(),
+            &mut SearchScratch::default(),
+        )
+        .unwrap();
+        (out, bounds.skips.get())
+    }
+
+    #[test]
+    fn no_skipped_leaf_beats_the_incumbent() {
+        let weighted = GameSpec::builder(17)
+            .default_budget(3)
+            .weight(0, 9, 7)
+            .weight(3, 12, 4)
+            .link_length(1, 2, 3)
+            .link_cost(0, 5, 2)
+            .link_cost(4, 11, 3)
+            .build()
+            .unwrap();
+        let specs = [
+            GameSpec::uniform(18, 1),
+            GameSpec::uniform(18, 2),
+            GameSpec::uniform(14, 3),
+            GameSpec::uniform(18, 2).with_penalty(100_003).unwrap(),
+            GameSpec::uniform(17, 2).with_cost_model(CostModel::MaxDistance),
+            weighted,
+        ];
+        let mut skips = 0;
+        for spec in &specs {
+            for seed in 0..3 {
+                let cfg = Configuration::random(spec, seed);
+                for u in NodeId::all(spec.node_count()) {
+                    let (narrow, s16) = checked_search::<i16>(spec, &cfg, u);
+                    let (wide, s64) = checked_search::<u64>(spec, &cfg, u);
+                    let engine = DistanceEngine::new(spec, cfg.clone())
+                        .best_response(u, &opts())
+                        .unwrap();
+                    assert_eq!(narrow, engine, "{u}: staged i16 search vs the engine");
+                    assert_eq!(wide, engine, "{u}: staged u64 search vs the engine");
+                    assert_eq!(s16, s64, "{u}: both tiers skip the same blocks");
+                    skips += s64;
+                }
+            }
+        }
+        assert!(skips > 0, "the brute-force check saw some skips");
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
 //!     into its stage, re-deriving from base row `c` only the vertices all
 //!     of whose shortest paths run through `u` (the `row_store` module);
-//!   - the landmark bounds of the default search (see
-//!     [`crate::LandmarkPolicy`]) read the base rows of the landmarks;
+//!   - the landmark bounds of a search under
+//!     [`crate::LandmarkPolicy::Forced`] read the base rows of the
+//!     landmarks;
 //!   - node costs (the [`crate::Evaluator`] substrate) aggregate base row
 //!     `u`.
 //!
@@ -73,9 +74,12 @@
 //!
 //! [`DistanceEngine::best_response`] stages a node's live candidates once
 //! and runs the one branch-and-bound search over them. The
-//! [`crate::LandmarkPolicy`] only picks the search's bound source: with no
-//! landmarks, every live row is derived up front and the exact suffix-min
-//! rows bound the search; with landmarks, only the held strategy's rows are
+//! [`crate::LandmarkPolicy`] only picks the search's bound source. By
+//! default (no landmarks) every live row is derived up front and the exact
+//! source bounds the search: suffix-min rows, bisected for each loop's
+//! cutoff, and one min row per block of 8 candidates that skips whole runs
+//! of budget leaves (see [`crate::best_response`]). Under
+//! [`crate::LandmarkPolicy::Forced`], only the held strategy's rows are
 //! derived up front, the landmark base rows bound the search, and any other
 //! row is derived when the search first includes its candidate.
 //!

@@ -19,15 +19,16 @@
 //! same decision — only effort counters (`evaluations`, `bounds_hit`,
 //! `rows_materialized`) may differ.
 //!
-//! The bound layer lives in the engine: the default
-//! [`crate::DistanceEngine`] outcome path consults cached, touched-set
-//! invalidated full-`G` landmark rows whenever the [`LandmarkPolicy`]
-//! resolves to a nonzero landmark count, so walks, churn sims, and sweeps
-//! get the pruning for free. This module holds only the policy; the engine's
-//! unit tests check its bound rows against exact suffix-min rows.
+//! The bound layer lives in the engine, which consults cached,
+//! touched-set invalidated full-`G` landmark rows whenever the
+//! [`LandmarkPolicy`] resolves to a nonzero landmark count. Only
+//! [`LandmarkPolicy::Forced`] does: the default search bounds with the exact
+//! suffix and block rows instead (see [`crate::best_response`]), which
+//! prune where these bounds do not. This module holds only the policy; the
+//! engine's unit tests check its bound rows against exact suffix-min rows.
 
-/// How many cached landmark rows the engine's default best-response path
-/// keeps (and therefore whether the landmark-bounded search runs at all).
+/// How many cached landmark rows the engine's best-response path keeps (and
+/// therefore whether the landmark-bounded search runs at all).
 ///
 /// The bounds are admissible, so the policy never changes a decision, cost,
 /// walk trajectory, or stream digest — only effort counters
@@ -36,6 +37,14 @@
 /// [`crate::BestResponseOutcome::rows_materialized`], and the
 /// [`crate::EngineStats`] traversal counts) vary with it. The differential
 /// suite pins this byte-identity across `Off`/`Auto`/`Forced`.
+///
+/// `Auto` resolves to 0 landmarks at every size, so it runs the exact path
+/// like `Off`, and `Forced` is the only way onto the landmark tier. On the
+/// 512-peer overlay walk the landmark bounds never pruned, while the exact
+/// source's bisected suffix rows and block rows cut its evaluations about
+/// 25-fold. The tier stays, reachable through `Forced`, until the benchmark
+/// stops reading its counters; then the tier, this policy and its builders
+/// are deleted.
 ///
 /// # Examples
 ///
@@ -58,30 +67,25 @@
 /// // Identical decision; only effort counters may differ.
 /// assert!(exact.same_decision(&pruned));
 ///
-/// // Auto keeps small instances on the exact path (n = 12 < 32).
-/// assert_eq!(LandmarkPolicy::Auto.resolve(12), 0);
-/// // …and scales √n-ish with a measured cap beyond that.
-/// assert_eq!(LandmarkPolicy::Auto.resolve(512), 22);
+/// // Auto runs the exact path at every size…
+/// for live in [12, 36, 512, 16_382] {
+///     assert_eq!(LandmarkPolicy::Auto.resolve(live), 0);
+/// }
+/// // …and Forced is the way onto the landmark tier.
 /// assert_eq!(LandmarkPolicy::Forced(40).resolve(512), 40);
 /// # Ok::<(), bbc_core::Error>(())
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum LandmarkPolicy {
-    /// Never run the landmark-bounded search (the pre-landmark engine
-    /// behavior, byte-identical counters included).
+    /// Never run the landmark-bounded search.
     Off,
-    /// Size the landmark set from the live node count: 0 below 32 live
-    /// nodes (bound building would cost more than the tiny search it
-    /// prunes — and the exact path's counters stay pinned for the small
-    /// instances the unit suites replay), else `⌊√live⌋` clamped to
-    /// `[4, 24]` (the measured knee: more landmarks sharpen bounds
-    /// sub-linearly while each costs a full-graph traversal to refresh
-    /// after an invalidation).
+    /// The default: resolves to 0 landmarks, the exact path, at every live
+    /// count.
     #[default]
     Auto,
-    /// Exactly `k` landmarks (capped at the live count), even on tiny
-    /// instances. This is how tests force the landmark path where `Auto`
-    /// would stay exact, and how sweeps pin a size across churn.
+    /// Exactly `k` landmarks (capped at the live count), at any size. The
+    /// only policy that runs the landmark tier: tests force it to exercise
+    /// the tier, and sweeps pin a count across churn.
     Forced(usize),
 }
 
@@ -90,29 +94,10 @@ impl LandmarkPolicy {
     /// `0` means "run the exact path".
     pub fn resolve(self, live: usize) -> usize {
         match self {
-            LandmarkPolicy::Off => 0,
-            LandmarkPolicy::Auto => {
-                if live < 32 {
-                    0
-                } else {
-                    isqrt(live).clamp(4, 24)
-                }
-            }
+            LandmarkPolicy::Off | LandmarkPolicy::Auto => 0,
             LandmarkPolicy::Forced(k) => k.min(live),
         }
     }
-}
-
-/// `⌊√n⌋` without floating-point edge cases.
-fn isqrt(n: usize) -> usize {
-    let mut s = (n as f64).sqrt() as usize;
-    while (s + 1) * (s + 1) <= n {
-        s += 1;
-    }
-    while s * s > n {
-        s -= 1;
-    }
-    s
 }
 
 #[cfg(test)]
@@ -164,12 +149,9 @@ mod tests {
 
     #[test]
     fn auto_policy_schedule() {
-        assert_eq!(LandmarkPolicy::Auto.resolve(2), 0);
-        assert_eq!(LandmarkPolicy::Auto.resolve(31), 0);
-        assert_eq!(LandmarkPolicy::Auto.resolve(32), 5);
-        assert_eq!(LandmarkPolicy::Auto.resolve(64), 8);
-        assert_eq!(LandmarkPolicy::Auto.resolve(100), 10);
-        assert_eq!(LandmarkPolicy::Auto.resolve(1024), 24, "cap at 24");
+        for live in [2, 12, 31, 32, 36, 512, 1024, 16_382] {
+            assert_eq!(LandmarkPolicy::Auto.resolve(live), 0, "Auto at {live}");
+        }
         assert_eq!(LandmarkPolicy::Off.resolve(512), 0);
         assert_eq!(LandmarkPolicy::Forced(6).resolve(512), 6);
         assert_eq!(LandmarkPolicy::Forced(6).resolve(3), 3, "capped at live");

@@ -828,6 +828,137 @@ proptest! {
     }
 }
 
+// ===== multi-block searches ================================================
+//
+// The exact bound source keeps one min row per block of 8 consecutive
+// candidates and skips whole blocks of budget leaves on it. The proptests
+// above draw n ≤ 9, so each of their searches fits one block; these draw
+// 10..=40 nodes (2–5 blocks), on both row tiers, with and without departed
+// peers, and replay a short rewiring script.
+
+/// A multi-block game: uniform with k in 1..=3, or weighted (seeded
+/// weights, lengths, costs and budgets) under the sum or the max model.
+fn arb_multi_block_instance() -> impl Strategy<Value = (GameSpec, Configuration)> {
+    (10usize..=40, 0u64..3, 1u64..=3, any::<u64>()).prop_map(|(n, shape, k, seed)| {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let spec = if shape == 0 {
+            GameSpec::uniform(n, k)
+        } else {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut b = GameSpec::builder(n);
+            for u in 0..n {
+                for v in 0..n {
+                    b = b
+                        .weight(u, v, rng.gen_range(0..=3u64))
+                        .link_length(u, v, rng.gen_range(1..=3u64))
+                        .link_cost(u, v, rng.gen_range(1..=2u64));
+                }
+                b = b.budget(u, rng.gen_range(1..=4u64));
+            }
+            if shape == 2 {
+                b = b.cost_model(CostModel::MaxDistance);
+            }
+            b.build().expect("valid spec")
+        };
+        let cfg = Configuration::random(&spec, seed);
+        (spec, cfg)
+    })
+}
+
+/// [`reference::exact`] for live node `u` of `engine`, run on the dense game
+/// of the live nodes (same penalty, relabeled ids) and mapped back. The
+/// reference knows no membership, and departed peers carry no arcs, so the
+/// two games price every live strategy alike.
+fn reference_on_live(
+    spec: &GameSpec,
+    engine: &DistanceEngine<'_>,
+    u: NodeId,
+    options: &BestResponseOptions,
+) -> BestResponseOutcome {
+    let live: Vec<NodeId> = engine.live_nodes().collect();
+    let dense = |v: NodeId| NodeId::new(live.binary_search(&v).expect("a live node"));
+    let mut b = GameSpec::builder(live.len())
+        .cost_model(spec.cost_model())
+        .penalty(spec.penalty());
+    for (i, &a) in live.iter().enumerate() {
+        b = b.budget(i, spec.budget(a));
+        for (j, &c) in live.iter().enumerate() {
+            if i != j {
+                b = b
+                    .weight(i, j, spec.weight(a, c))
+                    .link_cost(i, j, spec.link_cost(a, c))
+                    .link_length(i, j, spec.link_length(a, c));
+            }
+        }
+    }
+    let compact = b.build().expect("the full game's penalty dominates");
+    let strategies = live
+        .iter()
+        .map(|&a| {
+            engine
+                .config()
+                .strategy(a)
+                .iter()
+                .map(|&t| dense(t))
+                .collect()
+        })
+        .collect();
+    let cfg = Configuration::from_strategies(&compact, strategies).expect("live links only");
+    let mut out = reference::exact(&compact, &cfg, dense(u), options).expect("search fits");
+    out.node = u;
+    out.best_strategy = out.best_strategy.iter().map(|t| live[t.index()]).collect();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn multi_block_searches_match_reference(
+        (spec, cfg) in arb_multi_block_instance(),
+        partial in proptest::bool::ANY,
+        leavers in proptest::collection::vec(any::<u64>(), 3),
+        script in proptest::collection::vec((any::<u64>(), any::<u64>()), 3),
+        probes in proptest::collection::vec(any::<u64>(), 3),
+    ) {
+        let options = BestResponseOptions::default();
+        let (mut narrow, mut wide) = both_tiers(&spec, &cfg);
+        if partial {
+            for sel in leavers {
+                let i = (sel % narrow.live_count() as u64) as usize;
+                let u = narrow.live_nodes().nth(i).expect("live index");
+                narrow.remove_node(u).expect("live node departs");
+                wide.remove_node(u).expect("live node departs");
+            }
+        }
+        for step in 0..=script.len() {
+            if step > 0 {
+                let (node_sel, seed) = script[step - 1];
+                let i = (node_sel % narrow.live_count() as u64) as usize;
+                let u = narrow.live_nodes().nth(i).expect("live index");
+                let s = seeded_live_strategy(&spec, &narrow, u, seed);
+                narrow.apply_strategy(u, s.clone()).expect("seeded strategy validates");
+                wide.apply_strategy(u, s).expect("seeded strategy validates");
+            }
+            for &sel in &probes {
+                let i = (sel % narrow.live_count() as u64) as usize;
+                let u = narrow.live_nodes().nth(i).expect("live index");
+                let frozen = reference_on_live(&spec, &narrow, u, &options);
+                for engine in [&mut narrow, &mut wide] {
+                    let fast = engine.best_response(u, &options).expect("search fits");
+                    let context = format!("step {step} node {u} (partial: {partial})");
+                    assert_same_decision(&frozen, &fast, &context);
+                    prop_assert!(
+                        fast.evaluations <= frozen.evaluations,
+                        "{}: {} evaluations above the reference's {}",
+                        context, fast.evaluations, frozen.evaluations
+                    );
+                }
+            }
+        }
+    }
+}
+
 // ===== landmark bounds: soundness against the exact substrate ===========
 //
 // The engine composes its bound rows from two public pieces: clamped
@@ -990,16 +1121,18 @@ proptest! {
     }
 }
 
-// ===== landmark bound cache: byte-identity on the default path ===========
+// ===== landmark bound cache: byte-identity at scale =======================
 //
-// Proptest sizes (n ≤ 9) keep `LandmarkPolicy::Auto` on the exact path, so
-// the default-on behaviour needs a deterministic instance above the n = 32
-// threshold. The contract is the tentpole's: decisions, costs, trajectories
-// and churn digests are invariant across Off/Auto/Forced and both row
-// tiers — only effort counters move.
+// The landmark tier runs only under `Forced`; `Auto` resolves to the exact
+// path at every size. These deterministic checks run the 36-node instance
+// at which `Auto` used to pick ⌊√36⌋ = 6 landmarks, so `Forced(6)` keeps
+// that configuration exercised. The contract: decisions, costs,
+// trajectories and churn digests are invariant across Off/Auto/Forced and
+// both row tiers — only effort counters move.
 
-/// A 36-node circulant-ish start (`i → {i+1, i+6}`): big enough that
-/// `Auto` resolves to 6 landmarks, small enough for debug-mode replays.
+/// A 36-node circulant-ish start (`i → {i+1, i+6}`): big enough for a
+/// multi-block search and six landmarks, small enough for debug-mode
+/// replays.
 fn auto_scale_instance() -> (GameSpec, Configuration) {
     let n = 36;
     let spec = GameSpec::uniform(n, 2);
@@ -1010,10 +1143,11 @@ fn auto_scale_instance() -> (GameSpec, Configuration) {
     (spec, cfg)
 }
 
-const POLICIES: [LandmarkPolicy; 3] = [
+const POLICIES: [LandmarkPolicy; 4] = [
     LandmarkPolicy::Off,
     LandmarkPolicy::Auto,
     LandmarkPolicy::Forced(5),
+    LandmarkPolicy::Forced(6),
 ];
 
 #[test]
@@ -1029,10 +1163,13 @@ fn landmark_policies_never_change_walks_at_auto_scale() {
                 .with_landmarks(policy);
             let outcome = walk.run(72).expect("walk fits");
             let lm_rows = walk.engine_stats().landmark_rows_computed;
-            if policy == LandmarkPolicy::Off {
-                assert_eq!(lm_rows, 0, "{tier:?}: Off must build nothing");
-            } else {
+            if let LandmarkPolicy::Forced(_) = policy {
                 assert!(lm_rows > 0, "{tier:?}/{policy:?}: the bounded path ran");
+            } else {
+                assert_eq!(
+                    lm_rows, 0,
+                    "{tier:?}/{policy:?}: the exact path builds nothing"
+                );
             }
             runs.push((
                 tier,
@@ -1096,12 +1233,13 @@ fn landmark_policies_never_change_churn_digests() {
 #[test]
 fn landmark_decisions_match_exact_at_auto_scale() {
     // Full-equality spot check on the 36-node instance: every node's
-    // pruned decision (i16 and u64 tiers, Auto and Forced) against the
-    // one-shot exact search.
+    // landmark-pruned decision (i16 and u64 tiers, at the count `Auto`
+    // used to pick here and at one fewer) against the one-shot exact
+    // search.
     let (spec, cfg) = auto_scale_instance();
     let options = BestResponseOptions::default();
     for tier in [RowTier::I16, RowTier::U64] {
-        for policy in [LandmarkPolicy::Auto, LandmarkPolicy::Forced(5)] {
+        for policy in [LandmarkPolicy::Forced(6), LandmarkPolicy::Forced(5)] {
             let mut engine = DistanceEngine::with_tier(&spec, cfg.clone(), tier)
                 .expect("fits both tiers")
                 .with_landmarks(policy);

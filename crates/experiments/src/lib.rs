@@ -85,7 +85,9 @@ pub fn default_threads() -> usize {
 /// Landmark bound policy for the walk-heavy experiments (e13/e14), from
 /// the `BBC_LANDMARKS` environment variable: `off`, `auto`, or
 /// `forced:<k>`; unset or unparsable falls back to
-/// [`bbc_core::LandmarkPolicy::Auto`].
+/// [`bbc_core::LandmarkPolicy::Auto`]. `auto` resolves to no landmarks
+/// at every size, so it runs the same exact path as `off`; only
+/// `forced:<k>` reaches the landmark tier.
 ///
 /// Deliberately an env knob and *not* a stream-fingerprint input:
 /// admissible bounds never change a decision cell, so the same stream

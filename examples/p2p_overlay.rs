@@ -35,10 +35,12 @@
 //! ```
 //!
 //! `--landmarks` turns on the engine's cached landmark bound tier
-//! ([`LandmarkPolicy::Auto`]): every stability test consults ~√n cached
-//! full-graph distance rows before materializing exact deviation rows, and
-//! the run reports how many candidate subtrees the bounds pruned versus how
-//! many exact rows the searches still had to compute. The trajectory is
+//! ([`LandmarkPolicy::Forced`] at `⌊√n⌋` clamped to `[4, 24]` landmarks, the
+//! count the default `Auto` policy used before it resolved to the exact
+//! path): every stability test consults that many cached full-graph
+//! distance rows before materializing exact deviation rows, and the run
+//! reports how many candidate subtrees the bounds pruned versus how many
+//! exact rows the searches still had to compute. The trajectory is
 //! byte-identical either way — admissible bounds never change a decision.
 
 use bbc::prelude::*;
@@ -61,7 +63,9 @@ fn main() -> Result<()> {
         }
     }
     let policy = if landmarks {
-        LandmarkPolicy::Auto
+        // ⌊√peers⌋ clamped to [4, 24].
+        let count = (4..=24).rev().find(|r| r * r <= peers).unwrap_or(4);
+        LandmarkPolicy::Forced(count as usize)
     } else {
         LandmarkPolicy::Off
     };

@@ -118,7 +118,7 @@ fn start_configuration_search_effort_is_pinned() {
     let start = Configuration::random(&spec, 7);
     let options = BestResponseOptions::default();
     for (policy, evaluations, rows_computed, row_hits) in [
-        (LandmarkPolicy::Off, 801, 24, 528),
+        (LandmarkPolicy::Off, 737, 24, 528),
         (LandmarkPolicy::Forced(4), 1_472, 20, 510),
     ] {
         let mut engine = DistanceEngine::new(&spec, start.clone()).with_landmarks(policy);
@@ -152,18 +152,29 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     // effort is visible. Every test moves, and each move drops every base
     // row. The first search traverses all 511 rows its deviation rows
     // derive from; each later one traverses only the mover's row and
-    // repairs the other 510 from their old values (on `Off`: 511 + 7
-    // traversals). A 512-peer search takes seconds without optimization, so
-    // debug builds skip this.
+    // repairs the other 510 from their old values (on the exact path: 511 +
+    // 7 traversals). A 512-peer search takes seconds without optimization,
+    // so debug builds skip this.
     if cfg!(debug_assertions) {
         return;
     }
     let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("512 admits circulant{1,23}");
     let spec = overlay.spec();
     let options = BestResponseOptions::default();
+    let exact = EngineStats {
+        oracle_rows_computed: 518,
+        oracle_row_hits: 3_570,
+        outcome_hits: 0,
+        searches_run: 8,
+        rows_invalidated: 4_088,
+        patches_applied: 8,
+        eval_rows_computed: 0,
+        landmark_rows_computed: 0,
+    };
     for (policy, evaluations, rows_materialized, stats) in [
+        // The landmark tier at the count `Auto` used to pick at 512 peers.
         (
-            LandmarkPolicy::Auto,
+            LandmarkPolicy::Forced(22),
             1_046_536,
             4_088,
             EngineStats {
@@ -177,21 +188,9 @@ fn overlay512_walk_prefix_effort_is_pinned() {
                 landmark_rows_computed: 29,
             },
         ),
-        (
-            LandmarkPolicy::Off,
-            1_006_341,
-            0,
-            EngineStats {
-                oracle_rows_computed: 518,
-                oracle_row_hits: 3_570,
-                outcome_hits: 0,
-                searches_run: 8,
-                rows_invalidated: 4_088,
-                patches_applied: 8,
-                eval_rows_computed: 0,
-                landmark_rows_computed: 0,
-            },
-        ),
+        (LandmarkPolicy::Off, 262_792, 0, exact),
+        // The default resolves to no landmarks: exactly the `Off` arm.
+        (LandmarkPolicy::Auto, 262_792, 0, exact),
     ] {
         let mut engine = DistanceEngine::new(&spec, overlay.configuration()).with_landmarks(policy);
         let mut summed = (0u64, 0u64, 0u64, 0u64);
