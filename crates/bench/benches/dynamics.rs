@@ -5,8 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bbc_constructions::{CayleyGraph, RingWithPath};
 use bbc_core::{
-    reference, BestResponseOptions, ChurnConfig, ChurnSim, Configuration, GameSpec, LandmarkPolicy,
-    NodeId, RowTier, Walk,
+    reference, BestResponseOptions, ChurnConfig, ChurnSim, Configuration, GameSpec, NodeId,
+    RowTier, Walk,
 };
 
 /// Round-robin walk over the frozen pre-refactor best response
@@ -187,10 +187,9 @@ fn bench_e13_point_tiers(c: &mut Criterion) {
     // The E13 512-peer sweep point's inner loop — round-robin selfish play
     // on the circulant{1,23} overlay, the workload the i16 row kernel
     // exists for (rows and search scratch at n = 512 stop fitting cache at
-    // u64 width, and M = 512² runs every cost through the lift). Both tiers run the identical trajectory (asserted), so
-    // the median ratio is a pure kernel speedup. The landmark policy is
-    // pinned `Off`, the exact path the engine's default (`Auto`) runs too;
-    // the landmark tier is timed by `e13_point_512_landmark`.
+    // u64 width, and M = 512² runs every cost through the lift). Both tiers
+    // run the identical trajectory (asserted), so the median ratio is a pure
+    // kernel speedup.
     let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("valid circulant");
     let spec = overlay.spec();
     let designed = overlay.configuration();
@@ -199,8 +198,7 @@ fn bench_e13_point_tiers(c: &mut Criterion) {
     let run = |tier: RowTier| {
         let mut walk = Walk::with_tier(&spec, designed.clone(), tier)
             .expect("512-peer overlay fits both tiers")
-            .detect_cycles(false)
-            .with_landmarks(LandmarkPolicy::Off);
+            .detect_cycles(false);
         walk.run(STEPS).expect("walk fits");
         (walk.stats().moves, walk.state_digest())
     };
@@ -220,84 +218,6 @@ fn bench_e13_point_tiers(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_landmark_step(c: &mut Criterion) {
-    // The landmark bound cache's unit of work: a fixed round-robin walk on
-    // the 128-peer circulant under each landmark policy. Admissible bounds
-    // never change a decision, so all three runs replay the identical
-    // trajectory (asserted) — the timing difference is the bound source:
-    // `Off` and `Auto` (which resolves to no landmarks) both time the exact
-    // default, which derives every deviation row and bounds with suffix and
-    // block rows; `forced11` derives only the rows the landmark tier cannot
-    // exclude.
-    let overlay = CayleyGraph::circulant(128, &[1, 11]).expect("valid circulant");
-    let spec = overlay.spec();
-    let designed = overlay.configuration();
-    const STEPS: u64 = 32;
-
-    let run = |policy: LandmarkPolicy| {
-        let mut walk = Walk::new(&spec, designed.clone())
-            .detect_cycles(false)
-            .with_landmarks(policy);
-        walk.run(STEPS).expect("walk fits");
-        (walk.stats().moves, walk.state_digest())
-    };
-    let exact = run(LandmarkPolicy::Off);
-    for policy in [LandmarkPolicy::Auto, LandmarkPolicy::Forced(11)] {
-        assert_eq!(run(policy), exact, "policies diverged on the walk");
-    }
-
-    let mut group = c.benchmark_group("landmark_step");
-    group.sample_size(10);
-    for (name, policy) in [
-        ("off", LandmarkPolicy::Off),
-        ("auto", LandmarkPolicy::Auto),
-        ("forced11", LandmarkPolicy::Forced(11)),
-    ] {
-        group.bench_function(format!("n128_steps32_{name}"), |b| b.iter(|| run(policy)));
-    }
-    group.finish();
-}
-
-fn bench_e13_point_512_landmark(c: &mut Criterion) {
-    // The E13 512-peer sweep point on the landmark bound cache — the same
-    // 24-step workload as `e13_point_512`, with the engine consulting 22
-    // cached landmark rows (the count `Auto` picked at 512 peers before it
-    // resolved to the exact path) before materializing exact deviation
-    // rows. Digest equality against the exact path is asserted per tier
-    // before timing, so the gap to `e13_point_512/steps24_*` is the bound
-    // source alone.
-    let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("valid circulant");
-    let spec = overlay.spec();
-    let designed = overlay.configuration();
-    const STEPS: u64 = 24;
-    const LANDMARKS: LandmarkPolicy = LandmarkPolicy::Forced(22);
-
-    let run = |tier: RowTier, policy: LandmarkPolicy| {
-        let mut walk = Walk::with_tier(&spec, designed.clone(), tier)
-            .expect("512-peer overlay fits both tiers")
-            .detect_cycles(false)
-            .with_landmarks(policy);
-        walk.run(STEPS).expect("walk fits");
-        (walk.stats().moves, walk.state_digest())
-    };
-    for tier in [RowTier::I16, RowTier::U64] {
-        assert_eq!(
-            run(tier, LANDMARKS),
-            run(tier, LandmarkPolicy::Off),
-            "landmark path diverged on the e13 point"
-        );
-    }
-
-    let mut group = c.benchmark_group("e13_point_512_landmark");
-    group.sample_size(10);
-    for tier in [RowTier::I16, RowTier::U64] {
-        group.bench_function(format!("steps24_{tier:?}_forced22").to_lowercase(), |b| {
-            b.iter(|| run(tier, LANDMARKS))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_engine_vs_reference,
@@ -305,8 +225,6 @@ criterion_group!(
     bench_ring_with_path,
     bench_loop_detection,
     bench_churn_step,
-    bench_e13_point_tiers,
-    bench_landmark_step,
-    bench_e13_point_512_landmark
+    bench_e13_point_tiers
 );
 criterion_main!(benches);

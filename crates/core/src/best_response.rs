@@ -12,15 +12,11 @@
 //! target therefore prices *every* strategy, and best response reduces to an
 //! asymmetric k-median-style subset search over precomputed rows. The
 //! [`crate::DistanceEngine`] derives those rows from its shared full-graph
-//! rows and runs the one exact search:
-//! a branch-and-bound DFS whose optimistic bound comes from one of two
-//! sources — the exact rows built from the staged candidate rows (the
-//! default), or the engine's cached landmark bound rows (only under
-//! [`crate::LandmarkPolicy::Forced`]). Both are admissible, so the source
-//! never changes a decision, only the effort counters.
-//! [`exact`] is a one-shot wrapper over a fresh engine; [`greedy`] is the
-//! greedy-plus-swaps approximation for instances where the exact search is
-//! out of reach.
+//! rows and runs the one exact search: a branch-and-bound DFS whose
+//! optimistic bound comes from exact rows built from the staged candidate
+//! rows. [`exact`] is a one-shot wrapper over a fresh engine; [`greedy`] is
+//! the greedy-plus-swaps approximation for instances where the exact search
+//! is out of reach.
 //!
 //! ## The exact bound source
 //!
@@ -74,16 +70,13 @@
 //! candidate, so the empty strategy's row holds 0 at its entry. Every row the
 //! search prices or bounds with is an elementwise min with that row or a
 //! level built from it, so the plain row sum equals the masked cost over
-//! live targets; the staged rows keep the clamp there. The landmark bound
-//! rows hold 0 there too, or their O(1) ceiling would charge `M` for it. The frozen
+//! live targets; the staged rows keep the clamp there. The frozen
 //! pre-refactor implementation lives in [`crate::reference`] and the
 //! differential suite proves the two byte-identical.
 
 use bbc_graph::RowWord;
 
-use crate::{
-    Configuration, CostModel, DistanceEngine, Error, GameSpec, LandmarkPolicy, NodeId, Result,
-};
+use crate::{Configuration, CostModel, DistanceEngine, Error, GameSpec, NodeId, Result};
 
 /// Tuning knobs for the exact best-response search.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,13 +101,7 @@ impl Default for BestResponseOptions {
 }
 
 /// Result of a best-response computation for one node.
-///
-/// Equality compares the game-theoretic fields plus `evaluations`;
-/// the pruning-effort counters ([`BestResponseOutcome::bounds_hit`],
-/// [`BestResponseOutcome::rows_materialized`]) are excluded — they describe
-/// how a particular engine configuration (landmark policy) reached the
-/// identical answer, not the answer itself.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BestResponseOutcome {
     /// The deviating node.
     pub node: NodeId,
@@ -128,38 +115,21 @@ pub struct BestResponseOutcome {
     /// Number of strategies whose cost was evaluated — an *effort* counter,
     /// not part of the game-theoretic result. It depends on how aggressively
     /// the search pruned (e.g. [`crate::reference::exact`] evaluates more
-    /// subsets than the incumbent-seeded search here, the exact source's
-    /// block rows skip budget leaves unevaluated, and the landmark-bounded
-    /// engine path prunes differently again, for identical
+    /// subsets than the incumbent-seeded search here, whose block rows also
+    /// skip budget leaves unevaluated, for identical
     /// `best_cost`/`best_strategy`), so only the other fields are pinned by
     /// the differential suite.
     pub evaluations: u64,
     /// `true` when the search provably examined the whole strategy space
     /// (no early exit): `best_cost` is then the node's exact optimum.
     pub optimal: bool,
-    /// Subtrees cut by the cached landmark/block bound cascade. Only
-    /// [`crate::LandmarkPolicy::Forced`] runs that cascade; the default
-    /// exact path reports 0. Effort counter; excluded from equality.
+    /// Always 0. Kept for the benchmark package, which still reads it,
+    /// until ROADMAP item 2(c) removes it.
     pub bounds_hit: u64,
-    /// Exact deviation rows derived *during this call* on the landmark path:
-    /// the held strategy's rows plus the rows the bound cascade failed to
-    /// prove unnecessary. The default exact path derives every live row up
-    /// front and reports 0. Effort counter; excluded from equality.
+    /// Always 0. Kept for the benchmark package, which still reads it,
+    /// until ROADMAP item 2(c) removes it.
     pub rows_materialized: u64,
 }
-
-impl PartialEq for BestResponseOutcome {
-    fn eq(&self, other: &Self) -> bool {
-        self.node == other.node
-            && self.current_cost == other.current_cost
-            && self.best_cost == other.best_cost
-            && self.best_strategy == other.best_strategy
-            && self.evaluations == other.evaluations
-            && self.optimal == other.optimal
-    }
-}
-
-impl Eq for BestResponseOutcome {}
 
 impl BestResponseOutcome {
     /// `true` when the node can strictly lower its cost by switching.
@@ -282,8 +252,7 @@ impl OracleView<'_> {
     }
 
     /// Cost of `strategy` priced through `rows`, with `scratch` holding its
-    /// min-row afterwards. Every target must be a candidate whose row is
-    /// present.
+    /// min-row afterwards. Every target must be a candidate.
     fn strategy_cost<W: RowWord>(
         &self,
         rows: &[W],
@@ -345,16 +314,6 @@ pub(crate) trait Aggregate<W: RowWord> {
     fn min2(&self, a: &[W], b: &[W], cutoff: u64) -> u64;
     /// `dst = min(a, b)` elementwise, returning the cost of `dst`.
     fn copy_min2(&self, dst: &mut [W], a: &[W], b: &[W]) -> u64;
-    /// Upper bound on `min2(a, b, ·)`'s non-bailout value over **every**
-    /// possible `a`: a level-independent ceiling on what the prune bound
-    /// against `b` can reach. The landmark source gates its per-node `min2`
-    /// pass on this (`ceiling < incumbent` ⇒ the bound cannot prune, skip
-    /// it). The default — the plain cost of `b` — is valid for any
-    /// implementation whose bound only shrinks as `a` shrinks; [`PlainSum`]
-    /// overrides to also cover its packing correction.
-    fn min2_ceiling(&self, b: &[W]) -> u64 {
-        self.row(b)
-    }
     /// *Exact* cost of `min(a, b)` elementwise without materializing it,
     /// except that once the value is provably `≥ cutoff` the implementation
     /// may bail out with any value `≥ cutoff`. Unlike [`Aggregate::min2`]
@@ -472,22 +431,6 @@ impl<W: RowWord> Aggregate<W> for PlainSum<W> {
     fn copy_min2(&self, dst: &mut [W], a: &[W], b: &[W]) -> u64 {
         let raw = W::copy_min_sum(dst, a, b);
         raw + self.recount(dst.iter().copied(), raw) - dst[self.u].lift(self.penalty)
-    }
-
-    #[inline(always)]
-    fn min2_ceiling(&self, b: &[W]) -> u64 {
-        let Some((allowed1, allowed2)) = self.packing else {
-            // Σ_{v≠u} min(a[v], b[v]) never exceeds Σ_{v≠u} b[v].
-            return self.row(b);
-        };
-        // `min2` returns `Σ min(a,b) − diag + correction ≤ Σ b + correction`,
-        // and each packing count is at most `n` targets, so the correction
-        // caps at `(n − A_d)⁺` per distance class.
-        let n = b.len() as u64;
-        let raw = W::sum(b);
-        raw + self.recount(b.iter().copied(), raw)
-            + n.saturating_sub(allowed1)
-            + n.saturating_sub(allowed2)
     }
 
     #[inline(always)]
@@ -626,26 +569,15 @@ impl<W: RowWord> Default for SearchScratch<W> {
     }
 }
 
-/// The staged candidate rows one search reads.
-pub(crate) struct StagedRows<'s, W> {
-    /// Clamped through-rows, stride `n`, one per candidate of the view.
-    pub rows: &'s mut [W],
-    /// Whether each row holds exact data yet; a missing row is a placeholder
-    /// until the search first includes its candidate.
-    pub present: &'s mut [bool],
-    /// Fills candidate `i`'s exact row into the slice it is given.
-    pub fetch: &'s mut dyn FnMut(usize, &mut [W]),
-}
-
 /// Exact best response for node `u` under `config`.
 ///
 /// Enumerates every budget-feasible strategy by branch-and-bound over the
 /// oracle rows. Deterministic: with equal costs, the first strategy in the
 /// search order (candidates ascending, include-before-exclude) wins.
 ///
-/// One-shot convenience over a fresh [`DistanceEngine`] with
-/// [`LandmarkPolicy::Off`]; callers with more than one query should hold an
-/// engine, whose row and outcome caches then carry over.
+/// One-shot convenience over a fresh [`DistanceEngine`]; callers with more
+/// than one query should hold an engine, whose row and outcome caches then
+/// carry over.
 ///
 /// # Errors
 ///
@@ -675,13 +607,12 @@ pub fn exact(
     u: NodeId,
     options: &BestResponseOptions,
 ) -> Result<BestResponseOutcome> {
-    DistanceEngine::new(spec, config.clone())
-        .with_landmarks(LandmarkPolicy::Off)
-        .best_response(u, options)
+    DistanceEngine::new(spec, config.clone()).best_response(u, options)
 }
 
-/// The branch-and-bound search over a staged view, pricing the node's
-/// current `strategy` through the same rows (its rows must be present).
+/// The branch-and-bound search over a staged view and its candidate `rows`
+/// (stride `n`), pricing the node's current `strategy` through the same
+/// rows.
 ///
 /// The incumbent starts at `current_cost + 1` rather than `∞`. This is
 /// sound and changes no reported field except `evaluations`: the node's
@@ -696,14 +627,13 @@ pub fn exact(
 /// dominant operation in walk tails and stability sweeps — prunes almost
 /// the entire subset lattice immediately.
 ///
-/// Candidate rows are fetched the first time the search includes their
-/// candidate, and a budget-leaf include (no deeper candidate affordable) is
-/// costed with [`Aggregate::eval2`] instead of materializing a next-level
-/// row nothing would read. Either way each include records exactly one
-/// cost, so neither device moves `evaluations`.
+/// A budget-leaf include (no deeper candidate affordable) is costed with
+/// [`Aggregate::eval2`] instead of materializing a next-level row nothing
+/// would read. It still records exactly one cost, so `evaluations` does not
+/// move.
 pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
     view: &OracleView<'_>,
-    staged: StagedRows<'_, W>,
+    rows: &[W],
     strategy: &[NodeId],
     bounds: &mut B,
     options: &BestResponseOptions,
@@ -711,7 +641,7 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
 ) -> Result<BestResponseOutcome> {
     let n = view.n();
     let m = view.candidates.len();
-    let current_cost = view.strategy_cost(staged.rows, strategy, &mut scratch.current);
+    let current_cost = view.strategy_cost(rows, strategy, &mut scratch.current);
     scratch.selection.clear();
     scratch.min_price_suffix.clear();
     scratch.min_price_suffix.resize(m + 1, u64::MAX);
@@ -747,7 +677,7 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
                 .is_empty()
                 .then(|| (k, k.saturating_add(k.saturating_mul(k)))),
         };
-        search_with(view, agg, staged, bounds, current_cost, options, scratch)
+        search_with(view, agg, rows, bounds, current_cost, options, scratch)
     } else {
         match view.spec.cost_model() {
             CostModel::SumDistance => {
@@ -755,14 +685,14 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
                     targets: view.weighted_targets,
                     penalty: view.spec.penalty(),
                 };
-                search_with(view, agg, staged, bounds, current_cost, options, scratch)
+                search_with(view, agg, rows, bounds, current_cost, options, scratch)
             }
             CostModel::MaxDistance => {
                 let agg = WeightedMax {
                     targets: view.weighted_targets,
                     penalty: view.spec.penalty(),
                 };
-                search_with(view, agg, staged, bounds, current_cost, options, scratch)
+                search_with(view, agg, rows, bounds, current_cost, options, scratch)
             }
         }
     }
@@ -771,19 +701,19 @@ pub(crate) fn search<W: RowWord, B: BoundSource<W>>(
 fn search_with<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
     view: &OracleView<'_>,
     agg: A,
-    staged: StagedRows<'_, W>,
+    rows: &[W],
     bounds: &mut B,
     current_cost: u64,
     options: &BestResponseOptions,
     scratch: &mut SearchScratch<W>,
 ) -> Result<BestResponseOutcome> {
     let n = view.n();
-    bounds.prepare(&agg, staged.rows, view.candidates.len(), n);
+    bounds.prepare(rows, view.candidates.len(), n);
     let mut search = Search {
         view,
         agg,
         bounds,
-        staged,
+        rows,
         options,
         scratch,
         best_cost: current_cost.saturating_add(1),
@@ -791,7 +721,6 @@ fn search_with<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
         evaluations: 0,
         current_cost,
         done: false,
-        bounds_hit: 0,
     };
 
     // The empty strategy is always feasible; evaluate it as the baseline.
@@ -806,16 +735,16 @@ fn search_with<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
         best_strategy: search.best_strategy,
         evaluations: search.evaluations,
         optimal: !search.done,
-        bounds_hit: search.bounds_hit,
-        rows_materialized: 0, // filled by the engine from its row counters
+        bounds_hit: 0,
+        rows_materialized: 0,
     })
 }
 
-struct Search<'o, 's, W: RowWord, A: Aggregate<W>, B: BoundSource<W>> {
+struct Search<'o, W: RowWord, A: Aggregate<W>, B: BoundSource<W>> {
     view: &'o OracleView<'o>,
     agg: A,
     bounds: &'o B,
-    staged: StagedRows<'s, W>,
+    rows: &'o [W],
     options: &'o BestResponseOptions,
     scratch: &'o mut SearchScratch<W>,
     best_cost: u64,
@@ -824,10 +753,9 @@ struct Search<'o, 's, W: RowWord, A: Aggregate<W>, B: BoundSource<W>> {
     current_cost: u64,
     /// Set when stop_at_first_improvement has triggered.
     done: bool,
-    bounds_hit: u64,
 }
 
-impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
+impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, W, A, B> {
     /// Records the current selection, costing `cost`, against the incumbent
     /// and the evaluation budget.
     fn record(&mut self, cost: u64) -> Result<()> {
@@ -861,9 +789,8 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
     ///
     /// The loop returns at the first position whose optimistic bound —
     /// even taking every remaining candidate for free — cannot beat the
-    /// incumbent. The exact source finds that position by bisection and
-    /// skips blocks of budget leaves on a leaf level (see the module docs);
-    /// the landmark source is checked at every position.
+    /// incumbent. It finds that position by bisection and skips blocks of
+    /// budget leaves on a leaf level (see the module docs).
     fn dfs(&mut self, first: usize, level: usize, spent: u64) -> Result<()> {
         let n = self.view.n();
         let m = self.view.candidates.len();
@@ -877,8 +804,8 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
         // Even the two cheapest remaining candidates overrun the budget, so
         // every include of this loop is a budget leaf.
         let leaf_level = spent.saturating_add(min_price[first].saturating_mul(2)) > budget;
-        // The exact source's cutoff: the first position whose bound prunes
-        // against the incumbent it was bisected for.
+        // The cutoff: the first position whose bound prunes against the
+        // incumbent it was bisected for.
         let (mut cut, mut cut_for) = (stop, None);
         let mut i = first;
         while i < stop {
@@ -886,27 +813,22 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
                 return Ok(());
             }
             let cur = &self.scratch.levels[level * n..(level + 1) * n];
-            if B::EXACT {
-                // A lower incumbent can only move the cutoff down.
-                if cut_for != Some(self.best_cost) {
-                    cut = first_pruning(self.bounds, &self.agg, cur, i, cut, self.best_cost);
-                    cut_for = Some(self.best_cost);
-                }
-                if i >= cut {
-                    return Ok(());
-                }
-                if leaf_level
-                    && (i == first || i.is_multiple_of(BLOCK))
-                    && self
-                        .bounds
-                        .block_prunes(&self.agg, cur, i / BLOCK, self.best_cost)
-                {
-                    i = (i / BLOCK + 1) * BLOCK;
-                    continue;
-                }
-            } else if self.bounds.prunes(&self.agg, cur, i, self.best_cost) {
-                self.bounds_hit += 1;
+            // A lower incumbent can only move the cutoff down.
+            if cut_for != Some(self.best_cost) {
+                cut = first_pruning(self.bounds, &self.agg, cur, i, cut, self.best_cost);
+                cut_for = Some(self.best_cost);
+            }
+            if i >= cut {
                 return Ok(());
+            }
+            if leaf_level
+                && (i == first || i.is_multiple_of(BLOCK))
+                && self
+                    .bounds
+                    .block_prunes(&self.agg, cur, i / BLOCK, self.best_cost)
+            {
+                i = (i / BLOCK + 1) * BLOCK;
+                continue;
             }
             // Include candidate i if affordable; the next iteration
             // excludes it.
@@ -923,11 +845,7 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
     /// include is a budget leaf.
     fn include(&mut self, i: usize, level: usize, spent: u64) -> Result<()> {
         let n = self.view.n();
-        if !self.staged.present[i] {
-            (self.staged.fetch)(i, &mut self.staged.rows[i * n..(i + 1) * n]);
-            self.staged.present[i] = true;
-        }
-        let row = &self.staged.rows[i * n..(i + 1) * n];
+        let row = &self.rows[i * n..(i + 1) * n];
         let spent = spent + self.view.prices[i];
         self.scratch.selection.push(i);
         if spent.saturating_add(self.scratch.min_price_suffix[i + 1]) > self.view.budget {
@@ -951,8 +869,7 @@ impl<W: RowWord, A: Aggregate<W>, B: BoundSource<W>> Search<'_, '_, W, A, B> {
 
 /// The first position in `lo..hi` at which `bounds` prunes the selection
 /// whose min-row is `level` against `incumbent`, or `hi` when none does.
-/// Bisection: the bound must be monotone in the position
-/// ([`BoundSource::EXACT`]).
+/// Bisection: [`BoundSource::prunes`] is monotone in the position.
 fn first_pruning<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
     bounds: &B,
     agg: &A,
@@ -972,52 +889,37 @@ fn first_pruning<W: RowWord, A: Aggregate<W>, B: BoundSource<W>>(
     lo
 }
 
-/// Consecutive staged candidates per block row of the exact bound source.
+/// Consecutive staged candidates per block row of the bound source.
 const BLOCK: usize = 8;
 
-/// Where the search's optimistic-completion bound comes from.
+/// Where the search's optimistic-completion bound comes from: the engine
+/// runs [`SuffixBounds`], and the unit tests wrap it to check each block
+/// skip by brute force.
 ///
 /// A source must be *admissible*: it may prune a subtree only when no
-/// selection inside it costs less than the incumbent. Every subtree holding
-/// an incumbent update then survives under either source, and every subtree
-/// a source prunes is update-free under the other too, so swapping sources
-/// changes no recorded decision — only the `evaluations` and `bounds_hit`
-/// effort counters.
+/// selection inside it costs less than the incumbent, so pruning changes no
+/// recorded decision, only the `evaluations` effort counter.
 pub(crate) trait BoundSource<W: RowWord> {
-    /// `true` for the exact source: [`BoundSource::prunes`] is monotone in
-    /// the position, so the search bisects for each loop's cutoff, and
-    /// [`BoundSource::block_prunes`] skips blocks of budget leaves. `false`
-    /// for the landmark source: the search checks it at every position, and
-    /// its prunes count toward [`BestResponseOutcome::bounds_hit`].
-    const EXACT: bool;
-    /// Readies the per-query bound state under the search's aggregator.
-    /// `rows` holds the `m` staged candidate rows with stride `n`.
-    fn prepare<A: Aggregate<W>>(&mut self, agg: &A, rows: &[W], m: usize, n: usize);
+    /// Readies the per-query bound state. `rows` holds the `m` staged
+    /// candidate rows with stride `n`.
+    fn prepare(&mut self, rows: &[W], m: usize, n: usize);
     /// `true` when no selection extending the one whose min-row is `level`
-    /// by candidates `i..` can cost less than `incumbent`.
+    /// by candidates `i..` can cost less than `incumbent`. Monotone in `i`,
+    /// so the search bisects for each loop's cutoff.
     fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool;
     /// `true` when no affordable selection extending the one whose min-row
     /// is `level` by exactly one candidate of block `g` (positions `8g..8g +
-    /// 8`) can cost less than `incumbent`. Sources without block rows never
-    /// skip.
-    fn block_prunes<A: Aggregate<W>>(
-        &self,
-        _agg: &A,
-        _level: &[W],
-        _g: usize,
-        _incumbent: u64,
-    ) -> bool {
-        false
-    }
+    /// 8`) can cost less than `incumbent`.
+    fn block_prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], g: usize, incumbent: u64)
+        -> bool;
 }
 
-/// The exact bound source, built per query in `O(m·n)` from staged rows that
-/// must all be present. Suffix row `i` is the elementwise minimum of the
-/// candidate rows `i..m` — the best any completion drawing on those
-/// candidates can reach; block row `g` is the elementwise minimum of the
-/// candidate rows `8g..min(8g + 8, m)`. The module docs give the
-/// monotonicity the search's bisection relies on and why the block skip is
-/// admissible.
+/// The exact bound source, built per query in `O(m·n)` from the staged
+/// rows. Suffix row `i` is the elementwise minimum of the candidate rows
+/// `i..m` — the best any completion drawing on those candidates can reach;
+/// block row `g` is the elementwise minimum of the candidate rows
+/// `8g..min(8g + 8, m)`. The module docs give the monotonicity the search's
+/// bisection relies on and why the block skip is admissible.
 #[derive(Clone, Debug)]
 pub(crate) struct SuffixBounds<W> {
     /// Suffix rows, stride `n`, one per candidate.
@@ -1043,9 +945,7 @@ impl<W: RowWord> SuffixBounds<W> {
 }
 
 impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
-    const EXACT: bool = true;
-
-    fn prepare<A: Aggregate<W>>(&mut self, _agg: &A, rows: &[W], m: usize, n: usize) {
+    fn prepare(&mut self, rows: &[W], m: usize, n: usize) {
         self.rows.clear();
         self.rows.resize(m * n, W::ZERO);
         self.blocks.clear();
@@ -1089,233 +989,6 @@ impl<W: RowWord> BoundSource<W> for SuffixBounds<W> {
     }
 }
 
-/// The landmark bound source: per-query bound rows built from the engine's
-/// cached full-`G` landmark rows, plus their construction scratch. Owned by
-/// the engine so a warm query allocates nothing.
-///
-/// Candidates arrive ascending by id, so consecutive candidates sharing a
-/// [`bbc_graph::BlockPartition`] block form contiguous *groups*. Per group
-/// `g` the build computes one admissible bound row over the whole candidate
-/// suffix starting at `g`'s first member:
-///
-/// ```text
-/// bsfx[g][v] = min(M, ℓmin_g + max( max_l (r_l[v] − SMA_l,g)⁺ ,
-///                                   cfx_g[block(v)] ))
-/// ```
-///
-/// where `SMA_l,g = max r_l[c]` and `ℓmin_g = min ℓ(u,c)` over candidates in
-/// groups `≥ g`, and `cfx_g` is the elementwise min of the block-envelope
-/// rows of those groups' blocks. Every term lower-bounds `d_G(c, v) ≤
-/// d_{G∖u}(c, v)` for *each* remaining candidate `c`, so `bsfx[g]`
-/// elementwise lower-bounds the exact suffix-min row at any position inside
-/// group `g` — an admissible stand-in for it that costs `O(groups · n)` to
-/// store instead of `O(m · n)` to rebuild per query, and needs no candidate
-/// row present.
-#[derive(Clone, Debug)]
-pub(crate) struct LandmarkScratch<W> {
-    /// Group index of each staged candidate.
-    group_of: Vec<u32>,
-    /// Per-group bound rows, stride `n`.
-    bsfx: Vec<W>,
-    /// Per-group [`Aggregate::min2_ceiling`] of `bsfx` (the O(1) gate);
-    /// filled by [`BoundSource::prepare`] under the search's aggregator.
-    hi: Vec<u64>,
-    groups: usize,
-    /// Suffix-max of each landmark row over candidate groups (landmark-major,
-    /// stride `groups`). Transient build scratch.
-    sma: Vec<W>,
-    /// Suffix-min link length per group. Transient build scratch.
-    lmin: Vec<W>,
-    /// Suffix-combined envelope rows per group, stride `block_count`.
-    /// Transient build scratch.
-    cfx: Vec<W>,
-}
-
-impl<W: RowWord> Default for LandmarkScratch<W> {
-    fn default() -> Self {
-        Self {
-            group_of: Vec::new(),
-            bsfx: Vec::new(),
-            hi: Vec::new(),
-            groups: 0,
-            sma: Vec::new(),
-            lmin: Vec::new(),
-            cfx: Vec::new(),
-        }
-    }
-}
-
-impl<W: RowWord> LandmarkScratch<W> {
-    /// Bytes held by the bound rows and their build scratch (by capacity).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        (self.bsfx.capacity() + self.sma.capacity() + self.lmin.capacity() + self.cfx.capacity())
-            * size_of::<W>()
-            + self.group_of.capacity() * size_of::<u32>()
-            + self.hi.capacity() * size_of::<u64>()
-    }
-
-    /// The bound row standing in for the exact suffix-min row at candidate
-    /// position `i`: its group's `bsfx` row.
-    #[inline]
-    pub(crate) fn bound_row(&self, i: usize, n: usize) -> &[W] {
-        let g = self.group_of[i] as usize;
-        &self.bsfx[g * n..(g + 1) * n]
-    }
-
-    /// Builds the per-query bound rows for `view`'s candidates from the
-    /// engine's cached full-`G` landmark rows and block envelope.
-    ///
-    /// `lm_rows` are clamped `d_G(l, ·)` rows. Admissibility chain per
-    /// remaining candidate `c` and target `v`: `(r_l[v] − r_l[c])⁺ ≤ d_G(c,
-    /// v)` (triangle inequality, safe on clamped rows) and the block
-    /// envelope is a further coarsening of the same bound, while `d_G ≤
-    /// d_{G∖u}` because removing `u`'s arcs only lengthens paths.
-    pub(crate) fn build(
-        &mut self,
-        view: &OracleView<'_>,
-        lm_rows: &[&[W]],
-        part: &bbc_graph::BlockPartition,
-        env: &bbc_graph::BlockEnvelope<W>,
-    ) {
-        let candidates = view.candidates;
-        let n = view.n();
-        let clamp: W = clamp_for(view.spec);
-        let m = candidates.len();
-        self.group_of.clear();
-        self.groups = 0;
-        if m == 0 {
-            self.bsfx.clear();
-            return;
-        }
-
-        // Contiguous block groups + each group's block id and first member.
-        let mut group_block: Vec<u32> = Vec::new();
-        let mut group_start: Vec<u32> = Vec::new();
-        let mut cur_block = usize::MAX;
-        for (i, c) in candidates.iter().enumerate() {
-            let b = part.block_of(c.index());
-            if b != cur_block {
-                cur_block = b;
-                group_block.push(b as u32); // bbc-lint: allow(narrowing-cast, block ids are < n <= u32::MAX)
-                group_start.push(i as u32); // bbc-lint: allow(narrowing-cast, i indexes candidates, bounded by n)
-            }
-            // bbc-lint: allow(narrowing-cast, one group per block, so the count is bounded by n <= u32::MAX)
-            self.group_of.push((group_block.len() - 1) as u32);
-        }
-        let groups = group_block.len();
-        self.groups = groups;
-        let group_end = |g: usize| {
-            if g + 1 < groups {
-                group_start[g + 1] as usize
-            } else {
-                m
-            }
-        };
-
-        // Suffix-min link length per group.
-        self.lmin.clear();
-        self.lmin.resize(groups, clamp);
-        let mut running = clamp;
-        for g in (0..groups).rev() {
-            for &c in &candidates[group_start[g] as usize..group_end(g)] {
-                let len = W::from_u64(view.spec.link_length(view.node, c))
-                    // bbc-lint: allow(panic, link lengths are below the clamp, which the tier check proved representable)
-                    .expect("link length is below the clamp, which fits the tier");
-                running = running.min(len);
-            }
-            self.lmin[g] = running;
-        }
-
-        // Suffix-max of each landmark row over the candidates of groups ≥ g.
-        let lcount = lm_rows.len();
-        self.sma.clear();
-        self.sma.resize(lcount * groups, W::ZERO);
-        for (l, row) in lm_rows.iter().enumerate() {
-            let sma = &mut self.sma[l * groups..(l + 1) * groups];
-            let mut running = W::ZERO;
-            for g in (0..groups).rev() {
-                for c in &candidates[group_start[g] as usize..group_end(g)] {
-                    running = running.max(row[c.index()]);
-                }
-                sma[g] = running;
-            }
-        }
-
-        // Suffix-combined block-envelope rows: cfx[g][B] = min over the blocks
-        // of groups ≥ g of env[block][B].
-        let blocks = part.block_count();
-        self.cfx.clear();
-        self.cfx.resize(groups * blocks, W::ZERO);
-        for g in (0..groups).rev() {
-            let a = group_block[g] as usize;
-            if g + 1 < groups {
-                let (head, tail) = self.cfx.split_at_mut((g + 1) * blocks);
-                let dst = &mut head[g * blocks..];
-                let prev = &tail[..blocks];
-                for (b, (d, &p)) in dst.iter_mut().zip(prev).enumerate() {
-                    *d = p.min(env.bound(a, b));
-                }
-            } else {
-                for (b, d) in self.cfx[g * blocks..(g + 1) * blocks]
-                    .iter_mut()
-                    .enumerate()
-                {
-                    *d = env.bound(a, b);
-                }
-            }
-        }
-
-        // Final bound rows, built in three vector passes per group: seed with
-        // the coarse block term, raise by each landmark term, then add the
-        // suffix-min link length (clamp + ℓ still fits the row word), clamp,
-        // and zero the departed entries like every row the search reads.
-        self.bsfx.clear();
-        self.bsfx.resize(groups * n, W::ZERO);
-        for g in 0..groups {
-            let dst = &mut self.bsfx[g * n..(g + 1) * n];
-            let cfx = &self.cfx[g * blocks..(g + 1) * blocks];
-            for (v, d) in dst.iter_mut().enumerate() {
-                *d = cfx[part.block_of(v)];
-            }
-            for (l, row) in lm_rows.iter().enumerate() {
-                let s = self.sma[l * groups + g];
-                for (d, &r) in dst.iter_mut().zip(*row) {
-                    // (r − s)⁺, branchless.
-                    *d = (*d).max(r.max(s) - s);
-                }
-            }
-            let lmin = self.lmin[g];
-            for d in dst.iter_mut() {
-                *d = clamp.min(lmin + *d);
-            }
-            view.zero_departed(dst);
-        }
-    }
-}
-
-impl<W: RowWord> BoundSource<W> for LandmarkScratch<W> {
-    const EXACT: bool = false;
-
-    fn prepare<A: Aggregate<W>>(&mut self, agg: &A, _rows: &[W], _m: usize, n: usize) {
-        // Per-group ceilings for the O(1) gate. Static per query; the gate
-        // fires more and more as the incumbent drops below the ceilings.
-        self.hi.clear();
-        for g in 0..self.groups {
-            self.hi
-                .push(agg.min2_ceiling(&self.bsfx[g * n..(g + 1) * n]));
-        }
-    }
-
-    #[inline]
-    fn prunes<A: Aggregate<W>>(&self, agg: &A, level: &[W], i: usize, incumbent: u64) -> bool {
-        // O(1) gate: when the group ceiling is below the incumbent the bound
-        // pass cannot prune, so skip it (skipping a prune never changes a
-        // recorded field).
-        self.hi[self.group_of[i] as usize] >= incumbent
-            && agg.min2(level, self.bound_row(i, level.len()), incumbent) >= incumbent
-    }
-}
-
 /// Greedy-plus-swaps heuristic best response.
 ///
 /// Builds a strategy by repeatedly adding the candidate with the largest
@@ -1327,7 +1000,7 @@ pub fn greedy(spec: &GameSpec, config: &Configuration, u: NodeId) -> BestRespons
     DistanceEngine::new(spec, config.clone()).greedy(u)
 }
 
-/// The greedy heuristic over a staged view whose rows are all present,
+/// The greedy heuristic over a staged view and its candidate `rows`,
 /// starting from the node's current `strategy`.
 pub(crate) fn greedy_on<W: RowWord>(
     view: &OracleView<'_>,
@@ -1464,21 +1137,19 @@ mod tests {
 
     #[test]
     fn oracle_cost_matches_evaluator_on_current_strategy() {
-        // Both bound sources price the current strategy through staged
-        // deviation rows; either way it must equal a full evaluation.
+        // The search prices the current strategy through staged deviation
+        // rows; that must equal a full evaluation.
         let spec = GameSpec::uniform(6, 2);
         for seed in 0..10 {
             let cfg = Configuration::random(&spec, seed);
             let mut eval = Evaluator::new(&spec);
-            for policy in [LandmarkPolicy::Off, LandmarkPolicy::Forced(2)] {
-                let mut engine = DistanceEngine::new(&spec, cfg.clone()).with_landmarks(policy);
-                for u in NodeId::all(6) {
-                    assert_eq!(
-                        engine.best_response(u, &opts()).unwrap().current_cost,
-                        eval.node_cost(&cfg, u),
-                        "seed {seed} node {u} {policy:?}"
-                    );
-                }
+            let mut engine = DistanceEngine::new(&spec, cfg.clone());
+            for u in NodeId::all(6) {
+                assert_eq!(
+                    engine.best_response(u, &opts()).unwrap().current_cost,
+                    eval.node_cost(&cfg, u),
+                    "seed {seed} node {u}"
+                );
             }
         }
     }
@@ -1679,7 +1350,7 @@ mod tests {
     ) {
         let n = level.len();
         let mut bounds = SuffixBounds::default();
-        bounds.prepare(agg, rows, m, n);
+        bounds.prepare(rows, m, n);
         let incumbents: Vec<u64> = bounds
             .rows
             .chunks_exact(n)
@@ -1773,14 +1444,10 @@ mod tests {
     fn block_row_cases<W: RowWord>() {
         let n = 10;
         let mut rng = SmallRng::seed_from_u64(23);
-        let agg = WeightedSum {
-            targets: &[],
-            penalty: 100,
-        };
         for m in [1, 7, 8, 9, 16, 21] {
             let rows: Vec<W> = random_rows(&mut rng, m, n, 100);
             let mut bounds = SuffixBounds::default();
-            bounds.prepare(&agg, &rows, m, n);
+            bounds.prepare(&rows, m, n);
             assert_eq!(bounds.blocks.len(), m.div_ceil(BLOCK) * n, "m = {m}");
             for (g, block) in bounds.blocks.chunks_exact(n).enumerate() {
                 let members = &rows[g * BLOCK * n..((g + 1) * BLOCK).min(m) * n];
@@ -1816,10 +1483,8 @@ mod tests {
     }
 
     impl<W: RowWord> BoundSource<W> for CheckedBlocks<W> {
-        const EXACT: bool = true;
-
-        fn prepare<A: Aggregate<W>>(&mut self, agg: &A, rows: &[W], m: usize, n: usize) {
-            self.inner.prepare(agg, rows, m, n);
+        fn prepare(&mut self, rows: &[W], m: usize, n: usize) {
+            self.inner.prepare(rows, m, n);
             self.rows = rows[..m * n].to_vec();
         }
 
@@ -1870,7 +1535,7 @@ mod tests {
         let clamp: W = clamp_for(spec);
         let candidates = spec.affordable_targets(u);
         let prices: Vec<u64> = candidates.iter().map(|&c| spec.link_cost(u, c)).collect();
-        let mut rows: Vec<W> = candidates
+        let rows: Vec<W> = candidates
             .iter()
             .flat_map(|&c| engine.deviation_row(u, c).row)
             .map(|d| W::from_u64(d.min(clamp.widen())).unwrap())
@@ -1889,13 +1554,6 @@ mod tests {
             budget: spec.budget(u),
             departed: &[],
         };
-        let mut present = vec![true; candidates.len()];
-        let mut fetch = |_: usize, _: &mut [W]| unreachable!("every row is staged");
-        let staged = StagedRows {
-            rows: &mut rows,
-            present: &mut present,
-            fetch: &mut fetch,
-        };
         let mut bounds = CheckedBlocks {
             inner: SuffixBounds::default(),
             rows: Vec::new(),
@@ -1903,7 +1561,7 @@ mod tests {
         };
         let out = search(
             &view,
-            staged,
+            &rows,
             cfg.strategy(u),
             &mut bounds,
             &opts(),

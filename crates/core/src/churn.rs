@@ -308,14 +308,10 @@ impl<'a> ChurnSim<'a> {
         })
     }
 
-    /// Sets the engine's landmark bound policy ([`crate::LandmarkPolicy`])
-    /// for every settle phase. Deliberately *not* part of [`ChurnConfig`]:
-    /// admissible bounds never change an event draw, trajectory, or
-    /// [`ChurnReport`] digest, so the policy is a runtime knob rather than
-    /// a fingerprinted simulation parameter.
+    /// Returns the sim unchanged. Kept for the benchmark package until
+    /// ROADMAP item 2(c) removes it.
     #[must_use]
-    pub fn with_landmarks(mut self, policy: crate::LandmarkPolicy) -> Self {
-        self.walk.set_landmark_policy(policy);
+    pub fn with_landmarks(self, _policy: crate::LandmarkPolicy) -> Self {
         self
     }
 
@@ -326,9 +322,8 @@ impl<'a> ChurnSim<'a> {
 
     /// Publishes the simulation's effort counters into a metrics registry:
     /// the underlying walk/engine metrics plus the churn lifecycle gauges
-    /// (`churn/capacity`, `churn/live_members`). Observational only —
-    /// mirrors the [`ChurnSim::with_landmarks`] precedent of keeping
-    /// non-trajectory knobs out of the fingerprinted [`ChurnConfig`].
+    /// (`churn/capacity`, `churn/live_members`). Observational only, so it
+    /// stays out of the fingerprinted [`ChurnConfig`].
     pub fn publish_metrics(&self, reg: &mut bbc_obs::Registry) {
         self.walk.publish_metrics(reg);
         reg.set_gauge("churn/capacity", self.capacity as u64);

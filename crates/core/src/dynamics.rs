@@ -100,16 +100,23 @@ pub struct WalkStats {
     /// First step index after which the network was strongly connected
     /// (0 if it started that way); `None` while never observed.
     pub steps_to_strong_connectivity: Option<u64>,
-    /// Landmark-bound prunes accumulated over every stability test
-    /// (always 0 when the engine's [`crate::LandmarkPolicy`] resolves to
-    /// the exact path). Effort counter: never affects the trajectory.
+    /// Always 0. Kept for the benchmark package, which still reads it,
+    /// until ROADMAP item 2(c) removes it.
     pub bounds_hit: u64,
-    /// Exact deviation rows derived inside landmark-bounded searches: the
-    /// held strategy's rows plus every row the search fetched when it first
-    /// included a candidate. Always 0 on the exact path, where every live
-    /// row is derived up front and shows in [`crate::EngineStats`]
-    /// (`oracle_rows_computed` plus `oracle_row_hits`) instead.
+    /// Always 0. Kept for the benchmark package, which still reads it,
+    /// until ROADMAP item 2(c) removes it.
     pub rows_materialized: u64,
+}
+
+/// A choice the benchmark package still passes to [`Walk::with_landmarks`]
+/// and [`crate::ChurnSim::with_landmarks`]; neither variant changes
+/// anything. Kept for the benchmark until ROADMAP item 2(c) removes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LandmarkPolicy {
+    /// No effect.
+    Off,
+    /// No effect.
+    Auto,
 }
 
 /// A best-response walk in progress.
@@ -359,22 +366,11 @@ impl<'a> Walk<'a> {
         self
     }
 
-    /// Sets the engine's landmark bound policy ([`crate::LandmarkPolicy`]).
-    ///
-    /// Admissible bounds never change the walk — trajectory, moves, steps,
-    /// and final configuration are byte-identical across policies; only the
-    /// [`WalkStats::bounds_hit`] / [`WalkStats::rows_materialized`] effort
-    /// counters and the engine's traversal counts vary.
+    /// Returns the walk unchanged. Kept for the benchmark package until
+    /// ROADMAP item 2(c) removes it.
     #[must_use]
-    pub fn with_landmarks(mut self, policy: crate::LandmarkPolicy) -> Self {
-        self.engine.set_landmark_policy(policy);
+    pub fn with_landmarks(self, _policy: LandmarkPolicy) -> Self {
         self
-    }
-
-    /// In-place form of [`Walk::with_landmarks`], for a walk already owned
-    /// by a simulation (e.g. [`crate::ChurnSim`]).
-    pub fn set_landmark_policy(&mut self, policy: crate::LandmarkPolicy) {
-        self.engine.set_landmark_policy(policy);
     }
 
     /// The game this walk plays.
@@ -403,24 +399,12 @@ impl<'a> Walk<'a> {
     }
 
     /// Publishes the walk's effort counters (names under `walk/`) and the
-    /// underlying engine's (under `engine/`) into a metrics registry,
-    /// including the landmark bound hit-rate gauge
-    /// (`walk/landmark_bound_hit_rate_permille`: prunes over prunes +
-    /// materialized exact rows). Observational only — the registry is
-    /// write-only from the walk's point of view, so trajectories and
-    /// digests are untouched.
+    /// underlying engine's (under `engine/`) into a metrics registry.
+    /// Observational only — the registry is write-only from the walk's
+    /// point of view, so trajectories and digests are untouched.
     pub fn publish_metrics(&self, reg: &mut bbc_obs::Registry) {
         reg.set_counter("walk/steps", self.stats.steps);
         reg.set_counter("walk/moves", self.stats.moves);
-        reg.set_counter("walk/bounds_hit", self.stats.bounds_hit);
-        reg.set_counter("walk/rows_materialized", self.stats.rows_materialized);
-        reg.set_gauge(
-            "walk/landmark_bound_hit_rate_permille",
-            bbc_obs::permille(
-                self.stats.bounds_hit,
-                self.stats.bounds_hit + self.stats.rows_materialized,
-            ),
-        );
         self.engine.publish_metrics(reg);
     }
 
@@ -523,14 +507,8 @@ impl<'a> Walk<'a> {
     /// through the engine, honouring the walk's prefill policy (the single
     /// call site shared by every scheduler).
     fn test_node(&mut self, u: NodeId) -> Result<crate::BestResponseOutcome> {
-        let out = self.engine.best_response_prefilled(
-            u,
-            &BestResponseOptions::default(),
-            self.prefill,
-        )?;
-        self.stats.bounds_hit += out.bounds_hit;
-        self.stats.rows_materialized += out.rows_materialized;
-        Ok(out)
+        self.engine
+            .best_response_prefilled(u, &BestResponseOptions::default(), self.prefill)
     }
 
     /// Offers `u` a best-response step; returns whether it moved.
@@ -762,14 +740,9 @@ impl<'a> Walk<'a> {
     }
 
     /// Best-response *advice* for `u`: runs the engine's stability test —
-    /// a full search honouring the walk's prefill policy and landmark
-    /// bounds — without applying the move, counting a step, or touching
-    /// any scheduler state.
-    ///
-    /// The outcome's effort counters ([`crate::BestResponseOutcome::bounds_hit`],
-    /// [`crate::BestResponseOutcome::rows_materialized`]) accumulate into
-    /// [`WalkStats`] like every other stability test. Advice warms the
-    /// engine's caches but never changes observable state: the
+    /// a full search honouring the walk's prefill policy — without applying
+    /// the move, counting a step, or touching any scheduler state. Advice
+    /// warms the engine's caches but never changes observable state: the
     /// [`Walk::state_digest`] before and after is identical.
     ///
     /// # Errors
@@ -1195,8 +1168,6 @@ mod tests {
             let mut moved = false;
             for u in order {
                 let out = engine.best_response(u, &options).unwrap();
-                stats.bounds_hit += out.bounds_hit;
-                stats.rows_materialized += out.rows_materialized;
                 stats.steps += 1;
                 if out.improves() {
                     trace.push(MoveRecord {

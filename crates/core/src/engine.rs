@@ -19,9 +19,6 @@
 //!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
 //!     into its stage, re-deriving from base row `c` only the vertices all
 //!     of whose shortest paths run through `u` (the `row_store` module);
-//!   - the landmark bounds of a search under
-//!     [`crate::LandmarkPolicy::Forced`] read the base rows of the
-//!     landmarks;
 //!   - node costs (the [`crate::Evaluator`] substrate) aggregate base row
 //!     `u`.
 //!
@@ -41,7 +38,7 @@
 //! | cached item                  | invalidated by a rewire of `m` when    |
 //! |------------------------------|----------------------------------------|
 //! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is); for `c ≠ m`, repaired on the next read unless another rewire comes first, else traversed |
-//! | best-response outcome of `u` | `m = u`, `m` ∈ its dependency set, or the memo is incomplete |
+//! | best-response outcome of `u` | `m = u`, or `m` ∈ its dependency set   |
 //! | cost of `u`                  | base row `u` is invalidated            |
 //!
 //! A repaired row equals a traversal's, touched set included, so the
@@ -63,8 +60,8 @@
 //! Under partial membership, cost aggregation masks departed targets (they
 //! contribute neither distances nor disconnection penalties) and the
 //! best-response search draws candidates from live nodes only. The empty
-//! strategy's row and the landmark bound rows hold 0 at the departed
-//! entries, so uniform games keep the plain row-sum kernels under churn.
+//! strategy's row holds 0 at the departed entries, so uniform games keep
+//! the plain row-sum kernels under churn.
 //! Every churn op canonicalizes the CSR layout, so
 //! [`DistanceEngine::state_digest`] after a remove/re-add round trip is
 //! byte-identical to a fresh [`DistanceEngine::with_membership`] build of
@@ -72,16 +69,12 @@
 //!
 //! # One best-response path
 //!
-//! [`DistanceEngine::best_response`] stages a node's live candidates once
-//! and runs the one branch-and-bound search over them. The
-//! [`crate::LandmarkPolicy`] only picks the search's bound source. By
-//! default (no landmarks) every live row is derived up front and the exact
-//! source bounds the search: suffix-min rows, bisected for each loop's
-//! cutoff, and one min row per block of 8 candidates that skips whole runs
-//! of budget leaves (see [`crate::best_response`]). Under
-//! [`crate::LandmarkPolicy::Forced`], only the held strategy's rows are
-//! derived up front, the landmark base rows bound the search, and any other
-//! row is derived when the search first includes its candidate.
+//! [`DistanceEngine::best_response`] stages a node's live candidates once,
+//! derives every one of their rows up front, and runs the one
+//! branch-and-bound search over them. Exact rows built from the staged rows
+//! bound the search: suffix-min rows, bisected for each loop's cutoff, and
+//! one min row per block of 8 candidates that skips whole runs of budget
+//! leaves (see [`crate::best_response`]).
 //!
 //! Base-row traversals can be spread across OS threads with
 //! [`DistanceEngine::prefill_oracle_rows`] on [`crate::par::ordered_fan_out`]:
@@ -89,19 +82,13 @@
 //! shared CSR immutably and rows are written back in ascending source
 //! order, so the thread count never changes any value.
 
-use bbc_graph::{
-    BitSet, BlockEnvelope, BlockPartition, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE,
-};
+use bbc_graph::{BitSet, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE};
 
 use crate::{
-    best_response::{
-        clamp_for, greedy_on, search, LandmarkScratch, OracleView, SearchScratch, StagedRows,
-        SuffixBounds,
-    },
+    best_response::{clamp_for, greedy_on, search, OracleView, SearchScratch, SuffixBounds},
     eval::{cost_from_distances, cost_from_distances_masked},
     row_store::{bitset_bytes, RowStore},
-    BestResponseOptions, BestResponseOutcome, Configuration, Error, GameSpec, LandmarkPolicy,
-    NodeId, Result,
+    BestResponseOptions, BestResponseOutcome, Configuration, Error, GameSpec, NodeId, Result,
 };
 
 /// The word width of the engine's distance rows.
@@ -150,10 +137,8 @@ impl RowTier {
 /// ascending id order, with their deviation rows derived in.
 #[derive(Debug)]
 struct Stage<W> {
-    /// Clamped through-rows, stride `n`; a penalty placeholder where
-    /// `present` is false.
+    /// Clamped through-rows, stride `n`, one per candidate.
     rows: Vec<W>,
-    present: Vec<bool>,
     candidates: Vec<NodeId>,
     /// Link prices parallel to `candidates`.
     prices: Vec<u64>,
@@ -163,7 +148,6 @@ impl<W> Default for Stage<W> {
     fn default() -> Self {
         Self {
             rows: Vec::new(),
-            present: Vec::new(),
             candidates: Vec::new(),
             prices: Vec::new(),
         }
@@ -174,34 +158,8 @@ impl<W> Default for Stage<W> {
 #[derive(Debug)]
 struct Memo {
     outcome: Option<(BestResponseOptions, BestResponseOutcome)>,
-    /// Whether the search derived every live candidate row (always so on
-    /// the exact path). A landmark-bounded search may prune a candidate
-    /// without deriving its row; such a memo also depends on the *bounds*
-    /// that stood in for it, so it cannot ride the dependency set and is
-    /// dropped on any move.
-    complete: bool,
     /// The union of the touched sets of the rows the search derived.
     deps: BitSet,
-}
-
-/// Engine-owned landmark bound layer: the landmark list, the block
-/// partition, and the coarse block-pair envelope derived from the
-/// landmarks' base rows. The rows themselves live in the row store, so a
-/// move that drops a landmark's base row marks the envelope stale and the
-/// next landmark-path query refills and rebuilds. The landmark *set* is
-/// re-picked only when the live membership or the policy changes, and a
-/// re-pick reuses every valid base row.
-#[derive(Debug)]
-struct LandmarkCache<W> {
-    /// Membership version the landmark set was picked against (0 = never
-    /// picked; real versions start at 1).
-    version: u64,
-    landmarks: Vec<NodeId>,
-    partition: BlockPartition,
-    envelope: BlockEnvelope<W>,
-    /// `false` whenever some landmark's base row changed since the envelope
-    /// was last rebuilt.
-    env_valid: bool,
 }
 
 /// Per-node cache of the weighted target list `(v, w(u,v))` over live
@@ -239,7 +197,8 @@ pub struct EngineStats {
     pub patches_applied: u64,
     /// Base-row traversals run to answer a cost or distance query.
     pub eval_rows_computed: u64,
-    /// Base-row traversals run to refresh the landmark rows.
+    /// Always 0. Kept for the benchmark package, which still reads it,
+    /// until ROADMAP item 2(c) removes it.
     pub landmark_rows_computed: u64,
 }
 
@@ -253,7 +212,6 @@ impl EngineStats {
         reg.set_counter("engine/oracle_rows_computed", self.oracle_rows_computed);
         reg.set_counter("engine/oracle_row_hits", self.oracle_row_hits);
         reg.set_counter("engine/eval_rows_computed", self.eval_rows_computed);
-        reg.set_counter("engine/landmark_rows_computed", self.landmark_rows_computed);
         reg.set_counter("engine/rows_invalidated", self.rows_invalidated);
         reg.set_counter("engine/patches_applied", self.patches_applied);
         reg.set_gauge(
@@ -356,12 +314,8 @@ struct EngineCore<'a, W: RowWord> {
     eval_costs: Vec<Option<u64>>,
     stage: Stage<W>,
     search_scratch: SearchScratch<W>,
-    /// The exact bound source (landmark policy resolving to 0).
+    /// The search's bound source.
     suffix: SuffixBounds<W>,
-    lm_policy: LandmarkPolicy,
-    lm: LandmarkCache<W>,
-    /// The landmark bound source.
-    lm_scratch: LandmarkScratch<W>,
     link_scratch: Vec<(u32, u64)>,
     /// Live membership: departed nodes keep their id (and spec row) but
     /// hold no links, receive none, and drop out of every cost aggregate.
@@ -515,7 +469,7 @@ impl<'a> DistanceEngine<'a> {
     /// - `engine/row_store_bytes`: base rows, their touched sets, the
     ///   latest patch's record (pending rows and the mover's old arcs) and
     ///   the reverse adjacency;
-    /// - `engine/stage_bytes`: the search stage, both bound sources and the
+    /// - `engine/stage_bytes`: the search stage, its bound rows and the
     ///   search levels;
     /// - `engine/memo_bytes`: outcome memos with their dependency sets, and
     ///   the per-node weighted target lists.
@@ -532,26 +486,6 @@ impl<'a> DistanceEngine<'a> {
         reg.set_gauge("engine/row_store_bytes", rows);
         reg.set_gauge("engine/stage_bytes", stage);
         reg.set_gauge("engine/memo_bytes", memo);
-    }
-
-    /// Builder form of [`DistanceEngine::set_landmark_policy`].
-    #[must_use]
-    pub fn with_landmarks(mut self, policy: LandmarkPolicy) -> Self {
-        self.set_landmark_policy(policy);
-        self
-    }
-
-    /// Sets the landmark bound policy (see [`LandmarkPolicy`]). Changing the
-    /// policy forces a landmark re-pick at the next landmark-path query but
-    /// keeps every base row and outcome memo — the bounds are admissible,
-    /// so decisions are policy-independent and stay valid.
-    pub fn set_landmark_policy(&mut self, policy: LandmarkPolicy) {
-        tiered!(mut self, e => e.set_landmark_policy(policy));
-    }
-
-    /// The landmark bound policy in force.
-    pub fn landmark_policy(&self) -> LandmarkPolicy {
-        tiered!(self, e => e.lm_policy)
     }
 
     /// Rewires one node's strategy, patching the CSR mirror in place and
@@ -584,10 +518,9 @@ impl<'a> DistanceEngine<'a> {
     /// Exact best response for `u` under the bound configuration, served
     /// from the outcome memo when nothing it depends on has changed.
     ///
-    /// The same decision as [`crate::best_response::exact`] on the same
-    /// configuration for either row tier and every landmark policy; with the
-    /// landmark policy resolving to 0 the outcome is byte-identical,
-    /// `evaluations` included (the differential suite enforces both).
+    /// The same outcome as [`crate::best_response::exact`] on the same
+    /// configuration for either row tier, `evaluations` included (the
+    /// differential suite enforces it).
     ///
     /// # Errors
     ///
@@ -791,7 +724,7 @@ impl<'a> DistanceEngine<'a> {
 }
 
 /// The borrows one search's row derivations need: every deviation row of
-/// `u` it stages, eager or on demand, is derived here.
+/// `u` it stages is derived here.
 struct Deriver<'e, W> {
     store: &'e mut RowStore<W>,
     csr: &'e CsrGraph,
@@ -871,7 +804,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             memos: (0..n)
                 .map(|_| Memo {
                     outcome: None,
-                    complete: true,
                     deps: BitSet::new(n),
                 })
                 .collect(),
@@ -880,15 +812,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             stage: Stage::default(),
             search_scratch: SearchScratch::default(),
             suffix: SuffixBounds::default(),
-            lm_policy: LandmarkPolicy::default(),
-            lm: LandmarkCache {
-                version: 0,
-                landmarks: Vec::new(),
-                partition: BlockPartition::new(n),
-                envelope: BlockEnvelope::new(),
-                env_valid: false,
-            },
-            lm_scratch: LandmarkScratch::default(),
             link_scratch,
             live: members,
             live_count,
@@ -951,58 +874,21 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         }
     }
 
-    /// The memo and landmark-envelope side of a patch of `moved`; the row
-    /// store has already dropped the rows the patch invalidated.
+    /// The memo side of a patch of `moved`; the row store has already
+    /// dropped the rows the patch invalidated.
     fn invalidate_after_move(&mut self, moved: usize) {
         for (u, memo) in self.memos.iter_mut().enumerate() {
-            // An incomplete memo depends on rows the search never derived,
-            // whose dependence on the mover is unknown; and the mover's own
-            // strategy (hence its current cost) changed.
-            if u == moved || !memo.complete || memo.deps.contains(moved) {
+            // The mover's own strategy (hence its current cost) changed.
+            if u == moved || memo.deps.contains(moved) {
                 memo.outcome = None;
             }
         }
-        if !self
-            .lm
-            .landmarks
-            .iter()
-            .all(|l| self.store.is_valid(l.index()))
-        {
-            self.lm.env_valid = false;
-        }
     }
 
-    /// Picks/refreshes the landmark layer for `k` landmarks: re-pick evenly
-    /// over the live set when the membership or requested count changed,
-    /// fill each landmark's invalid base row, and rebuild the block
-    /// envelope if any landmark row changed.
-    fn ensure_landmarks(&mut self, k: usize) {
-        if self.lm.version != self.membership_version || self.lm.landmarks.len() != k {
-            let live: Vec<NodeId> = self.live.iter().map(NodeId::new).collect();
-            self.lm.landmarks = (0..k).map(|j| live[j * live.len() / k]).collect();
-            self.lm.version = self.membership_version;
-            self.lm.env_valid = false;
-        }
-        for &l in &self.lm.landmarks {
-            if self.store.ensure(&self.csr, l.index()) {
-                self.stats.landmark_rows_computed += 1;
-                self.lm.env_valid = false;
-            }
-        }
-        if !self.lm.env_valid {
-            let store = &self.store;
-            self.lm.envelope.rebuild(
-                &self.lm.partition,
-                self.lm.landmarks.iter().map(|l| store.row(l.index())),
-                self.clamp,
-            );
-            self.lm.env_valid = true;
-        }
-    }
-
-    /// Stages `u`'s live affordable candidates in ascending id order, with
-    /// a clamp placeholder row (not `present`) for each.
-    fn stage(&mut self, u: NodeId) {
+    /// Stages `u`'s live affordable candidates in ascending id order and
+    /// derives each one's deviation row, adding its touched set to the
+    /// search's dependency set when `collect_deps` is set.
+    fn stage(&mut self, u: NodeId, collect_deps: bool) {
         let n = self.spec.node_count();
         self.ensure_live_targets(u);
         let stage = &mut self.stage;
@@ -1012,11 +898,19 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             stage.candidates.push(c);
             stage.prices.push(price);
         }
-        let m = stage.candidates.len();
-        stage.rows.clear();
-        stage.rows.resize(m * n, self.clamp);
-        stage.present.clear();
-        stage.present.resize(m, false);
+        // Each row is overwritten whole by its derivation.
+        stage.rows.resize(stage.candidates.len() * n, self.clamp);
+        let mut deriver = Deriver {
+            store: &mut self.store,
+            csr: &self.csr,
+            spec: self.spec,
+            stats: &mut self.stats,
+            deps: collect_deps.then_some(&mut self.deps),
+            u,
+        };
+        for (&c, row) in stage.candidates.iter().zip(stage.rows.chunks_exact_mut(n)) {
+            deriver.derive(c, row);
+        }
     }
 
     fn best_response(
@@ -1033,107 +927,29 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
                 return Ok(outcome.clone());
             }
         }
-        let landmarks = self.lm_policy.resolve(self.live_count);
-        let bounded = landmarks > 0;
-        if bounded {
-            self.ensure_landmarks(landmarks);
-        }
-        self.stage(u);
-        let n = self.spec.node_count();
-        let rows_before = self.stats.oracle_rows_computed + self.stats.oracle_row_hits;
-
-        // Disjoint field borrows: the derivations write through the store
-        // while the search holds the staged rows.
-        let Stage {
-            rows,
-            present,
-            candidates,
-            prices,
-        } = &mut self.stage;
+        // The dependency set is collected aside and committed with the
+        // outcome, so a search that fails leaves any older memo intact.
+        self.deps.clear();
+        self.stage(u, true);
         let view = OracleView {
             spec: self.spec,
             node: u,
-            candidates,
-            prices,
+            candidates: &self.stage.candidates,
+            prices: &self.stage.prices,
             weighted_targets: &self.live_targets[u.index()].targets,
             budget: self.spec.budget(u),
             departed: &self.departed,
         };
-        if bounded {
-            let store = &self.store;
-            let lm_rows: Vec<&[W]> = self
-                .lm
-                .landmarks
-                .iter()
-                .map(|l| store.row(l.index()))
-                .collect();
-            self.lm_scratch
-                .build(&view, &lm_rows, &self.lm.partition, &self.lm.envelope);
-        }
-        // The dependency set is collected aside and committed with the
-        // outcome, so a search that fails leaves any older memo intact.
-        self.deps.clear();
-        let mut deriver = Deriver {
-            store: &mut self.store,
-            csr: &self.csr,
-            spec: self.spec,
-            stats: &mut self.stats,
-            deps: Some(&mut self.deps),
-            u,
-        };
-        let strategy = self.config.strategy(u);
-        if bounded {
-            // The current strategy is priced through exact rows (the search
-            // compares every candidate strategy against it, so it cannot be
-            // bounded); every other row waits for the search to include it.
-            for &t in strategy {
-                let i = view
-                    .candidates
-                    .binary_search(&t)
-                    // bbc-lint: allow(panic, apply_strategy validated every held target as a live affordable candidate)
-                    .expect("a held strategy target is always a live, affordable candidate");
-                deriver.derive(t, &mut rows[i * n..(i + 1) * n]);
-                present[i] = true;
-            }
-        } else {
-            // The exact bound source needs every live row.
-            for (i, &c) in view.candidates.iter().enumerate() {
-                deriver.derive(c, &mut rows[i * n..(i + 1) * n]);
-                present[i] = true;
-            }
-        }
-        let mut fetch = |i: usize, dst: &mut [W]| deriver.derive(view.candidates[i], dst);
-        let staged = StagedRows {
-            rows,
-            present,
-            fetch: &mut fetch,
-        };
-        let mut outcome = if bounded {
-            search(
-                &view,
-                staged,
-                strategy,
-                &mut self.lm_scratch,
-                options,
-                &mut self.search_scratch,
-            )?
-        } else {
-            search(
-                &view,
-                staged,
-                strategy,
-                &mut self.suffix,
-                options,
-                &mut self.search_scratch,
-            )?
-        };
+        let outcome = search(
+            &view,
+            &self.stage.rows,
+            self.config.strategy(u),
+            &mut self.suffix,
+            options,
+            &mut self.search_scratch,
+        )?;
         self.stats.searches_run += 1;
-        if bounded {
-            outcome.rows_materialized =
-                self.stats.oracle_rows_computed + self.stats.oracle_row_hits - rows_before;
-        }
         let memo = &mut self.memos[u.index()];
-        memo.complete = self.stage.present.iter().all(|&p| p);
         memo.outcome = Some((*options, outcome.clone()));
         std::mem::swap(&mut memo.deps, &mut self.deps);
         Ok(outcome)
@@ -1141,20 +957,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
 
     /// Greedy heuristic best response for `u` over its fully staged rows.
     fn greedy(&mut self, u: NodeId) -> BestResponseOutcome {
-        self.stage(u);
-        let n = self.spec.node_count();
-        let mut deriver = Deriver {
-            store: &mut self.store,
-            csr: &self.csr,
-            spec: self.spec,
-            stats: &mut self.stats,
-            deps: None,
-            u,
-        };
-        for (i, &c) in self.stage.candidates.iter().enumerate() {
-            deriver.derive(c, &mut self.stage.rows[i * n..(i + 1) * n]);
-            self.stage.present[i] = true;
-        }
+        self.stage(u, false);
         let view = OracleView {
             spec: self.spec,
             node: u,
@@ -1327,11 +1130,9 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
     /// [`DistanceEngine::publish_metrics`]).
     fn memory(&self) -> [u64; 3] {
         let stage = self.stage.rows.capacity() * size_of::<W>()
-            + self.stage.present.capacity()
             + self.stage.candidates.capacity() * size_of::<NodeId>()
             + self.stage.prices.capacity() * size_of::<u64>()
             + self.suffix.heap_bytes()
-            + self.lm_scratch.heap_bytes()
             + self.search_scratch.heap_bytes();
         let memo = self.memos.capacity() * size_of::<Memo>()
             + bitset_bytes(&self.deps)
@@ -1431,9 +1232,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             *cost = None;
             self.eval_dirty.insert(i);
         }
-        // Landmarks are picked evenly over the live set; force a re-pick at
-        // the next landmark-path query.
-        self.lm.version = 0;
     }
 
     fn canonicalize(&mut self) {
@@ -1441,13 +1239,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         // aggregates"; reuse it wholesale so warm-vs-cold byte-identity
         // keeps being pinned by one code path.
         self.after_membership_change();
-    }
-
-    fn set_landmark_policy(&mut self, policy: LandmarkPolicy) {
-        if policy != self.lm_policy {
-            self.lm_policy = policy;
-            self.lm.version = 0;
-        }
     }
 
     fn take_dirty_costs(&mut self) -> Vec<NodeId> {
@@ -1511,7 +1302,7 @@ fn fill_links(spec: &GameSpec, u: NodeId, targets: &[NodeId], out: &mut Vec<(u32
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::{best_response, CostModel};
 
@@ -1900,8 +1691,7 @@ pub(crate) mod tests {
         // rows the first one built and fills only the one it lacks.
         let spec = GameSpec::uniform(8, 2);
         let cfg = Configuration::random(&spec, 6);
-        let mut engine =
-            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Off);
+        let mut engine = DistanceEngine::new(&spec, cfg);
         engine.best_response(NodeId::new(0), &opts()).unwrap();
         let stats = engine.stats();
         assert_eq!((stats.oracle_rows_computed, stats.oracle_row_hits), (7, 0));
@@ -1912,16 +1702,6 @@ pub(crate) mod tests {
             (8, 6),
             "node 1 lacks only base row 0"
         );
-        // On the landmark path the held strategy's rows are derived once,
-        // not counted as computed and then again as hits.
-        let mut engine = DistanceEngine::new(&spec, cfg).with_landmarks(LandmarkPolicy::Forced(2));
-        let out = engine.best_response(NodeId::new(0), &opts()).unwrap();
-        let stats = engine.stats();
-        assert_eq!(
-            stats.oracle_rows_computed + stats.oracle_row_hits,
-            out.rows_materialized
-        );
-        assert!(out.rows_materialized <= 7);
     }
 
     #[test]
@@ -1939,8 +1719,7 @@ pub(crate) mod tests {
             })
             .collect();
         let cfg = Configuration::from_strategies(&spec, ring).unwrap();
-        let mut engine =
-            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Off);
+        let mut engine = DistanceEngine::new(&spec, cfg.clone());
         engine.node_costs();
         let before = engine.stats();
         let mover = NodeId::new(0);
@@ -1970,8 +1749,7 @@ pub(crate) mod tests {
     #[test]
     fn a_failed_search_keeps_the_older_memo_and_its_dependencies() {
         let spec = GameSpec::uniform(9, 2);
-        let mut engine = DistanceEngine::new(&spec, Configuration::random(&spec, 4))
-            .with_landmarks(LandmarkPolicy::Forced(2));
+        let mut engine = DistanceEngine::new(&spec, Configuration::random(&spec, 4));
         let u = NodeId::new(0);
         let out = engine.best_response(u, &opts()).unwrap();
         let deps = tiered!(engine, e => e.memos[0].deps.clone());
@@ -2109,222 +1887,5 @@ pub(crate) mod tests {
             assert_eq!(narrow.greedy(NodeId::new(1)), wide.greedy(NodeId::new(1)));
             assert_eq!(narrow.state_digest(), wide.state_digest());
         }
-    }
-
-    // ----- landmark bound cache --------------------------------------
-
-    #[test]
-    fn unchanged_engine_never_rebuilds_landmark_rows() {
-        let spec = GameSpec::uniform(10, 2);
-        let cfg = Configuration::random(&spec, 5);
-        let mut engine = DistanceEngine::new(&spec, cfg).with_landmarks(LandmarkPolicy::Forced(4));
-        engine.best_response(NodeId::new(0), &opts()).unwrap();
-        let rows_after_first = engine.stats().landmark_rows_computed;
-        assert_eq!(rows_after_first, 4, "first query builds the forced set");
-        engine.best_response(NodeId::new(1), &opts()).unwrap();
-        engine.best_response(NodeId::new(2), &opts()).unwrap();
-        assert_eq!(
-            engine.stats().landmark_rows_computed,
-            rows_after_first,
-            "consecutive queries on an unchanged engine must reuse every cached landmark row"
-        );
-    }
-
-    #[test]
-    fn landmark_engine_tracks_moves_and_stays_exact() {
-        let spec = GameSpec::uniform(9, 2);
-        let mut cfg = Configuration::random(&spec, 8);
-        let mut pruned =
-            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Forced(3));
-        assert_eq!(pruned.landmark_policy(), LandmarkPolicy::Forced(3));
-        for step in 0..40u64 {
-            let mover = NodeId::new((step % 9) as usize);
-            let out = pruned.best_response(mover, &opts()).unwrap();
-            let exact = best_response::exact(&spec, &cfg, mover, &opts()).unwrap();
-            assert!(
-                out.same_decision(&exact),
-                "step {step}: {out:?} vs {exact:?}"
-            );
-            assert_eq!(out.best_cost, exact.best_cost, "step {step}");
-            assert_eq!(out.current_cost, exact.current_cost, "step {step}");
-            if out.improves() {
-                pruned
-                    .apply_strategy(mover, out.best_strategy.clone())
-                    .unwrap();
-                cfg.set_strategy(&spec, mover, out.best_strategy).unwrap();
-            }
-        }
-        let stats = pruned.stats();
-        assert!(
-            stats.landmark_rows_computed >= 3,
-            "the forced set was built at least once"
-        );
-    }
-
-    #[test]
-    fn landmark_decisions_match_exact_across_membership_churn() {
-        let spec = GameSpec::uniform(12, 2);
-        let cfg = Configuration::random(&spec, 2);
-        let mut pruned =
-            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Forced(4));
-        let mut plain = DistanceEngine::new(&spec, cfg);
-        let compare_all = |a: &mut DistanceEngine, b: &mut DistanceEngine| {
-            let live: Vec<NodeId> = a.live_nodes().collect();
-            for u in live {
-                let x = a.best_response(u, &opts()).unwrap();
-                let y = b.best_response(u, &opts()).unwrap();
-                assert!(x.same_decision(&y), "node {u}: {x:?} vs {y:?}");
-                assert_eq!(x.best_cost, y.best_cost, "node {u}");
-            }
-        };
-        compare_all(&mut pruned, &mut plain);
-        for victim in [NodeId::new(5), NodeId::new(0)] {
-            pruned.remove_node(victim).unwrap();
-            plain.remove_node(victim).unwrap();
-            compare_all(&mut pruned, &mut plain);
-        }
-        pruned
-            .add_node(NodeId::new(5), vec![NodeId::new(3)])
-            .unwrap();
-        plain
-            .add_node(NodeId::new(5), vec![NodeId::new(3)])
-            .unwrap();
-        compare_all(&mut pruned, &mut plain);
-        // Landmarks were re-picked over the live set after each membership
-        // change; none may ever be a departed node.
-        assert!(pruned.stats().landmark_rows_computed >= 4);
-    }
-
-    /// Asserts that each bound row the last landmark-bounded search of `u`
-    /// built lies elementwise at or below the exact suffix-min row at every
-    /// candidate position `i`: `min_{j ≥ i} ℓ(u,c_j) + d_{G∖u}(c_j, ·)`
-    /// (the penalty where unreachable), recomputed on the adjacency list.
-    fn assert_bound_rows_admissible<W: RowWord>(e: &EngineCore<'_, W>, u: NodeId, context: &str) {
-        let n = e.spec.node_count();
-        let mut g = e.config.to_graph(e.spec);
-        g.take_out_arcs(u.index());
-        let mut exact = vec![e.spec.penalty(); n];
-        for (i, &c) in e.stage.candidates.iter().enumerate().rev() {
-            let len = e.spec.link_length(u, c);
-            for (x, d) in exact.iter_mut().zip(g.distances_from(c.index())) {
-                if d != UNREACHABLE {
-                    *x = (*x).min(len + d);
-                }
-            }
-            let bound = e.lm_scratch.bound_row(i, n);
-            for v in 0..n {
-                assert!(
-                    bound[v].lift(e.spec.penalty()) <= exact[v],
-                    "{context}: node {u} position {i} target {v}: bound {bound:?} vs exact {exact:?}"
-                );
-            }
-        }
-    }
-
-    /// [`assert_bound_rows_admissible`] on whichever row tier `engine` runs,
-    /// for unit tests outside this module.
-    pub(crate) fn assert_landmark_bounds_admissible(
-        engine: &DistanceEngine<'_>,
-        u: NodeId,
-        context: &str,
-    ) {
-        tiered!(engine, e => assert_bound_rows_admissible(e, u, context));
-    }
-
-    /// A deterministic game with mixed weights, lengths and costs.
-    fn weighted_spec(n: usize, seed: u64) -> GameSpec {
-        let mut b = GameSpec::builder(n).default_budget(3);
-        let mut x = seed;
-        for u in 0..n {
-            for v in (0..n).filter(|&v| v != u) {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                let r = x >> 33;
-                b = b
-                    .weight(u, v, r % 4)
-                    .link_length(u, v, 1 + (r >> 2) % 5)
-                    .link_cost(u, v, 1 + (r >> 5) % 3);
-            }
-        }
-        b.build().unwrap()
-    }
-
-    #[test]
-    fn landmark_bound_rows_never_exceed_exact_suffix_rows() {
-        for seed in 0..3u64 {
-            let specs = [
-                GameSpec::uniform(9, 2),
-                GameSpec::uniform(12, 3),
-                weighted_spec(10, seed),
-                // The i16 clamp stands in for this penalty: the bound rows
-                // hold the saturated value, lifted back to M.
-                GameSpec::uniform(12, 3).with_penalty(100_003).unwrap(),
-            ];
-            for (idx, spec) in specs.iter().enumerate() {
-                let cfg = Configuration::random(spec, seed);
-                // Churned memberships: two departures from a (12,3) game.
-                let churned = seed == 0 && (idx == 1 || idx == 3);
-                let tiers: &[RowTier] = match RowTier::auto(spec) {
-                    RowTier::I16 => &[RowTier::I16, RowTier::U64],
-                    RowTier::U64 => &[RowTier::U64],
-                };
-                for &tier in tiers {
-                    for k in 1..=6 {
-                        let mut engine = DistanceEngine::with_tier(spec, cfg.clone(), tier)
-                            .unwrap()
-                            .with_landmarks(LandmarkPolicy::Forced(k));
-                        if churned {
-                            engine.remove_node(NodeId::new(3)).unwrap();
-                            engine.remove_node(NodeId::new(8)).unwrap();
-                        }
-                        let live: Vec<NodeId> = engine.live_nodes().collect();
-                        for u in live {
-                            let context = format!("seed {seed} spec {idx} {tier:?} Forced({k})");
-                            tiered!(mut engine, e => {
-                                e.best_response(u, &opts()).unwrap();
-                                assert_bound_rows_admissible(e, u, &context);
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn policy_change_resets_the_landmark_set() {
-        let spec = GameSpec::uniform(10, 2);
-        let cfg = Configuration::random(&spec, 3);
-        let mut engine =
-            DistanceEngine::new(&spec, cfg.clone()).with_landmarks(LandmarkPolicy::Forced(2));
-        let u = NodeId::new(4);
-        let a = engine.best_response(u, &opts()).unwrap();
-        assert_eq!(engine.stats().landmark_rows_computed, 2);
-        engine.set_landmark_policy(LandmarkPolicy::Forced(5));
-        // Memoized outcome survives the policy switch (decisions are
-        // policy-independent); a different node forces a fresh search.
-        assert_eq!(engine.best_response(u, &opts()).unwrap(), a);
-        let v = NodeId::new(7);
-        let picked = [0, 2, 4, 6, 8];
-        let cold = tiered!(engine, e => picked.iter().filter(|&&l| !e.store.is_valid(l)).count());
-        let b = engine.best_response(v, &opts()).unwrap();
-        assert!(cold < picked.len(), "node 4's search left some rows warm");
-        assert_eq!(
-            engine.stats().landmark_rows_computed,
-            2 + cold as u64,
-            "the re-pick fills only the landmarks whose base rows are cold"
-        );
-        assert!(b.same_decision(&best_response::exact(&spec, &cfg, v, &opts()).unwrap()));
-        engine.set_landmark_policy(LandmarkPolicy::Off);
-        let c = engine.best_response(NodeId::new(8), &opts()).unwrap();
-        assert_eq!(
-            engine.stats().landmark_rows_computed,
-            2 + cold as u64,
-            "Off builds nothing"
-        );
-        assert!(
-            c.same_decision(&best_response::exact(&spec, &cfg, NodeId::new(8), &opts()).unwrap())
-        );
     }
 }

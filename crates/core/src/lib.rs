@@ -58,7 +58,6 @@ pub mod engine;
 pub mod enumerate;
 pub mod error;
 pub mod eval;
-pub mod landmark;
 pub mod node;
 pub mod par;
 pub mod reference;
@@ -69,12 +68,11 @@ pub mod stability;
 pub use best_response::{BestResponseOptions, BestResponseOutcome};
 pub use churn::{ChurnConfig, ChurnEvent, ChurnReport, ChurnSim};
 pub use config::Configuration;
-pub use dynamics::{MoveRecord, Scheduler, Walk, WalkOutcome, WalkStats};
+pub use dynamics::{LandmarkPolicy, MoveRecord, Scheduler, Walk, WalkOutcome, WalkStats};
 pub use engine::{DeviationRow, DistanceEngine, EngineStats, RowTier};
 pub use enumerate::{EnumerationResult, ProfileSpace};
 pub use error::{Error, Result};
 pub use eval::Evaluator;
-pub use landmark::LandmarkPolicy;
 pub use node::NodeId;
 pub use spec::{CostModel, GameSpec, GameSpecBuilder};
 pub use stability::{Deviation, StabilityChecker, StabilityReport};

@@ -142,17 +142,11 @@ impl<W: RowWord> RowStore<W> {
         }
     }
 
-    /// Whether base row `c` is filled and current.
-    #[inline]
-    pub(crate) fn is_valid(&self, c: usize) -> bool {
-        self.valid.contains(c)
-    }
-
     /// Base row `c`: `d_G(c, ·)`, the clamp where unreachable. Must be
     /// valid.
     #[inline]
     pub(crate) fn row(&self, c: usize) -> &[W] {
-        debug_assert!(self.is_valid(c), "base row {c} is not filled");
+        debug_assert!(self.valid.contains(c), "base row {c} is not filled");
         &self.rows[c * self.n..(c + 1) * self.n]
     }
 

@@ -14,9 +14,9 @@
 //! invalidation (a stale row would surface here as a cost mismatch).
 
 use bbc_core::{
-    best_response, enumerate, reference, BestResponseOptions, BestResponseOutcome, ChurnConfig,
-    ChurnSim, Configuration, CostModel, DistanceEngine, GameSpec, LandmarkPolicy, NodeId, RowTier,
-    Scheduler, StabilityChecker, Walk, WalkOutcome,
+    best_response, enumerate, reference, BestResponseOptions, BestResponseOutcome, Configuration,
+    CostModel, DistanceEngine, GameSpec, NodeId, RowTier, Scheduler, StabilityChecker, Walk,
+    WalkOutcome,
 };
 use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph};
 use proptest::prelude::*;
@@ -954,310 +954,6 @@ proptest! {
                         context, fast.evaluations, frozen.evaluations
                     );
                 }
-            }
-        }
-    }
-}
-
-// ===== landmark bounds: soundness against the exact substrate ===========
-//
-// The engine composes its bound rows from two public pieces: clamped
-// full-`G` landmark rows and the block envelope over them. The first suite
-// checks both against exact `G∖u` distances; the check of the composed
-// rows is a unit test in `engine.rs`, where those rows are visible. The
-// other suites check the decisions the bounds lead to.
-
-proptest! {
-    #[test]
-    fn landmark_bounds_never_exceed_exact_distances(
-        (spec, cfg) in arb_uniform_instance(),
-        u_sel in any::<u64>(),
-        count in 0usize..=6,
-    ) {
-        use bbc_graph::{
-            BfsBuffer, BlockEnvelope, BlockPartition, ClampedBfs, CsrGraph, UNREACHABLE,
-        };
-        let n = spec.node_count();
-        let penalty = spec.penalty();
-        let u = NodeId::new((u_sel % n as u64) as usize);
-        // Landmark rows as the engine fills them: evenly spread over the
-        // nodes, full-`G` traversals clamped at the penalty.
-        let mut g = cfg.to_graph(&spec);
-        let csr = CsrGraph::from_digraph(&g);
-        let count = count.min(n);
-        let mut kernel = ClampedBfs::<u64>::new(n);
-        let rows: Vec<Vec<u64>> = (0..count)
-            .map(|j| {
-                kernel.run(&csr, j * n / count, 0, penalty);
-                kernel.distances().to_vec()
-            })
-            .collect();
-        let partition = BlockPartition::new(n);
-        let mut envelope = BlockEnvelope::new();
-        envelope.rebuild(&partition, rows.iter().map(Vec::as_slice), penalty);
-
-        g.take_out_arcs(u.index());
-        let mut bfs = BfsBuffer::new(n);
-        for c in NodeId::all(n).filter(|&c| c != u) {
-            bfs.run(&g, c.index());
-            let dist = bfs.distances();
-            for v in NodeId::all(n) {
-                let exact = if dist[v.index()] == UNREACHABLE {
-                    penalty
-                } else {
-                    dist[v.index()]
-                };
-                for (j, row) in rows.iter().enumerate() {
-                    let bound = row[v.index()].saturating_sub(row[c.index()]);
-                    prop_assert!(
-                        bound <= exact,
-                        "landmark {} bound({}, {}) = {} above exact {}",
-                        j * n / count, c, v, bound, exact
-                    );
-                }
-                let bound = envelope.bound(
-                    partition.block_of(c.index()),
-                    partition.block_of(v.index()),
-                );
-                prop_assert!(
-                    bound <= exact,
-                    "envelope bound({}, {}) = {} above exact {}", c, v, bound, exact
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn landmark_search_never_prunes_the_exact_winner(
-        (spec, cfg) in arb_uniform_instance(),
-        count in 0usize..=6,
-    ) {
-        // The admissibility claim, end to end: the landmark-pruned search
-        // must report the frozen reference's decision for every node —
-        // a pruned subtree containing the winner would surface here.
-        let options = BestResponseOptions::default();
-        for u in NodeId::all(spec.node_count()) {
-            let frozen = reference::exact(&spec, &cfg, u, &options).expect("search fits");
-            let lm = DistanceEngine::new(&spec, cfg.clone())
-                .with_landmarks(LandmarkPolicy::Forced(count))
-                .best_response(u, &options)
-                .expect("search fits");
-            assert_same_decision(&frozen, &lm, "landmark");
-        }
-    }
-
-    #[test]
-    fn landmark_search_matches_exact_on_weighted_games(
-        (spec, cfg) in arb_weighted_instance(),
-        count in 0usize..=4,
-    ) {
-        let options = BestResponseOptions::default();
-        for u in NodeId::all(spec.node_count()) {
-            let exact = best_response::exact(&spec, &cfg, u, &options).expect("search fits");
-            let lm = DistanceEngine::new(&spec, cfg.clone())
-                .with_landmarks(LandmarkPolicy::Forced(count))
-                .best_response(u, &options)
-                .expect("search fits");
-            assert_same_decision(&exact, &lm, "landmark-weighted");
-        }
-    }
-
-    #[test]
-    fn stale_landmark_bounds_never_survive_churn_scripts(
-        (spec, cfg) in arb_uniform_instance(),
-        script in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 1..10),
-    ) {
-        // The invalidation contract under fire: a warm Forced(4) engine
-        // driven through an arbitrary rewire/leave/join script must answer
-        // every live query with the decision a fresh engine (which cannot
-        // hold a stale landmark row) computes. A bound that survived past
-        // its invalidation event would over-prune and surface here.
-        let options = BestResponseOptions::default();
-        let n = spec.node_count();
-        let mut engine =
-            DistanceEngine::new(&spec, cfg).with_landmarks(LandmarkPolicy::Forced(4));
-        for (step, (action, node_sel, seed)) in script.into_iter().enumerate() {
-            match action % 3 {
-                0 => {
-                    let i = (node_sel % engine.live_count() as u64) as usize;
-                    let u = engine.live_nodes().nth(i).expect("live index");
-                    let s = seeded_live_strategy(&spec, &engine, u, seed);
-                    engine.apply_strategy(u, s).expect("seeded strategy validates");
-                }
-                1 => {
-                    if engine.live_count() <= 1 {
-                        continue;
-                    }
-                    let i = (node_sel % engine.live_count() as u64) as usize;
-                    let u = engine.live_nodes().nth(i).expect("live index");
-                    engine.remove_node(u).expect("live node departs");
-                }
-                _ => {
-                    let dead: Vec<NodeId> =
-                        NodeId::all(n).filter(|&u| !engine.is_live(u)).collect();
-                    if dead.is_empty() {
-                        continue;
-                    }
-                    let u = dead[(node_sel % dead.len() as u64) as usize];
-                    let s = seeded_live_strategy(&spec, &engine, u, seed);
-                    engine.add_node(u, s).expect("seeded join validates");
-                }
-            }
-            let live = engine.live_set().clone();
-            let mut fresh =
-                DistanceEngine::with_membership(&spec, engine.config().clone(), &live)
-                    .expect("engine state is always a valid membership");
-            for u in engine.live_nodes().collect::<Vec<_>>() {
-                let warm = engine.best_response(u, &options).expect("search fits");
-                let cold = fresh.best_response(u, &options).expect("search fits");
-                prop_assert!(
-                    warm.same_decision(&cold),
-                    "step {}: {} diverged: {:?} vs {:?}", step, u, warm, cold
-                );
-                prop_assert_eq!(warm.best_cost, cold.best_cost, "step {}: {}", step, u);
-                prop_assert_eq!(warm.current_cost, cold.current_cost, "step {}: {}", step, u);
-            }
-        }
-    }
-}
-
-// ===== landmark bound cache: byte-identity at scale =======================
-//
-// The landmark tier runs only under `Forced`; `Auto` resolves to the exact
-// path at every size. These deterministic checks run the 36-node instance
-// at which `Auto` used to pick ⌊√36⌋ = 6 landmarks, so `Forced(6)` keeps
-// that configuration exercised. The contract: decisions, costs,
-// trajectories and churn digests are invariant across Off/Auto/Forced and
-// both row tiers — only effort counters move.
-
-/// A 36-node circulant-ish start (`i → {i+1, i+6}`): big enough for a
-/// multi-block search and six landmarks, small enough for debug-mode
-/// replays.
-fn auto_scale_instance() -> (GameSpec, Configuration) {
-    let n = 36;
-    let spec = GameSpec::uniform(n, 2);
-    let strategies: Vec<Vec<NodeId>> = (0..n)
-        .map(|i| vec![NodeId::new((i + 1) % n), NodeId::new((i + 6) % n)])
-        .collect();
-    let cfg = Configuration::from_strategies(&spec, strategies).expect("circulant validates");
-    (spec, cfg)
-}
-
-const POLICIES: [LandmarkPolicy; 4] = [
-    LandmarkPolicy::Off,
-    LandmarkPolicy::Auto,
-    LandmarkPolicy::Forced(5),
-    LandmarkPolicy::Forced(6),
-];
-
-#[test]
-fn landmark_policies_never_change_walks_at_auto_scale() {
-    let (spec, cfg) = auto_scale_instance();
-    let mut runs = Vec::new();
-    for tier in [RowTier::I16, RowTier::U64] {
-        for policy in POLICIES {
-            let mut walk = Walk::with_tier(&spec, cfg.clone(), tier)
-                .expect("fits both tiers")
-                .detect_cycles(false)
-                .record_trace(true)
-                .with_landmarks(policy);
-            let outcome = walk.run(72).expect("walk fits");
-            let lm_rows = walk.engine_stats().landmark_rows_computed;
-            if let LandmarkPolicy::Forced(_) = policy {
-                assert!(lm_rows > 0, "{tier:?}/{policy:?}: the bounded path ran");
-            } else {
-                assert_eq!(
-                    lm_rows, 0,
-                    "{tier:?}/{policy:?}: the exact path builds nothing"
-                );
-            }
-            runs.push((
-                tier,
-                policy,
-                outcome,
-                walk.trace().to_vec(),
-                walk.stats().steps,
-                walk.stats().moves,
-                walk.into_config(),
-            ));
-        }
-    }
-    let (_, _, outcome0, trace0, steps0, moves0, config0) = runs[0].clone();
-    for (tier, policy, outcome, trace, steps, moves, config) in &runs[1..] {
-        assert_eq!(
-            &outcome0, outcome,
-            "outcome diverged on {tier:?}/{policy:?}"
-        );
-        assert_eq!(&trace0, trace, "trace diverged on {tier:?}/{policy:?}");
-        assert_eq!(steps0, *steps, "steps diverged on {tier:?}/{policy:?}");
-        assert_eq!(moves0, *moves, "moves diverged on {tier:?}/{policy:?}");
-        assert_eq!(
-            &config0, config,
-            "final config diverged on {tier:?}/{policy:?}"
-        );
-    }
-}
-
-#[test]
-fn landmark_policies_never_change_churn_digests() {
-    let (spec, cfg) = auto_scale_instance();
-    let churn_cfg = ChurnConfig {
-        seed: 11,
-        events: 5,
-        min_live: 18,
-        settle_steps: 36,
-        leave_weight: 1,
-        join_weight: 1,
-        shock_weight: 0,
-        prefill_threads: 1,
-        scheduler: Scheduler::RoundRobin,
-    };
-    let reports: Vec<_> = POLICIES
-        .iter()
-        .map(|&policy| {
-            ChurnSim::new(&spec, cfg.clone(), churn_cfg.clone())
-                .with_landmarks(policy)
-                .run()
-                .expect("churn fits the search budget")
-        })
-        .collect();
-    for (policy, report) in POLICIES.iter().zip(&reports[1..]) {
-        assert_eq!(
-            reports[0].trajectory_digest, report.trajectory_digest,
-            "digest diverged under {policy:?}"
-        );
-        assert_eq!(&reports[0], report, "report diverged under {policy:?}");
-    }
-}
-
-#[test]
-fn landmark_decisions_match_exact_at_auto_scale() {
-    // Full-equality spot check on the 36-node instance: every node's
-    // landmark-pruned decision (i16 and u64 tiers, at the count `Auto`
-    // used to pick here and at one fewer) against the one-shot exact
-    // search.
-    let (spec, cfg) = auto_scale_instance();
-    let options = BestResponseOptions::default();
-    for tier in [RowTier::I16, RowTier::U64] {
-        for policy in [LandmarkPolicy::Forced(6), LandmarkPolicy::Forced(5)] {
-            let mut engine = DistanceEngine::with_tier(&spec, cfg.clone(), tier)
-                .expect("fits both tiers")
-                .with_landmarks(policy);
-            for u in NodeId::all(spec.node_count()) {
-                let pruned = engine.best_response(u, &options).expect("search fits");
-                let exact = best_response::exact(&spec, &cfg, u, &options).expect("search fits");
-                assert!(
-                    pruned.same_decision(&exact),
-                    "{tier:?}/{policy:?} node {u}: {pruned:?} vs {exact:?}"
-                );
-                assert_eq!(
-                    pruned.best_cost, exact.best_cost,
-                    "{tier:?}/{policy:?} node {u}"
-                );
-                assert_eq!(
-                    pruned.current_cost, exact.current_cost,
-                    "{tier:?}/{policy:?} node {u}"
-                );
             }
         }
     }

@@ -3,7 +3,7 @@
 
 use bbc_core::{
     best_response, BestResponseOptions, Configuration, CostModel, DistanceEngine, Evaluator,
-    GameSpec, LandmarkPolicy, NodeId, StabilityChecker, Walk, WalkOutcome,
+    GameSpec, NodeId, StabilityChecker, Walk, WalkOutcome,
 };
 use proptest::prelude::*;
 
@@ -79,12 +79,10 @@ proptest! {
     fn oracle_prices_match_full_evaluation((spec, cfg) in arb_nonuniform_instance()) {
         let mut eval = Evaluator::new(&spec);
         let opts = BestResponseOptions::default();
-        for policy in [LandmarkPolicy::Off, LandmarkPolicy::Forced(2)] {
-            let mut engine = DistanceEngine::new(&spec, cfg.clone()).with_landmarks(policy);
-            for u in NodeId::all(spec.node_count()) {
-                let out = engine.best_response(u, &opts).unwrap();
-                prop_assert_eq!(out.current_cost, eval.node_cost(&cfg, u));
-            }
+        let mut engine = DistanceEngine::new(&spec, cfg.clone());
+        for u in NodeId::all(spec.node_count()) {
+            let out = engine.best_response(u, &opts).unwrap();
+            prop_assert_eq!(out.current_cost, eval.node_cost(&cfg, u));
         }
     }
 

@@ -151,8 +151,7 @@ pub fn run(opts: &RunOptions) -> Outcome {
         let budget = rounds * peers;
         let mut walk = Walk::new(&spec, designed)
             .detect_cycles(false)
-            .prefill_threads(crate::default_threads())
-            .with_landmarks(crate::landmark_policy_from_env());
+            .prefill_threads(crate::default_threads());
         // bbc-lint: allow(panic, run() has no error channel; walk budgets are sized above the pinned grid)
         let outcome = walk.run(budget).expect("walk fits budget");
         let settled = matches!(
@@ -162,10 +161,10 @@ pub fn run(opts: &RunOptions) -> Outcome {
         any_settled |= settled;
         let moves = walk.stats().moves;
         total_moves += moves;
-        // Decision-level effort unit: traversal counts vary with the
-        // landmark policy and thread count, but the number of best-response
-        // *calls* (memo hits + searches run) is fixed by the trajectory — the
-        // stream digest must reproduce under every `BBC_LANDMARKS` value.
+        // Decision-level effort unit: traversal counts may vary with the
+        // thread count, but the number of best-response *calls* (memo hits +
+        // searches run) is fixed by the trajectory, so the stream digest
+        // reproduces on any machine.
         let stats = walk.engine_stats();
         let searches = stats.searches_run + stats.outcome_hits;
         let mut registry = bbc_obs::Registry::new();
@@ -210,10 +209,8 @@ pub fn run(opts: &RunOptions) -> Outcome {
     let mut outcome = finish_streamed(report, table, measured, agrees);
     outcome.report.notes.push(
         "churn walks run with Walk::prefill_threads (the oracle BFS fan-out on the \
-         engine's parallel prefill path) and the engine's landmark bound cache \
-         (BBC_LANDMARKS=off|auto|forced:<k>, default auto); trajectories are \
-         byte-identical at any thread count and landmark policy, so the sweep is \
-         reproducible on any machine"
+         engine's parallel prefill path); trajectories are byte-identical at any \
+         thread count, so the sweep is reproducible on any machine"
             .to_string(),
     );
     outcome

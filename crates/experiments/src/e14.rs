@@ -184,8 +184,7 @@ pub fn run(opts: &RunOptions) -> Outcome {
         let spec = overlay.spec();
         let designed = overlay.configuration();
         let cfg = churn_config(point, crate::default_threads());
-        let mut sim = ChurnSim::new(&spec, designed.clone(), cfg)
-            .with_landmarks(crate::landmark_policy_from_env());
+        let mut sim = ChurnSim::new(&spec, designed.clone(), cfg);
         let sim_report = sim
             .run()
             // bbc-lint: allow(panic, run() has no error channel; churn budgets are sized above the pinned phases)
@@ -206,7 +205,6 @@ pub fn run(opts: &RunOptions) -> Outcome {
         let deterministic = if i == 0 {
             let other_threads = if crate::default_threads() == 1 { 2 } else { 1 };
             let again = ChurnSim::new(&spec, designed, churn_config(point, other_threads))
-                .with_landmarks(crate::landmark_policy_from_env())
                 .run()
                 // bbc-lint: allow(panic, run() has no error channel; churn budgets are sized above the pinned phases)
                 .expect("cross-check fits the search budget");

@@ -82,31 +82,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |p| p.get())
 }
 
-/// Landmark bound policy for the walk-heavy experiments (e13/e14), from
-/// the `BBC_LANDMARKS` environment variable: `off`, `auto`, or
-/// `forced:<k>`; unset or unparsable falls back to
-/// [`bbc_core::LandmarkPolicy::Auto`]. `auto` resolves to no landmarks
-/// at every size, so it runs the same exact path as `off`; only
-/// `forced:<k>` reaches the landmark tier.
-///
-/// Deliberately an env knob and *not* a stream-fingerprint input:
-/// admissible bounds never change a decision cell, so the same stream
-/// digest must reproduce under every policy (CI runs e13/e14 under
-/// `forced:<k>` and asserts md5 equality against the pinned digests).
-pub fn landmark_policy_from_env() -> bbc_core::LandmarkPolicy {
-    match std::env::var("BBC_LANDMARKS").ok().as_deref() {
-        Some("off") => bbc_core::LandmarkPolicy::Off,
-        Some(s) => s
-            .strip_prefix("forced:")
-            .and_then(|k| k.parse().ok())
-            .map_or(
-                bbc_core::LandmarkPolicy::Auto,
-                bbc_core::LandmarkPolicy::Forced,
-            ),
-        None => bbc_core::LandmarkPolicy::Auto,
-    }
-}
-
 /// Env-gated metrics sidecar for the walk-heavy sweeps (e13/e14): when
 /// `BBC_METRICS_SIDECAR` is set to a non-empty value other than `0`, each
 /// sweep point appends one JSON line —

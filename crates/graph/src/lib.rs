@@ -31,7 +31,6 @@
 
 pub mod bfs;
 pub mod bitset;
-pub mod blocks;
 pub mod csr;
 pub mod diameter;
 pub mod digest;
@@ -45,7 +44,6 @@ pub mod scc;
 
 pub use bfs::BfsBuffer;
 pub use bitset::BitSet;
-pub use blocks::{BlockEnvelope, BlockPartition};
 pub use csr::{ConnectivityScratch, CsrGraph, ReverseCsr};
 pub use diameter::{diameter, eccentricity, Eccentricities};
 pub use digraph::{Arc, DiGraph};

@@ -44,8 +44,8 @@ use crate::{bitset::BitSet, csr::CsrGraph};
 /// of the search; everything wider than a single row entry (weighted terms,
 /// running totals that may exceed the clamp) goes through
 /// [`RowWord::widen`] or [`RowWord::lift`] into `u64`. Entries are never
-/// negative, and `Sub` is only ever used in the non-wrapping pattern
-/// `max(a, b) - b` (a branchless positive difference).
+/// negative, and `Sub` is only ever used where it cannot wrap: a row
+/// repair's headroom `clamp − d` for an entry `d` below the clamp.
 ///
 /// The kernels take rows of equal length whose entries lie in
 /// `0..=SATURATED`, at most `2¹⁴ − 2` of them for `i16`, and return raw

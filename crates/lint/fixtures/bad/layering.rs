@@ -1,8 +1,8 @@
 // bbc-lint-fixture: reference
-// L3 (reference half): the frozen spec may not import engine/landmark.
+// L3 (reference half): the frozen spec may not import the engine.
 
 use crate::engine::DistanceEngine; //~ ERROR layering
-use crate::{eval, landmark}; //~ ERROR layering
+use crate::{eval, engine}; //~ ERROR layering
 
 pub fn reach_in() -> u64 {
     let _cache = crate::engine::EngineStats::default(); //~ ERROR layering

@@ -15,8 +15,7 @@
 //!   row-width-critical files; conversions go through
 //!   `RowWord::from_u64`/`widen` or carry a reasoned allow.
 //! * **L3 `layering`** — (here) `reference.rs` may not import from
-//!   `engine`/`landmark`; the manifest direction rules live in
-//!   [`crate::layering`].
+//!   `engine`; the manifest direction rules live in [`crate::layering`].
 //! * **L5 `panic`** — no `.unwrap()`/`.expect(…)`/`panic!`/`todo!`/
 //!   `unimplemented!` in non-test library code without a reasoned allow.
 //!
@@ -80,11 +79,9 @@ pub const BLESSED_CLOCK_FILE: &str = "crates/obs/src/clock.rs";
 pub const NARROWING_FILES: &[&str] = &[
     "crates/graph/src/rows.rs",
     "crates/graph/src/csr.rs",
-    "crates/graph/src/blocks.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/row_store.rs",
     "crates/core/src/best_response.rs",
-    "crates/core/src/landmark.rs",
 ];
 
 impl FileRules {
@@ -488,19 +485,19 @@ fn narrowing(file: &str, code: &[&Token], out: &mut Vec<Diagnostic>) {
 }
 
 /// The `reference.rs` half of L3: the frozen executable spec may not reach
-/// into the optimized `engine`/`landmark` modules, or it would stop being
-/// an independent differential baseline.
+/// into the optimized `engine` module, or it would stop being an
+/// independent differential baseline.
 fn reference_imports(file: &str, code: &[&Token], out: &mut Vec<Diagnostic>) {
     for (i, t) in code.iter().enumerate() {
-        let offending = |name: &str| matches!(name, "engine" | "landmark");
+        let offending = |name: &str| name == "engine";
         let flagged = match t.text.as_str() {
-            // `crate::engine…` / `super::landmark…` anywhere.
+            // `crate::engine…` / `super::engine…` anywhere.
             "crate" | "super" => {
                 code.get(i + 1).is_some_and(|t| t.text == ":")
                     && code.get(i + 2).is_some_and(|t| t.text == ":")
                     && code.get(i + 3).is_some_and(|t| offending(&t.text))
             }
-            // `use …{… engine …}` trees: any path segment named engine/landmark
+            // `use …{… engine …}` trees: any path segment named engine
             // inside a use statement.
             "use" => {
                 let mut j = i + 1;
@@ -522,7 +519,7 @@ fn reference_imports(file: &str, code: &[&Token], out: &mut Vec<Diagnostic>) {
                 t.line,
                 "layering",
                 "reference.rs is the frozen differential baseline; it may not import \
-                 from the engine/landmark modules it exists to check"
+                 from the engine module it exists to check"
                     .to_string(),
             );
         }
@@ -790,16 +787,26 @@ mod tests {
             ids("use crate::engine::DistanceEngine;", &rules),
             [("layering", 1)]
         );
-        assert_eq!(
-            ids("use crate::{eval, landmark};", &rules),
-            [("layering", 1)]
-        );
+        assert_eq!(ids("use crate::{eval, engine};", &rules), [("layering", 1)]);
         assert_eq!(
             ids("let e = crate::engine::new();", &rules),
             [("layering", 1)]
         );
         assert!(ids("use crate::{eval, spec};", &rules).is_empty());
         assert!(ids("use bbc_graph::BfsBuffer;", &rules).is_empty());
+    }
+
+    #[test]
+    fn every_narrowing_file_exists() {
+        // A renamed or deleted file would otherwise leave a dead scope
+        // entry that silently narrows L2.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in NARROWING_FILES {
+            assert!(
+                root.join(rel).is_file(),
+                "NARROWING_FILES names missing {rel}"
+            );
+        }
     }
 
     #[test]

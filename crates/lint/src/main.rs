@@ -2,7 +2,7 @@
 //!
 //! The engine's headline guarantee is byte-identity: decisions,
 //! trajectories, and stream digests must not change across row tiers,
-//! thread counts, landmark policies, or resume boundaries. This binary
+//! thread counts, or resume boundaries. This binary
 //! machine-enforces the conventions that guarantee rests on *before* any
 //! differential test has to catch a violation dynamically. See `LINTS.md`
 //! for the full catalog (L1 determinism, L2 row-width soundness, L3

@@ -226,10 +226,6 @@ pub enum Reply {
         improves: bool,
         /// Candidate strategies the search evaluated.
         evaluations: u64,
-        /// Landmark-bound prunes during the search (effort counter).
-        bounds_hit: u64,
-        /// Exact deviation rows materialized during the search.
-        rows_materialized: u64,
     },
     /// [`Op::Step`] / [`Op::Settle`] result.
     Phase {

@@ -736,8 +736,6 @@ impl<'a> OwnerState<'a> {
                         .map(|v| v.index() as u32)
                         .collect(),
                     evaluations: outcome.evaluations,
-                    bounds_hit: outcome.bounds_hit,
-                    rows_materialized: outcome.rows_materialized,
                 },
                 Err(e) => error_reply(&e),
             },

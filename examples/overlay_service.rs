@@ -75,19 +75,18 @@ fn main() {
         Reply::Ok { .. }
     ));
     // Best-response *advice* for a survivor: what would node 3 do now, and
-    // how hard did the engine work to find out?
+    // how many strategies did the engine evaluate to find out?
     match ops.request(Op::Advise { node: 3 }).expect("advise") {
         Reply::Advice {
             current_cost,
             best_cost,
             improves,
-            bounds_hit,
-            rows_materialized,
+            evaluations,
             ..
         } => {
             println!(
                 "advice for node 3 after the departure: cost {current_cost} -> {best_cost} \
-                 (improves: {improves}; {bounds_hit} bound prunes, {rows_materialized} exact rows)"
+                 (improves: {improves}; {evaluations} strategies evaluated)"
             );
         }
         other => panic!("advise failed: {other:?}"),

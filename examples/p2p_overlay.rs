@@ -31,17 +31,7 @@
 //! cargo run --release --example p2p_overlay                   # 64 peers (default)
 //! cargo run --release --example p2p_overlay -- 256            # 256 peers
 //! cargo run --release --example p2p_overlay -- 64 --churn     # + membership churn
-//! cargo run --release --example p2p_overlay -- 64 --landmarks # + landmark bound cache
 //! ```
-//!
-//! `--landmarks` turns on the engine's cached landmark bound tier
-//! ([`LandmarkPolicy::Forced`] at `⌊√n⌋` clamped to `[4, 24]` landmarks, the
-//! count the default `Auto` policy used before it resolved to the exact
-//! path): every stability test consults that many cached full-graph
-//! distance rows before materializing exact deviation rows, and the run
-//! reports how many candidate subtrees the bounds pruned versus how many
-//! exact rows the searches still had to compute. The trajectory is
-//! byte-identical either way — admissible bounds never change a decision.
 
 use bbc::prelude::*;
 use bbc_graph::diameter::eccentricity;
@@ -52,23 +42,13 @@ fn main() -> Result<()> {
     // is CLI-tunable; 64 keeps the default run a few seconds.
     let mut peers: u64 = 64;
     let mut churn_mode = false;
-    let mut landmarks = false;
     for arg in std::env::args().skip(1) {
         if arg == "--churn" {
             churn_mode = true;
-        } else if arg == "--landmarks" {
-            landmarks = true;
         } else {
             peers = arg.parse().expect("peer count must be a number");
         }
     }
-    let policy = if landmarks {
-        // ⌊√peers⌋ clamped to [4, 24].
-        let count = (4..=24).rev().find(|r| r * r <= peers).unwrap_or(4);
-        LandmarkPolicy::Forced(count as usize)
-    } else {
-        LandmarkPolicy::Off
-    };
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     let overlay = CayleyGraph::circulant(peers, &[1, 5]).expect("valid circulant");
     let spec = overlay.spec();
@@ -102,8 +82,7 @@ fn main() -> Result<()> {
     let budget = if peers <= 64 { 15_000 } else { 4 * peers };
     let mut walk = Walk::new(&spec, designed)
         .detect_cycles(false)
-        .prefill_threads(threads)
-        .with_landmarks(policy);
+        .prefill_threads(threads);
     let outcome = walk.run(budget)?;
     let selfish = walk.config();
     let selfish_cost = social_cost(&spec, selfish);
@@ -112,20 +91,6 @@ fn main() -> Result<()> {
         "after {} selfish rewirings ({outcome:?}): social cost {selfish_cost}, diameter {selfish_diam:?}",
         walk.stats().moves
     );
-    if landmarks {
-        let stats = walk.stats();
-        let engine = walk.engine_stats();
-        println!(
-            "landmark bound cache: {} landmark rows computed, {} candidate subtrees \
-             pruned by bounds, {} exact deviation rows still materialized \
-             (vs {} oracle traversals total)",
-            engine.landmark_rows_computed,
-            stats.bounds_hit,
-            stats.rows_materialized,
-            engine.oracle_rows_computed,
-        );
-    }
-
     // The stable-but-irregular alternative: a Forest of Willows of similar
     // scale and degree (k=2, h=4: 62 nodes).
     let willow = ForestOfWillows::new(2, 4, 0).expect("valid willow");
@@ -154,7 +119,7 @@ fn main() -> Result<()> {
             prefill_threads: threads,
             ..ChurnConfig::default()
         };
-        let mut sim = ChurnSim::new(&spec, overlay.configuration(), cfg).with_landmarks(policy);
+        let mut sim = ChurnSim::new(&spec, overlay.configuration(), cfg);
         let report = sim.run()?;
         for (i, e) in report.events.iter().enumerate() {
             let what = match &e.event {

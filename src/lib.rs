@@ -67,8 +67,8 @@ pub mod prelude {
     };
     pub use bbc_core::{
         best_response, enumerate, BestResponseOptions, ChurnConfig, ChurnEvent, ChurnReport,
-        ChurnSim, Configuration, CostModel, Error, Evaluator, GameSpec, LandmarkPolicy, NodeId,
-        Result, Scheduler, StabilityChecker, Walk, WalkOutcome,
+        ChurnSim, Configuration, CostModel, Error, Evaluator, GameSpec, NodeId, Result, Scheduler,
+        StabilityChecker, Walk, WalkOutcome,
     };
     pub use bbc_fractional::{FractionalConfig, FractionalGame};
     pub use bbc_sat::{dpll, Cnf, Lit};

@@ -17,9 +17,7 @@ use bbc::prelude::*;
 fn fixed_seed_walk_trajectory_is_pinned() {
     let spec = GameSpec::uniform(24, 3);
     let start = Configuration::random(&spec, 7);
-    let mut walk = Walk::new(&spec, start.clone())
-        .detect_cycles(false)
-        .with_landmarks(LandmarkPolicy::Off);
+    let mut walk = Walk::new(&spec, start.clone()).detect_cycles(false);
     let outcome = walk.run(2_000).expect("search fits budget");
 
     assert_eq!(outcome, WalkOutcome::StepLimit { steps: 2_000 });
@@ -41,10 +39,6 @@ fn fixed_seed_walk_trajectory_is_pinned() {
             eval_rows_computed: 0,
             landmark_rows_computed: 0,
         }
-    );
-    assert_eq!(
-        (walk.stats().bounds_hit, walk.stats().rows_materialized),
-        (0, 0)
     );
 
     // Determinism: an identical second run replays the identical walk.
@@ -73,75 +67,33 @@ fn fixed_seed_walk_converges_from_random_start() {
 }
 
 #[test]
-fn landmark_walk_prefix_effort_is_pinned() {
-    // The same walk's first 500 steps on the landmark-bounded search: the
-    // held strategy's 3 rows are derived before the search, the rest only
-    // when the search includes their candidate. Each derived row counts
-    // once, as a traversal or as a hit on a valid or repaired base row, so
-    // the two sum to `rows_materialized`. A repair fills the mover's base
-    // row even where the bounded search itself would not, so a later patch
-    // can drop that row too.
-    let spec = GameSpec::uniform(24, 3);
-    let mut walk = Walk::new(&spec, Configuration::random(&spec, 7))
-        .detect_cycles(false)
-        .with_landmarks(LandmarkPolicy::Forced(4));
-    let outcome = walk.run(500).expect("search fits budget");
-
-    assert_eq!(outcome, WalkOutcome::StepLimit { steps: 500 });
-    assert_eq!(walk.stats().moves, 479);
-    assert_eq!(
-        walk.engine_stats(),
-        EngineStats {
-            oracle_rows_computed: 40,
-            oracle_row_hits: 11_434,
-            outcome_hits: 0,
-            searches_run: 500,
-            rows_invalidated: 11_070,
-            patches_applied: 479,
-            eval_rows_computed: 0,
-            landmark_rows_computed: 482,
-        }
-    );
-    assert_eq!(
-        (walk.stats().bounds_hit, walk.stats().rows_materialized),
-        (953, 11_474)
-    );
-}
-
-#[test]
 fn start_configuration_search_effort_is_pinned() {
     // One best response per node on the walk's start configuration: the
-    // summed `evaluations` pin the search's pruning, per bound source. The
-    // nodes share base rows, so the exact path runs one traversal per
-    // node, not one per (node, candidate) pair.
+    // summed `evaluations` pin the search's pruning. The nodes share base
+    // rows, so the search runs one traversal per node, not one per (node,
+    // candidate) pair.
     let spec = GameSpec::uniform(24, 3);
     let start = Configuration::random(&spec, 7);
     let options = BestResponseOptions::default();
-    for (policy, evaluations, rows_computed, row_hits) in [
-        (LandmarkPolicy::Off, 737, 24, 528),
-        (LandmarkPolicy::Forced(4), 1_472, 20, 510),
-    ] {
-        let mut engine = DistanceEngine::new(&spec, start.clone()).with_landmarks(policy);
-        let total: u64 = NodeId::all(24)
-            .map(|u| {
-                engine
-                    .best_response(u, &options)
-                    .expect("search fits budget")
-                    .evaluations
-            })
-            .sum();
-        assert_eq!(total, evaluations, "{policy:?}");
-        let stats = engine.stats();
-        assert_eq!(
-            (
-                stats.oracle_rows_computed,
-                stats.oracle_row_hits,
-                stats.searches_run
-            ),
-            (rows_computed, row_hits, 24),
-            "{policy:?}"
-        );
-    }
+    let mut engine = DistanceEngine::new(&spec, start);
+    let total: u64 = NodeId::all(24)
+        .map(|u| {
+            engine
+                .best_response(u, &options)
+                .expect("search fits budget")
+                .evaluations
+        })
+        .sum();
+    assert_eq!(total, 737);
+    let stats = engine.stats();
+    assert_eq!(
+        (
+            stats.oracle_rows_computed,
+            stats.oracle_row_hits,
+            stats.searches_run
+        ),
+        (24, 528, 24)
+    );
 }
 
 #[test]
@@ -152,68 +104,42 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     // effort is visible. Every test moves, and each move drops every base
     // row. The first search traverses all 511 rows its deviation rows
     // derive from; each later one traverses only the mover's row and
-    // repairs the other 510 from their old values (on the exact path: 511 +
-    // 7 traversals). A 512-peer search takes seconds without optimization,
-    // so debug builds skip this.
+    // repairs the other 510 from their old values (511 + 7 traversals). A
+    // 512-peer search takes seconds without optimization, so debug builds
+    // skip this.
     if cfg!(debug_assertions) {
         return;
     }
     let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("512 admits circulant{1,23}");
     let spec = overlay.spec();
     let options = BestResponseOptions::default();
-    let exact = EngineStats {
-        oracle_rows_computed: 518,
-        oracle_row_hits: 3_570,
-        outcome_hits: 0,
-        searches_run: 8,
-        rows_invalidated: 4_088,
-        patches_applied: 8,
-        eval_rows_computed: 0,
-        landmark_rows_computed: 0,
-    };
-    for (policy, evaluations, rows_materialized, stats) in [
-        // The landmark tier at the count `Auto` used to pick at 512 peers.
-        (
-            LandmarkPolicy::Forced(22),
-            1_046_536,
-            4_088,
-            EngineStats {
-                oracle_rows_computed: 490,
-                oracle_row_hits: 3_598,
-                outcome_hits: 0,
-                searches_run: 8,
-                rows_invalidated: 4_089,
-                patches_applied: 8,
-                eval_rows_computed: 0,
-                landmark_rows_computed: 29,
-            },
-        ),
-        (LandmarkPolicy::Off, 262_792, 0, exact),
-        // The default resolves to no landmarks: exactly the `Off` arm.
-        (LandmarkPolicy::Auto, 262_792, 0, exact),
-    ] {
-        let mut engine = DistanceEngine::new(&spec, overlay.configuration()).with_landmarks(policy);
-        let mut summed = (0u64, 0u64, 0u64, 0u64);
-        for u in NodeId::all(8) {
-            let out = engine
-                .best_response(u, &options)
-                .expect("the default budget fits a 512-peer search");
-            summed.1 += out.evaluations;
-            summed.2 += out.bounds_hit;
-            summed.3 += out.rows_materialized;
-            if out.improves() {
-                engine
-                    .apply_strategy(u, out.best_strategy)
-                    .expect("a best response is a valid strategy");
-                summed.0 += 1;
-            }
+    let mut engine = DistanceEngine::new(&spec, overlay.configuration());
+    let (mut moves, mut evaluations) = (0u64, 0u64);
+    for u in NodeId::all(8) {
+        let out = engine
+            .best_response(u, &options)
+            .expect("the default budget fits a 512-peer search");
+        evaluations += out.evaluations;
+        if out.improves() {
+            engine
+                .apply_strategy(u, out.best_strategy)
+                .expect("a best response is a valid strategy");
+            moves += 1;
         }
-        assert_eq!(engine.state_digest(), 0x9216_af62_00e6_2f31, "{policy:?}");
-        assert_eq!(
-            summed,
-            (8, evaluations, 0, rows_materialized),
-            "{policy:?}: moves, evaluations, bounds_hit, rows_materialized"
-        );
-        assert_eq!(engine.stats(), stats, "{policy:?}");
     }
+    assert_eq!(engine.state_digest(), 0x9216_af62_00e6_2f31);
+    assert_eq!((moves, evaluations), (8, 262_792), "moves, evaluations");
+    assert_eq!(
+        engine.stats(),
+        EngineStats {
+            oracle_rows_computed: 518,
+            oracle_row_hits: 3_570,
+            outcome_hits: 0,
+            searches_run: 8,
+            rows_invalidated: 4_088,
+            patches_applied: 8,
+            eval_rows_computed: 0,
+            landmark_rows_computed: 0,
+        }
+    );
 }

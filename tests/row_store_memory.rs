@@ -29,7 +29,7 @@ fn overlay512_walk_peak_rss_stays_within_32_mib() {
         return;
     }
     // The benchmark's walk: the designed circulant{1,23} on 512 peers,
-    // identity round-robin order, no cycle detection, default landmarks.
+    // identity round-robin order, no cycle detection.
     let overlay = CayleyGraph::circulant(512, &[1, 23]).expect("512 admits circulant{1,23}");
     let spec = overlay.spec();
     let mut walk = Walk::new(&spec, overlay.configuration()).detect_cycles(false);
