@@ -7,8 +7,7 @@
 //! ([`crate::DistanceEngine::remove_node`] /
 //! [`crate::DistanceEngine::add_node`]): a deterministic, seed-driven event
 //! stream of joins, leaves and (optional) strategy shocks is interleaved
-//! with best-response play through the ordinary [`Walk`] schedulers — the
-//! per-step base-row prefill rides [`Walk::prefill_threads`] unchanged.
+//! with best-response play through the ordinary [`Walk`] schedulers.
 //!
 //! # Event model
 //!
@@ -36,12 +35,10 @@
 //! # Determinism contract
 //!
 //! Everything is a pure function of `(spec, start, ChurnConfig)`: the RNG
-//! is a seeded [`SmallRng`] consulted in a fixed order, schedulers are the
-//! deterministic [`Walk`] ones, and the parallel base-row prefill is
-//! byte-identical at every thread count — so the full event/move trajectory
+//! is a seeded [`SmallRng`] consulted in a fixed order, and schedulers are
+//! the deterministic [`Walk`] ones — so the full event/move trajectory
 //! (hence [`ChurnReport::trajectory_digest`]) reproduces bit-for-bit across
-//! runs, thread counts, and machines. The release test suite pins a fixed
-//! seed's digest.
+//! runs and machines. The release test suite pins a fixed seed's digest.
 //!
 //! ```
 //! use bbc_core::{ChurnConfig, ChurnSim, Configuration, GameSpec};
@@ -86,8 +83,9 @@ pub struct ChurnConfig {
     pub join_weight: u32,
     /// Relative weight of strategy shocks (0 disables them — the default).
     pub shock_weight: u32,
-    /// OS threads for the per-step base-row prefill
-    /// ([`Walk::prefill_threads`]); never changes the trajectory.
+    /// Does nothing: the sim runs on the calling thread. Kept for the
+    /// benchmark package, which still sets it, until ROADMAP item 2(c)
+    /// removes it.
     pub prefill_threads: usize,
     /// Which deterministic scheduler plays between events.
     pub scheduler: Scheduler,
@@ -273,9 +271,7 @@ impl<'a> ChurnSim<'a> {
         // Cycle detection stays on: §4.3 walks need not settle at all, and
         // a certified exact-state loop ends a phase deterministically
         // instead of burning the whole settle budget re-treading it.
-        let walk = Walk::new(spec, start)
-            .with_scheduler(cfg.scheduler.clone())
-            .prefill_threads(cfg.prefill_threads);
+        let walk = Walk::new(spec, start).with_scheduler(cfg.scheduler.clone());
         Self {
             walk,
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -297,9 +293,7 @@ impl<'a> ChurnSim<'a> {
         cfg: ChurnConfig,
         tier: crate::RowTier,
     ) -> Result<Self> {
-        let walk = Walk::with_tier(spec, start, tier)?
-            .with_scheduler(cfg.scheduler.clone())
-            .prefill_threads(cfg.prefill_threads);
+        let walk = Walk::with_tier(spec, start, tier)?.with_scheduler(cfg.scheduler.clone());
         Ok(Self {
             walk,
             rng: SmallRng::seed_from_u64(cfg.seed),
@@ -525,24 +519,6 @@ mod tests {
             events,
             settle_steps: 50_000,
             ..ChurnConfig::default()
-        }
-    }
-
-    #[test]
-    fn sim_is_deterministic_across_prefill_thread_counts() {
-        let spec = GameSpec::uniform(10, 2);
-        let start = Configuration::random(&spec, 3);
-        let run = |threads: usize| {
-            let mut c = cfg(42, 6);
-            c.prefill_threads = threads;
-            ChurnSim::new(&spec, start.clone(), c).run().unwrap()
-        };
-        let base = run(1);
-        assert_eq!(base.events.len(), 6);
-        for threads in [2usize, 4] {
-            let report = run(threads);
-            assert_eq!(report, base, "threads {threads}");
-            assert_eq!(report.trajectory_digest, base.trajectory_digest);
         }
     }
 

@@ -11,8 +11,7 @@
 //! * the first step at which the network becomes strongly connected, the
 //!   quantity bounded by `n²` in Theorem 6.
 
-use std::collections::BTreeSet;
-use std::ops::Bound;
+use std::cmp::Reverse;
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -148,9 +147,6 @@ pub struct Walk<'a> {
     /// Consecutive steps without a move (equilibrium detector for
     /// round-robin/random).
     stable_streak: usize,
-    /// OS threads for the per-step oracle BFS fan-out
-    /// ([`Walk::prefill_threads`]; 1 = sequential).
-    prefill: usize,
     rng: Option<SmallRng>,
     /// Whether the caller asked for cycle detection ([`Walk::detect_cycles`];
     /// on by default). The *effective* state is `history`, reconciled from
@@ -159,29 +155,6 @@ pub struct Walk<'a> {
     want_cycles: bool,
     history: Option<DetHashMap<(Configuration, usize), u64>>,
     trace: Option<Vec<MoveRecord>>,
-    /// Priority state of the engine-aware max-cost-first scheduler; built
-    /// lazily on the first max-cost step and updated per move from the
-    /// engine's dirty-cost drain. Dropped whenever the scheduler switches
-    /// or the membership changes.
-    mcf: Option<McfState>,
-}
-
-/// Priority state for [`Scheduler::MaxCostFirst`]: live nodes keyed by
-/// `(u64::MAX − cost, id)` so ascending B-tree order visits maximum cost
-/// first with ties broken by lowest id — exactly a recompute-and-sort scan's
-/// order.
-#[derive(Debug)]
-struct McfState {
-    queue: BTreeSet<(u64, u32)>,
-    /// The cost each node is currently filed under (`None` = not queued).
-    filed: Vec<Option<u64>>,
-}
-
-impl McfState {
-    #[inline]
-    fn key(cost: u64, u: NodeId) -> (u64, u32) {
-        (u64::MAX - cost, u.index() as u32)
-    }
 }
 
 impl<'a> Walk<'a> {
@@ -254,12 +227,10 @@ impl<'a> Walk<'a> {
             pos: 0,
             order,
             stable_streak: 0,
-            prefill: 1,
             rng: None,
             want_cycles: true,
             history: Some(DetHashMap::default()),
             trace: None,
-            mcf: None,
         }
     }
 
@@ -305,9 +276,6 @@ impl<'a> Walk<'a> {
         self.history = None;
         self.scheduler = scheduler;
         self.pos = 0;
-        // The max-cost queue belongs to the old scheduler's stepping; it is
-        // rebuilt lazily from the engine's dirty-cost drain when needed.
-        self.mcf = None;
         // The no-move streak belongs to the old scheduler's test order; with
         // pos back at 0 a carried streak could certify equilibrium after
         // fewer than n fresh tests.
@@ -351,18 +319,10 @@ impl<'a> Walk<'a> {
         self
     }
 
-    /// Spreads each step's base-row traversals across `threads` OS threads
-    /// via [`DistanceEngine::best_response_prefilled`]; the deviation rows
-    /// are then derived from them on the calling thread. A row dropped by
-    /// the latest move alone is repaired in place, serially, before the
-    /// fan-out, so after one move there is usually a single traversal to
-    /// spread (the mover's own row); a cold start, a membership change or
-    /// back-to-back patches leave up to `n − 1`. The walk itself — outcome,
-    /// configuration, steps, moves — is byte-identical for every thread
-    /// count; only wall-clock changes. Values ≤ 1 keep the sequential path.
+    /// Returns the walk unchanged: every step runs on the calling thread.
+    /// Kept for the benchmark package until ROADMAP item 2(c) removes it.
     #[must_use]
-    pub fn prefill_threads(mut self, threads: usize) -> Self {
-        self.prefill = threads.max(1);
+    pub fn prefill_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -504,11 +464,10 @@ impl<'a> Walk<'a> {
     }
 
     /// One full-search stability test (default [`BestResponseOptions`])
-    /// through the engine, honouring the walk's prefill policy (the single
-    /// call site shared by every scheduler).
+    /// through the engine (the single call site shared by every scheduler).
     fn test_node(&mut self, u: NodeId) -> Result<crate::BestResponseOutcome> {
         self.engine
-            .best_response_prefilled(u, &BestResponseOptions::default(), self.prefill)
+            .best_response(u, &BestResponseOptions::default())
     }
 
     /// Offers `u` a best-response step; returns whether it moved.
@@ -522,72 +481,19 @@ impl<'a> Walk<'a> {
         Ok(true)
     }
 
-    /// One engine-aware max-cost-first step; returns `false` when every
-    /// live node is stable (equilibrium).
+    /// One max-cost-first scan; returns `false` when every live node is
+    /// stable (equilibrium).
     ///
-    /// The scan probes nodes in descending cached-cost order (ties by
-    /// lowest id) straight out of a priority queue that is updated from the
-    /// engine's dirty-cost drain — `O(changed·log n)` bookkeeping per
-    /// applied move plus `O(log n)` per probe, instead of a recompute-and-sort
-    /// of every node per step. The probe sequence, applied moves, and
-    /// [`WalkStats`] step accounting are identical to that rescan (a unit
-    /// test replays one): a stability test never changes any cost, so the
-    /// queue order *is* the rescan's sort order.
+    /// The scan sorts the live nodes by cached cost, highest first, ties to
+    /// the lowest id, and tests them in that order until one moves. The
+    /// costs are read in ascending id order before the first test, and a
+    /// stability test changes no cost, so the order holds for the whole
+    /// scan.
     fn step_max_cost_first(&mut self) -> Result<bool> {
-        let n = self.spec.node_count();
-        let dirty = self.engine.take_dirty_costs();
-        if let Some(state) = &mut self.mcf {
-            // O(changed): re-file exactly the nodes whose cached cost the
-            // last applied move (or churn event) dropped.
-            for u in dirty {
-                if let Some(old) = state.filed[u.index()].take() {
-                    state.queue.remove(&McfState::key(old, u));
-                }
-                if self.engine.is_live(u) {
-                    let cost = self.engine.node_cost(u);
-                    state.queue.insert(McfState::key(cost, u));
-                    state.filed[u.index()] = Some(cost);
-                }
-            }
-        } else {
-            // Fresh queue (the pending dirty set was just absorbed): file
-            // every live node under its current cost.
-            let mut state = McfState {
-                queue: BTreeSet::new(),
-                filed: vec![None; n],
-            };
-            for u in NodeId::all(n) {
-                if self.engine.is_live(u) {
-                    let cost = self.engine.node_cost(u);
-                    state.queue.insert(McfState::key(cost, u));
-                    state.filed[u.index()] = Some(cost);
-                }
-            }
-            self.mcf = Some(state);
-        }
-
-        // Probe in queue order via a cursor (the queue is not mutated by
-        // stability tests, so the cursor walks a stable order).
-        let mut cursor: Option<(u64, u32)> = None;
-        loop {
-            let next = {
-                // bbc-lint: allow(panic, the match arm above constructed self.mcf before looping)
-                let state = self.mcf.as_ref().expect("built above");
-                match cursor {
-                    None => state.queue.first().copied(),
-                    Some(k) => state
-                        .queue
-                        .range((Bound::Excluded(k), Bound::Unbounded))
-                        .next()
-                        .copied(),
-                }
-            };
-            let Some(key) = next else {
-                // Full scan found no mover: equilibrium (every test counted).
-                return Ok(false);
-            };
-            cursor = Some(key);
-            let u = NodeId::new(key.1 as usize);
+        let costs = self.engine.node_costs();
+        let mut order: Vec<NodeId> = self.engine.live_nodes().collect();
+        order.sort_by_key(|&u| (Reverse(costs[u.index()]), u));
+        for u in order {
             let out = self.test_node(u)?;
             // Every stability test counts as a step (the `WalkStats::steps`
             // contract), including the non-movers probed before the mover is
@@ -600,6 +506,8 @@ impl<'a> Walk<'a> {
                 return Ok(true);
             }
         }
+        // Full scan found no mover: equilibrium (every test counted).
+        Ok(false)
     }
 
     fn apply_move(&mut self, u: NodeId, new: Vec<NodeId>, old_cost: u64, new_cost: u64) {
@@ -661,9 +569,8 @@ impl<'a> Walk<'a> {
 
     /// Departs node `u` mid-walk ([`DistanceEngine::remove_node`]) and
     /// resets the scheduler state the event invalidates: the no-move
-    /// streak, the round-robin position, the cycle-detection history (its
-    /// keys describe the old membership's dynamics), and the max-cost
-    /// queue (rebuilt from the engine's dirty drain on the next step).
+    /// streak, the round-robin position, and the cycle-detection history
+    /// (its keys describe the old membership's dynamics).
     ///
     /// # Errors
     ///
@@ -708,15 +615,14 @@ impl<'a> Walk<'a> {
         if let Some(history) = &mut self.history {
             history.clear();
         }
-        self.mcf = None;
         self.note_connectivity();
     }
 
     // ----- service hooks ---------------------------------------------
 
     /// Resets the per-phase scheduler state — the round-robin cursor, the
-    /// no-move streak, the cycle-detection history, and the max-cost queue
-    /// — exactly as a churn event does, without touching the engine.
+    /// no-move streak and the cycle-detection history — exactly as a churn
+    /// event does, without touching the engine.
     ///
     /// After a reset the next [`Walk::run`] is a pure function of
     /// `(configuration, membership, scheduler)`: this is the hook the
@@ -740,10 +646,10 @@ impl<'a> Walk<'a> {
     }
 
     /// Best-response *advice* for `u`: runs the engine's stability test —
-    /// a full search honouring the walk's prefill policy — without applying
-    /// the move, counting a step, or touching any scheduler state. Advice
-    /// warms the engine's caches but never changes observable state: the
-    /// [`Walk::state_digest`] before and after is identical.
+    /// a full search — without applying the move, counting a step, or
+    /// touching any scheduler state. Advice warms the engine's caches but
+    /// never changes observable state: the [`Walk::state_digest`] before
+    /// and after is identical.
     ///
     /// # Errors
     ///
@@ -1129,19 +1035,27 @@ mod tests {
     }
 
     /// The recompute-and-sort max-cost-first walk, written against the
-    /// engine's public API: before every step it recomputes every live
-    /// node's cost, sorts (max cost first, ties by lowest id) and probes in
-    /// that order until a node moves. Its accounting follows [`Walk::run`]:
-    /// cycle detection on the pre-step configuration, one step per
-    /// stability test, connectivity noted at the start and after each move.
+    /// engine's public API over the live membership `live`: before every
+    /// step it recomputes every live node's cost, sorts (max cost first,
+    /// ties by lowest id) and probes in that order until a node moves. Its
+    /// accounting follows [`Walk::run`]: cycle detection on the pre-step
+    /// configuration, one step per stability test, connectivity noted at
+    /// the start and after each move.
     fn max_cost_first_by_rescan(
         spec: &GameSpec,
         start: Configuration,
+        live: &bbc_graph::BitSet,
         max_steps: u64,
-    ) -> (WalkOutcome, WalkStats, Vec<MoveRecord>, Configuration) {
+    ) -> (
+        WalkOutcome,
+        WalkStats,
+        Vec<MoveRecord>,
+        Configuration,
+        crate::EngineStats,
+    ) {
         let n = spec.node_count();
         let options = BestResponseOptions::default();
-        let mut engine = DistanceEngine::new(spec, start);
+        let mut engine = DistanceEngine::with_membership(spec, start, live).unwrap();
         let mut stats = WalkStats::default();
         let mut trace = Vec::new();
         let mut history = DetHashMap::default();
@@ -1189,35 +1103,64 @@ mod tests {
                 break WalkOutcome::Equilibrium { steps: stats.steps };
             }
         };
-        (outcome, stats, trace, engine.into_config())
+        let engine_stats = engine.stats();
+        (outcome, stats, trace, engine.into_config(), engine_stats)
+    }
+
+    /// `start` with the `departed` peers holding no links and receiving
+    /// none, and the membership of the rest.
+    fn depart(
+        spec: &GameSpec,
+        mut start: Configuration,
+        departed: &[NodeId],
+    ) -> (Configuration, bbc_graph::BitSet) {
+        let n = spec.node_count();
+        for u in NodeId::all(n) {
+            let kept: Vec<NodeId> = if departed.contains(&u) {
+                Vec::new()
+            } else {
+                let targets = start.strategy(u).iter().copied();
+                targets.filter(|t| !departed.contains(t)).collect()
+            };
+            start.set_strategy(spec, u, kept).unwrap();
+        }
+        let live = NodeId::all(n).filter(|u| !departed.contains(u));
+        let live = bbc_graph::BitSet::from_indices(n, live.map(NodeId::index));
+        (start, live)
     }
 
     #[test]
-    fn max_cost_first_queue_replays_the_frozen_rescan_exactly() {
-        // The engine-aware priority-queue scheduler must reproduce the
-        // recompute-and-sort reference *exactly*: same probe count (steps),
-        // same movers in the same order, same endpoint — from random
-        // starts, from an equilibrium start, and with the search budget
-        // exercised by several (n, k) shapes.
+    fn max_cost_first_replays_the_frozen_rescan_exactly() {
+        // The max-cost-first scheduler must reproduce the recompute-and-sort
+        // reference *exactly*: same probe count (steps), same movers in the
+        // same order, same endpoint, and the same engine effort (costs read,
+        // rows filled and searches run in the same order) — from random
+        // starts, with and without two departed peers, and with the search
+        // budget exercised by several (n, k) shapes.
         for (n, k, seeds) in [(6usize, 1u64, 0..6u64), (8, 2, 0..4), (10, 2, 0..3)] {
             let spec = GameSpec::uniform(n, k);
             for seed in seeds {
-                let start = Configuration::random(&spec, seed);
-                let mut walk = Walk::new(&spec, start.clone())
-                    .with_scheduler(Scheduler::MaxCostFirst)
-                    .record_trace(true);
-                let outcome = walk.run(4_000).unwrap();
-                let queue = (
-                    outcome,
-                    walk.stats().clone(),
-                    walk.trace().to_vec(),
-                    walk.into_config(),
-                );
-                assert_eq!(
-                    queue,
-                    max_cost_first_by_rescan(&spec, start, 4_000),
-                    "n={n} k={k} seed={seed}"
-                );
+                for departed in [&[][..], &[v(1), v(n - 2)]] {
+                    let (start, live) = depart(&spec, Configuration::random(&spec, seed), departed);
+                    let mut walk = Walk::with_membership(&spec, start.clone(), &live)
+                        .unwrap()
+                        .with_scheduler(Scheduler::MaxCostFirst)
+                        .record_trace(true);
+                    let outcome = walk.run(4_000).unwrap();
+                    let engine_stats = walk.engine_stats();
+                    let scheduled = (
+                        outcome,
+                        walk.stats().clone(),
+                        walk.trace().to_vec(),
+                        walk.into_config(),
+                        engine_stats,
+                    );
+                    assert_eq!(
+                        scheduled,
+                        max_cost_first_by_rescan(&spec, start, &live, 4_000),
+                        "n={n} k={k} seed={seed} departed={departed:?}"
+                    );
+                }
             }
         }
     }
@@ -1225,8 +1168,8 @@ mod tests {
     #[test]
     fn max_cost_first_queue_counts_equilibrium_scan_steps() {
         // From an equilibrium start the single scan probes all n nodes and
-        // counts all n stability tests — the WalkStats contract — on the
-        // queue path just like in a recompute-and-sort scan.
+        // counts all n stability tests — the WalkStats contract — one per
+        // node of the sorted scan.
         let n = 5;
         let spec = GameSpec::uniform(n, 1);
         let ring =
@@ -1414,32 +1357,6 @@ mod tests {
             .is_stable(walk.config())
             .unwrap());
         let _ = settled;
-    }
-
-    #[test]
-    fn prefill_threads_never_change_the_walk() {
-        // The parallel oracle fan-out is an execution policy, not a
-        // semantic one: outcome, endpoint, steps and moves must be
-        // byte-identical for every thread count, on every scheduler.
-        for scheduler in [
-            Scheduler::RoundRobin,
-            Scheduler::MaxCostFirst,
-            Scheduler::Random { seed: 7 },
-        ] {
-            let spec = GameSpec::uniform(10, 2);
-            let start = Configuration::random(&spec, 42);
-            let run = |threads: usize| {
-                let mut walk = Walk::new(&spec, start.clone())
-                    .with_scheduler(scheduler.clone())
-                    .prefill_threads(threads);
-                let outcome = walk.run(2_000).unwrap();
-                (outcome, walk.stats().clone(), walk.into_config())
-            };
-            let base = run(1);
-            for threads in [2usize, 4] {
-                assert_eq!(run(threads), base, "{scheduler:?} threads={threads}");
-            }
-        }
     }
 
     #[test]

@@ -76,11 +76,9 @@
 //! one min row per block of 8 candidates that skips whole runs of budget
 //! leaves (see [`crate::best_response`]).
 //!
-//! Base-row traversals can be spread across OS threads with
-//! [`DistanceEngine::prefill_oracle_rows`] on [`crate::par::ordered_fan_out`]:
-//! pending repairs run first on the calling thread, traversals read the
-//! shared CSR immutably and rows are written back in ascending source
-//! order, so the thread count never changes any value.
+//! Every row is filled on the calling thread, when a search or a cost first
+//! reads it; [`DistanceEngine::prefill_oracle_rows`] fills the rows a set of
+//! searches will read ahead of time, through the same path.
 
 use bbc_graph::{BitSet, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE};
 
@@ -328,9 +326,6 @@ struct EngineCore<'a, W: RowWord> {
     /// were built against.
     membership_version: u64,
     live_targets: Vec<LiveTargets>,
-    /// Nodes whose cached cost was dropped since the last
-    /// [`DistanceEngine::take_dirty_costs`] drain (scheduler support).
-    eval_dirty: BitSet,
     stats: EngineStats,
 }
 
@@ -596,38 +591,16 @@ impl<'a> DistanceEngine<'a> {
         tiered!(mut self, e => e.disconnected_live_pairs())
     }
 
-    /// [`DistanceEngine::best_response`] with the base-row traversals on
-    /// the parallel path: the invalid base rows of `u`'s live candidates
-    /// (up to `n − 1` traversals) are filled across `threads` OS threads
-    /// via [`DistanceEngine::prefill_oracle_rows`] before the search runs.
-    ///
-    /// Byte-identical to [`DistanceEngine::best_response`] for every thread
-    /// count (prefilling writes exactly the rows the sequential path would
-    /// compute); when the memoized outcome for `(u, options)` is still
-    /// valid, the prefill is skipped so a cache hit stays a cache hit.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistanceEngine::best_response`].
-    pub fn best_response_prefilled(
-        &mut self,
-        u: NodeId,
-        options: &BestResponseOptions,
-        threads: usize,
-    ) -> Result<BestResponseOutcome> {
-        tiered!(mut self, e => e.best_response_prefilled(u, options, threads))
-    }
-
     /// Fills the invalid base rows that the live candidates of `nodes`
-    /// need, across `threads` OS threads on [`crate::par::ordered_fan_out`],
-    /// returning the number of traversals run.
+    /// need, in ascending source order on the calling thread, and returns
+    /// the number of traversals run; rows the latest patch alone dropped
+    /// are repaired instead. Searches of `nodes` then derive every row
+    /// without a traversal.
     ///
-    /// Rows the latest patch alone dropped are repaired first, on the
-    /// calling thread. Traversals read the shared CSR immutably; rows are
-    /// written back in ascending source order, so any thread count produces
-    /// the same engine state as the sequential path.
-    pub fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
-        tiered!(mut self, e => e.prefill_oracle_rows(nodes, threads))
+    /// `_threads` does nothing. It stays for the benchmark package, which
+    /// still passes it, until ROADMAP item 2(c) removes it.
+    pub fn prefill_oracle_rows(&mut self, nodes: &[NodeId], _threads: usize) -> usize {
+        tiered!(mut self, e => e.prefill_oracle_rows(nodes))
     }
 
     /// `true` iff `u` is currently a live member.
@@ -685,14 +658,6 @@ impl<'a> DistanceEngine<'a> {
     /// state changes on error.
     pub fn add_node(&mut self, u: NodeId, targets: Vec<NodeId>) -> Result<()> {
         tiered!(mut self, e => e.add_node(u, targets))
-    }
-
-    /// Drains the set of nodes whose cached cost was dropped since the last
-    /// drain (by strategy patches or membership changes). Cost-keyed
-    /// schedulers use this to update priority state in `O(changed)` per
-    /// step instead of re-reading every node.
-    pub fn take_dirty_costs(&mut self) -> Vec<NodeId> {
-        tiered!(mut self, e => e.take_dirty_costs())
     }
 
     /// FNV-1a digest of the engine's observable state: live membership,
@@ -818,7 +783,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             departed,
             membership_version: 1,
             live_targets: vec![LiveTargets::default(); n],
-            eval_dirty: BitSet::new(n),
             stats: EngineStats::default(),
         })
     }
@@ -841,13 +805,11 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             self.config.strategy(u),
             &mut self.link_scratch,
         );
-        let (costs, dirty, stats) = (&mut self.eval_costs, &mut self.eval_dirty, &mut self.stats);
+        let (costs, stats) = (&mut self.eval_costs, &mut self.stats);
         self.store
             .patch(&mut self.csr, u.index(), &self.link_scratch, |c| {
                 stats.rows_invalidated += 1;
-                if costs[c].take().is_some() {
-                    dirty.insert(c);
-                }
+                costs[c] = None;
             });
         self.stats.patches_applied += 1;
         self.invalidate_after_move(u.index());
@@ -1097,31 +1059,17 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         total
     }
 
-    fn best_response_prefilled(
-        &mut self,
-        u: NodeId,
-        options: &BestResponseOptions,
-        threads: usize,
-    ) -> Result<BestResponseOutcome> {
-        let memo_valid = self.memos[u.index()]
-            .outcome
-            .as_ref()
-            .is_some_and(|(cached, _)| cached == options);
-        if threads > 1 && !memo_valid {
-            self.prefill_oracle_rows(&[u], threads);
-        }
-        self.best_response(u, options)
-    }
-
-    fn prefill_oracle_rows(&mut self, nodes: &[NodeId], threads: usize) -> usize {
+    fn prefill_oracle_rows(&mut self, nodes: &[NodeId]) -> usize {
         let mut needed = BitSet::new(self.spec.node_count());
         for &u in nodes.iter().filter(|u| self.live.contains(u.index())) {
             for (c, _) in live_candidates(self.spec, &self.live, u) {
                 needed.insert(c.index());
             }
         }
-        let sources: Vec<usize> = needed.iter().collect();
-        let computed = self.store.fill(&self.csr, &sources, threads);
+        let computed = needed
+            .iter()
+            .filter(|&c| self.store.ensure(&self.csr, c))
+            .count();
         self.stats.oracle_rows_computed += computed as u64;
         computed
     }
@@ -1228,10 +1176,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         for memo in &mut self.memos {
             memo.outcome = None;
         }
-        for (i, cost) in self.eval_costs.iter_mut().enumerate() {
-            *cost = None;
-            self.eval_dirty.insert(i);
-        }
+        self.eval_costs.fill(None);
     }
 
     fn canonicalize(&mut self) {
@@ -1239,12 +1184,6 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         // aggregates"; reuse it wholesale so warm-vs-cold byte-identity
         // keeps being pinned by one code path.
         self.after_membership_change();
-    }
-
-    fn take_dirty_costs(&mut self) -> Vec<NodeId> {
-        let dirty: Vec<NodeId> = self.eval_dirty.iter().map(NodeId::new).collect();
-        self.eval_dirty.clear();
-        dirty
     }
 
     fn state_digest(&self) -> u64 {
@@ -1412,60 +1351,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prefill_matches_sequential_state() {
+    fn prefill_fills_each_cold_row_once() {
         let spec = GameSpec::uniform(10, 2);
         let cfg = Configuration::random(&spec, 5);
         let nodes: Vec<NodeId> = NodeId::all(10).collect();
-        for threads in [1usize, 2, 4] {
-            let mut engine = DistanceEngine::new(&spec, cfg.clone());
-            let computed = engine.prefill_oracle_rows(&nodes, threads);
-            assert_eq!(computed, 10, "every base row was cold");
-            for u in NodeId::all(10) {
-                assert_eq!(
-                    engine.best_response(u, &opts()).unwrap(),
-                    best_response::exact(&spec, &cfg, u, &opts()).unwrap(),
-                    "threads {threads} node {u}"
-                );
-            }
+        let mut engine = DistanceEngine::new(&spec, cfg.clone());
+        assert_eq!(
+            engine.prefill_oracle_rows(&nodes, 1),
+            10,
+            "every row was cold"
+        );
+        assert_eq!(engine.prefill_oracle_rows(&nodes, 1), 0, "and is now valid");
+        for u in NodeId::all(10) {
             assert_eq!(
-                engine.stats().oracle_rows_computed,
-                10,
-                "searches after prefill must be pure cache hits (threads {threads})"
+                engine.best_response(u, &opts()).unwrap(),
+                best_response::exact(&spec, &cfg, u, &opts()).unwrap(),
+                "node {u}"
             );
         }
-    }
-
-    #[test]
-    fn prefilled_best_response_matches_plain_for_every_thread_count() {
-        let spec = GameSpec::uniform(9, 2);
-        let cfg = Configuration::random(&spec, 11);
-        for threads in [1usize, 2, 4] {
-            let mut engine = DistanceEngine::new(&spec, cfg.clone());
-            for u in NodeId::all(9) {
-                assert_eq!(
-                    engine.best_response_prefilled(u, &opts(), threads).unwrap(),
-                    best_response::exact(&spec, &cfg, u, &opts()).unwrap(),
-                    "threads {threads} node {u}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn prefilled_best_response_skips_prefill_on_memo_hit() {
-        let spec = GameSpec::uniform(6, 1);
-        let mut engine = DistanceEngine::new(&spec, Configuration::empty(6));
-        let u = NodeId::new(0);
-        let a = engine.best_response_prefilled(u, &opts(), 4).unwrap();
-        let rows_after_first = engine.stats().oracle_rows_computed;
-        let b = engine.best_response_prefilled(u, &opts(), 4).unwrap();
-        assert_eq!(a, b);
+        let stats = engine.stats();
         assert_eq!(
-            engine.stats().oracle_rows_computed,
-            rows_after_first,
-            "a memoized outcome must not trigger a prefill"
+            (stats.oracle_rows_computed, stats.oracle_row_hits),
+            (10, 90),
+            "searches after the prefill derive every row without a traversal"
         );
-        assert_eq!(engine.stats().outcome_hits, 1);
     }
 
     #[test]
@@ -1623,29 +1532,6 @@ mod tests {
         // No live node still links to the departed one.
         for w in engine.live_nodes() {
             assert!(!engine.config().strategy(w).contains(&u));
-        }
-    }
-
-    #[test]
-    fn masked_prefill_is_thread_invariant() {
-        let spec = GameSpec::uniform(9, 2);
-        let build = |threads: usize| {
-            let mut engine = DistanceEngine::new(&spec, Configuration::random(&spec, 13));
-            engine.remove_node(NodeId::new(4)).unwrap();
-            engine.remove_node(NodeId::new(7)).unwrap();
-            let live: Vec<NodeId> = engine.live_nodes().collect();
-            engine.prefill_oracle_rows(&live, threads);
-            let outs: Vec<_> = live
-                .iter()
-                .map(|&u| engine.best_response(u, &opts()).unwrap())
-                .collect();
-            (outs, engine.stats().oracle_rows_computed)
-        };
-        let (base, base_rows) = build(1);
-        for threads in [2usize, 4] {
-            let (outs, rows) = build(threads);
-            assert_eq!(outs, base, "threads {threads}");
-            assert_eq!(rows, base_rows, "threads {threads}");
         }
     }
 

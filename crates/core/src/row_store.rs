@@ -71,8 +71,6 @@ use std::{cmp::Reverse, collections::BinaryHeap};
 
 use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph, ReverseCsr, RowWord};
 
-use crate::par;
-
 /// Derivation marks, one per vertex.
 const UNSEEN: u8 = 0;
 /// Queued for the affected-set decision, or decided outside the set.
@@ -176,62 +174,6 @@ impl<W: RowWord> RowStore<W> {
         self.touched[c].copy_from(touched);
         self.valid.insert(c);
         true
-    }
-
-    /// Fills every invalid base row among `sources` and returns the number
-    /// of traversals run. Pending rows are repaired first, serially; the
-    /// remaining traversals run on `threads` workers, which read the graph
-    /// immutably and write rows in `sources` order, so the store ends in
-    /// the same state at every thread count.
-    pub(crate) fn fill(&mut self, csr: &CsrGraph, sources: &[usize], threads: usize) -> usize {
-        let mut traversals = 0;
-        for &c in sources {
-            if self.pending.contains(c) {
-                traversals += usize::from(self.ensure(csr, c));
-            }
-        }
-        let todo: Vec<usize> = sources
-            .iter()
-            .copied()
-            .filter(|&c| !self.valid.contains(c))
-            .collect();
-        if todo.is_empty() {
-            return traversals;
-        }
-        self.allocate();
-        let (n, unit, clamp) = (self.n, self.unit, self.clamp);
-        let Self {
-            rows,
-            touched,
-            valid,
-            ..
-        } = self;
-        par::ordered_fan_out(
-            0..todo.len() as u64,
-            threads,
-            "row store fill",
-            || (ClampedBfs::<W>::new(n), ClampedDijkstra::<W>::new(n)),
-            |(bfs, dijkstra), i| {
-                let c = todo[i as usize];
-                Ok(if unit {
-                    bfs.run(csr, c, W::ZERO, clamp);
-                    (bfs.distances().to_vec(), bfs.touched().clone())
-                } else {
-                    dijkstra.run(csr, c, W::ZERO, clamp);
-                    (dijkstra.distances().to_vec(), dijkstra.touched().clone())
-                })
-            },
-            |_| false,
-            |i, (dist, t)| {
-                let c = todo[i as usize];
-                rows[c * n..(c + 1) * n].copy_from_slice(&dist);
-                touched[c] = t;
-                valid.insert(c);
-            },
-        )
-        // bbc-lint: allow(panic, a traversal panic is a bug and the fill returns a count, not a Result; re-raising it is the only sound option)
-        .expect("a row-filling worker panicked");
-        traversals + todo.len()
     }
 
     /// Rewires `m`'s out-links in `csr` to `links` and drops every valid

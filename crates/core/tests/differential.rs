@@ -778,53 +778,32 @@ proptest! {
         sched_sel in 0usize..3,
         rng_seed in any::<u64>(),
     ) {
-        // Same scheduler, same instance, every prefill width: the i16 walk
-        // must apply the identical move sequence and land in the identical
-        // state as the u64 walk.
+        // Same scheduler, same instance: the i16 walk must apply the
+        // identical move sequence and land in the identical state as the
+        // u64 walk.
         let scheduler = match sched_sel {
             0 => Scheduler::RoundRobin,
             1 => Scheduler::MaxCostFirst,
             _ => Scheduler::Random { seed: rng_seed },
         };
-        let mut runs = Vec::new();
-        for tier in [RowTier::I16, RowTier::U64] {
-            for threads in [1usize, 2, 4] {
-                let mut walk = Walk::with_tier(&spec, cfg.clone(), tier)
-                    .expect("proptest instances fit both tiers")
-                    .with_scheduler(scheduler.clone())
-                    .detect_cycles(false)
-                    .record_trace(true)
-                    .prefill_threads(threads);
-                let outcome = walk.run(300).expect("walk fits");
-                runs.push((
-                    tier,
-                    threads,
-                    outcome,
-                    walk.trace().to_vec(),
-                    walk.state_digest(),
-                    walk.into_config(),
-                ));
-            }
-        }
-        let (_, _, outcome0, trace0, digest0, config0) = runs[0].clone();
-        for (tier, threads, outcome, trace, digest, config) in &runs[1..] {
-            prop_assert_eq!(
-                &outcome0, outcome,
-                "outcome diverged on {:?} x {} threads", tier, threads
-            );
-            prop_assert_eq!(
-                &trace0, trace,
-                "trace diverged on {:?} x {} threads", tier, threads
-            );
-            prop_assert_eq!(
-                digest0, *digest,
-                "digest diverged on {:?} x {} threads", tier, threads
-            );
-            prop_assert_eq!(
-                &config0, config,
-                "final config diverged on {:?} x {} threads", tier, threads
-            );
-        }
+        let [narrow, wide] = [RowTier::I16, RowTier::U64].map(|tier| {
+            let mut walk = Walk::with_tier(&spec, cfg.clone(), tier)
+                .expect("proptest instances fit both tiers")
+                .with_scheduler(scheduler.clone())
+                .detect_cycles(false)
+                .record_trace(true);
+            let outcome = walk.run(300).expect("walk fits");
+            (
+                outcome,
+                walk.trace().to_vec(),
+                walk.state_digest(),
+                walk.into_config(),
+            )
+        });
+        prop_assert_eq!(&narrow.0, &wide.0, "outcome diverged on the u64 tier");
+        prop_assert_eq!(&narrow.1, &wide.1, "trace diverged on the u64 tier");
+        prop_assert_eq!(narrow.2, wide.2, "digest diverged on the u64 tier");
+        prop_assert_eq!(&narrow.3, &wide.3, "final config diverged on the u64 tier");
     }
 }
 

@@ -8,11 +8,9 @@
 //! experiment measures it as a sweep up to 256 peers (512 in `--full`
 //! mode) — the ROADMAP's larger-scale scenario.
 //!
-//! At this size the per-step cost is dominated by the oracle BFS fan-out
-//! (up to `n − 1` deviation-row traversals per stability test), so the
-//! walks run with [`Walk::prefill_threads`]: the fan-out rides
-//! [`bbc_core::DistanceEngine::prefill_oracle_rows`] across every available
-//! core, with byte-identical trajectories at any thread count.
+//! At this size a stability test derives up to `n − 1` deviation rows and
+//! searches over them; the engine repairs the base rows a move dropped
+//! instead of traversing them again, so the walks run on one thread.
 //!
 //! Per overlay size the sweep records: the Theorem 5 deviation at peer 0,
 //! then a fixed budget of selfish best-response churn (one round per peer
@@ -146,12 +144,8 @@ pub fn run(opts: &RunOptions) -> Outcome {
         let unstable = deviation.improves();
         all_unstable &= unstable;
 
-        // Selfish churn on the parallel oracle path: every stability test's
-        // BFS fan-out spreads across the available cores.
         let budget = rounds * peers;
-        let mut walk = Walk::new(&spec, designed)
-            .detect_cycles(false)
-            .prefill_threads(crate::default_threads());
+        let mut walk = Walk::new(&spec, designed).detect_cycles(false);
         // bbc-lint: allow(panic, run() has no error channel; walk budgets are sized above the pinned grid)
         let outcome = walk.run(budget).expect("walk fits budget");
         let settled = matches!(
@@ -161,10 +155,10 @@ pub fn run(opts: &RunOptions) -> Outcome {
         any_settled |= settled;
         let moves = walk.stats().moves;
         total_moves += moves;
-        // Decision-level effort unit: traversal counts may vary with the
-        // thread count, but the number of best-response *calls* (memo hits +
-        // searches run) is fixed by the trajectory, so the stream digest
-        // reproduces on any machine.
+        // Decision-level effort unit: the number of best-response *calls*
+        // (memo hits + searches run) is fixed by the trajectory, whatever
+        // the engine's row caching does, so the stream digest reproduces
+        // on any machine.
         let stats = walk.engine_stats();
         let searches = stats.searches_run + stats.outcome_hits;
         let mut registry = bbc_obs::Registry::new();
@@ -208,9 +202,8 @@ pub fn run(opts: &RunOptions) -> Outcome {
     );
     let mut outcome = finish_streamed(report, table, measured, agrees);
     outcome.report.notes.push(
-        "churn walks run with Walk::prefill_threads (the oracle BFS fan-out on the \
-         engine's parallel prefill path); trajectories are byte-identical at any \
-         thread count, so the sweep is reproducible on any machine"
+        "churn walks are deterministic round-robin best response on one thread, \
+         so the sweep is reproducible on any machine"
             .to_string(),
     );
     outcome

@@ -9,13 +9,13 @@
 //! layer through [`ChurnSim`]: each sweep point deploys an `{1, √n}`
 //! circulant, lets it play toward (non-)equilibrium, then applies a seeded
 //! stream of join/leave events, each followed by a re-equilibration phase of
-//! `rate · n` best-response steps on the parallel oracle-prefill path.
+//! `rate · n` best-response steps.
 //!
 //! Per point the sweep records how play absorbs the events: how many phases
 //! re-certified an equilibrium or provably looped, steps-to-requilibrate,
 //! the social-cost regret of the spikes, the worst disconnection exposure a
 //! leave created and whether settling healed it all. The first point also
-//! re-runs its sim at a different `prefill_threads` and compares trajectory
+//! re-runs its sim with the same configuration and compares trajectory
 //! digests — the churn determinism contract, checked end to end inside the
 //! experiment itself.
 //!
@@ -41,7 +41,7 @@ struct SweepPoint {
 
 /// The churn configuration of one sweep point (shared by the experiment and
 /// the determinism cross-check).
-fn churn_config(point: &SweepPoint, prefill_threads: usize) -> ChurnConfig {
+fn churn_config(point: &SweepPoint) -> ChurnConfig {
     ChurnConfig {
         seed: point.peers * 10 + point.rate,
         events: point.events,
@@ -50,8 +50,8 @@ fn churn_config(point: &SweepPoint, prefill_threads: usize) -> ChurnConfig {
         leave_weight: 1,
         join_weight: 1,
         shock_weight: 0,
-        prefill_threads,
         scheduler: bbc_core::Scheduler::RoundRobin,
+        ..ChurnConfig::default()
     }
 }
 
@@ -61,8 +61,8 @@ pub fn run(opts: &RunOptions) -> Outcome {
         "E14",
         "§1.1 / §4.3 (churn runtime)",
         "a circulant overlay under seeded join/leave churn is absorbed by bounded \
-         best-response play — deterministically (byte-identical trajectories at any \
-         oracle thread count), with every event applied and accounted",
+         best-response play — deterministically (a replay of the same configuration \
+         is byte-identical), with every event applied and accounted",
     );
 
     let points: &[SweepPoint] = if opts.full {
@@ -183,8 +183,7 @@ pub fn run(opts: &RunOptions) -> Outcome {
         };
         let spec = overlay.spec();
         let designed = overlay.configuration();
-        let cfg = churn_config(point, crate::default_threads());
-        let mut sim = ChurnSim::new(&spec, designed.clone(), cfg);
+        let mut sim = ChurnSim::new(&spec, designed.clone(), churn_config(point));
         let sim_report = sim
             .run()
             // bbc-lint: allow(panic, run() has no error channel; churn budgets are sized above the pinned phases)
@@ -200,11 +199,10 @@ pub fn run(opts: &RunOptions) -> Outcome {
         );
 
         // Determinism cross-check on the first (cheapest) point: a second
-        // sim at a different oracle thread count must replay the identical
+        // sim with the same configuration must replay the identical
         // trajectory. (Every point would pass; one keeps the sweep fast.)
         let deterministic = if i == 0 {
-            let other_threads = if crate::default_threads() == 1 { 2 } else { 1 };
-            let again = ChurnSim::new(&spec, designed, churn_config(point, other_threads))
+            let again = ChurnSim::new(&spec, designed, churn_config(point))
                 .run()
                 // bbc-lint: allow(panic, run() has no error channel; churn budgets are sized above the pinned phases)
                 .expect("cross-check fits the search budget");
@@ -257,15 +255,14 @@ pub fn run(opts: &RunOptions) -> Outcome {
     let measured = format!(
         "{total_events} churn events applied across {} sweep points \
          ({total_settled} re-equilibrated, {total_looped} certified loops); \
-         trajectories byte-identical across prefill thread counts: {determinism_ok}",
+         replayed trajectories byte-identical: {determinism_ok}",
         points.len()
     );
     let mut outcome = finish_streamed(report, table, measured, agrees);
     outcome.report.notes.push(
         "each event's re-equilibration runs rate·n best-response steps through the \
-         engine's node-lifecycle layer (DistanceEngine::remove_node/add_node) with the \
-         oracle fan-out on the parallel prefill path; the trajectory digest pins the \
-         full event/move stream"
+         engine's node-lifecycle layer (DistanceEngine::remove_node/add_node); the \
+         trajectory digest pins the full event/move stream"
             .to_string(),
     );
     outcome

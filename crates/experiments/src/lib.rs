@@ -18,7 +18,7 @@
 //! | [`e10`] | Thm 8 / Fig 6 | BBC-max PoA is Ω(n/(k·log_k n)) |
 //! | [`e11`] | Thm 9 | BBC-max PoS is Θ(1) |
 //! | [`e12`] | Thm 7 / Fig 5 | BBC-max no-NE gadget (reproduction discrepancy) |
-//! | [`e13`] | Thm 5 / §4.3 / §1.1 | 256-peer overlay churn sweep (parallel oracle prefill) |
+//! | [`e13`] | Thm 5 / §4.3 / §1.1 | 256-peer overlay churn sweep |
 //! | [`e14`] | §1.1 / §4.3 churn runtime | dynamic-membership sweep: join/leave events × peer count |
 
 #![forbid(unsafe_code)]

@@ -26,9 +26,14 @@
 //! accepted order even across a mid-op crash: an op that errors is
 //! journaled and re-errors identically on replay (every transition is a
 //! pure function of the state), so recovery converges on the exact
-//! pre-crash digest. Duplicate suppression (client sequence numbers,
-//! [`crate::protocol::Reply::Skipped`]) gives reconnecting clients
-//! exactly-once semantics on top.
+//! pre-crash digest. An append that fails partway (a full disk, an I/O
+//! error) is cut back to the last complete line before its error reply
+//! goes out, and the op is not applied, so the next record never lands
+//! after a fragment. If the cut fails too, the journal is fenced: every
+//! later mutating op gets an error reply until a
+//! [`crate::protocol::Op::Restore`] reopens it. Duplicate suppression
+//! (client sequence numbers, [`crate::protocol::Reply::Skipped`]) gives
+//! reconnecting clients exactly-once semantics on top.
 //!
 //! # Observability
 //!
@@ -544,7 +549,7 @@ struct OwnerState<'a> {
     /// Per-client journaled sequence high-water marks (duplicate
     /// suppression). A `BTreeMap` keeps snapshot row order deterministic.
     seqs: BTreeMap<u64, u64>,
-    journal: Option<File>,
+    journal: Option<Journal>,
     journal_gen: u64,
     events_since_settle: u64,
     /// The metrics registry. Written on every handled request, read only
@@ -568,8 +573,8 @@ struct Loaded<'a> {
     seqs: BTreeMap<u64, u64>,
     journal_gen: u64,
     replayed: u64,
-    /// Append-ready journal file (absent on read-only loads).
-    journal: Option<File>,
+    /// Append-ready journal (absent on read-only loads).
+    journal: Option<Journal>,
 }
 
 fn fresh_walk<'a>(spec: &'a GameSpec, cfg: &ServeConfig) -> Walk<'a> {
@@ -866,11 +871,10 @@ impl<'a> OwnerState<'a> {
         .map_err(ServeError::Config)?;
         let begin = self.clock.now_ns();
         let result = journal
-            .write_all(line.as_bytes())
-            .and_then(|()| journal.flush())
-            .map_err(|e| ServeError::Io {
+            .append(line.as_bytes())
+            .map_err(|message| ServeError::Io {
                 path: journal_file(self.journal_gen),
-                message: e.to_string(),
+                message,
             });
         let elapsed = self.clock.now_ns().saturating_sub(begin);
         self.metrics.observe("serve/journal_append_ns", elapsed);
@@ -981,7 +985,7 @@ fn create_journal(
     gen: u64,
     fingerprint: &str,
     base_digest: &str,
-) -> Result<File, ServeError> {
+) -> Result<Journal, ServeError> {
     let path = dir.join(journal_file(gen));
     let mut file = File::create(&path).map_err(|e| io_err(&path, &e))?;
     let head = encode_line(&JournalLine::Head {
@@ -993,7 +997,87 @@ fn create_journal(
     file.write_all(head.as_bytes())
         .and_then(|()| file.flush())
         .map_err(|e| io_err(&path, &e))?;
-    Ok(file)
+    Ok(Journal::new(file, head.len() as u64))
+}
+
+/// The open journal of the current generation.
+#[derive(Debug)]
+struct Journal {
+    file: File,
+    /// Where the file's last complete line ends. A failed append is cut
+    /// back to here, so the next record never lands after a fragment.
+    len: u64,
+    /// Why the journal refuses appends: a failed append could not be cut
+    /// back, so a fragment may end the file. Restoring reopens the journal
+    /// and drops the fragment.
+    fenced: Option<String>,
+    /// Fault injection: the next append writes half its line and fails.
+    #[cfg(test)]
+    tear_next: bool,
+    /// Fault injection: cutting a failed append back fails too.
+    #[cfg(test)]
+    rollback_fails: bool,
+}
+
+impl Journal {
+    /// An append handle on `file`, whose complete lines end at `len` and
+    /// whose cursor is at the end.
+    fn new(file: File, len: u64) -> Self {
+        Self {
+            file,
+            len,
+            fenced: None,
+            #[cfg(test)]
+            tear_next: false,
+            #[cfg(test)]
+            rollback_fails: false,
+        }
+    }
+
+    /// Appends one newline-terminated line and flushes it. A failed write
+    /// is cut back to the last complete line before the error returns; if
+    /// the cut fails too, the journal is fenced and every later append
+    /// fails without writing.
+    fn append(&mut self, line: &[u8]) -> Result<(), String> {
+        if let Some(reason) = &self.fenced {
+            return Err(format!("journal fenced, restore to reopen it: {reason}"));
+        }
+        match self.write(line) {
+            Ok(()) => {
+                self.len += line.len() as u64;
+                Ok(())
+            }
+            Err(e) => {
+                if let Err(cut) = self.cut_back() {
+                    self.fenced = Some(format!(
+                        "append failed ({e}), then cutting it back failed ({cut})"
+                    ));
+                }
+                Err(e.to_string())
+            }
+        }
+    }
+
+    fn write(&mut self, line: &[u8]) -> std::io::Result<()> {
+        #[cfg(test)]
+        if std::mem::take(&mut self.tear_next) {
+            self.file.write_all(&line[..line.len() / 2])?;
+            return Err(std::io::Error::other("injected torn append"));
+        }
+        self.file.write_all(line)?;
+        self.file.flush()
+    }
+
+    /// Truncates the file to its last complete line, with the cursor at
+    /// the new end.
+    fn cut_back(&mut self) -> std::io::Result<()> {
+        #[cfg(test)]
+        if self.rollback_fails {
+            return Err(std::io::Error::other("injected rollback failure"));
+        }
+        self.file.set_len(self.len)?;
+        self.file.seek(SeekFrom::End(0)).map(drop)
+    }
 }
 
 /// The fixed label an op's dispatch latency is recorded under
@@ -1128,6 +1212,7 @@ fn load_state<'a>(
             .map_err(|e| io_err(&journal_path, &e))?;
         file.seek(SeekFrom::End(0))
             .map_err(|e| io_err(&journal_path, &e))?;
+        let mut len = valid_len;
         if !has_header {
             // The crash landed before the header line survived; re-seed it.
             let head = encode_line(&JournalLine::Head {
@@ -1139,8 +1224,9 @@ fn load_state<'a>(
             file.write_all(head.as_bytes())
                 .and_then(|()| file.flush())
                 .map_err(|e| io_err(&journal_path, &e))?;
+            len += head.len() as u64;
         }
-        Some(file)
+        Some(Journal::new(file, len))
     } else {
         Some(create_journal(
             dir,
@@ -1695,6 +1781,69 @@ mod tests {
             }
             other => panic!("expected corruption, got {other:?}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_append_is_cut_back_before_the_next_record() {
+        let dir = temp_dir("torn");
+        let cfg = ServeConfig {
+            state_dir: Some(dir.clone()),
+            ..small_cfg()
+        };
+        let spec = GameSpec::uniform(cfg.peers, cfg.budget);
+        let mut state = OwnerState::boot(&spec, &cfg, SharedCounters::default()).unwrap();
+        let send = |state: &mut OwnerState<'_>, seq, op| state.handle(frame(1, seq, op)).reply;
+        assert!(matches!(
+            send(&mut state, 1, Op::Leave { node: 4 }),
+            Reply::Ok { .. }
+        ));
+        state.journal.as_mut().unwrap().tear_next = true;
+        let failed = send(&mut state, 2, Op::Leave { node: 5 });
+        assert!(matches!(
+            failed,
+            Reply::Error {
+                code: ErrorCode::Internal,
+                ..
+            }
+        ));
+        // The rejected op was not applied; its resend is accepted.
+        let resent = send(&mut state, 2, Op::Leave { node: 5 });
+        let Reply::Ok { digest: live } = resent else {
+            panic!("expected the resend to apply, got {resent:?}");
+        };
+        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (live.clone(), 2));
+
+        // A cut that fails too fences the journal: every later mutating op
+        // is refused, so nothing lands after the fragment, and the torn
+        // tail is dropped on replay.
+        let journal = state.journal.as_mut().unwrap();
+        journal.tear_next = true;
+        journal.rollback_fails = true;
+        for seq in [3, 3, 4] {
+            let refused = send(&mut state, seq, Op::Leave { node: 6 });
+            assert!(
+                matches!(
+                    refused,
+                    Reply::Error {
+                        code: ErrorCode::Internal,
+                        ..
+                    }
+                ),
+                "{refused:?}"
+            );
+        }
+        assert_eq!(digest_hex(state.walk.state_digest()), live);
+        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (live, 2));
+        // Restoring reopens the journal without the fragment.
+        assert!(matches!(
+            send(&mut state, 5, Op::Restore),
+            Reply::Restored { replayed: 2, .. }
+        ));
+        let Reply::Ok { digest } = send(&mut state, 3, Op::Leave { node: 6 }) else {
+            panic!("a restored journal accepts appends again");
+        };
+        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (digest, 3));
         let _ = fs::remove_dir_all(&dir);
     }
 

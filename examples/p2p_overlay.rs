@@ -18,14 +18,10 @@
 //!   example runs a fixed rewiring budget and reports the network state
 //!   mid-churn — exactly what an operator of a live overlay would observe.
 //!
-//! The churn walk rides the engine's parallel oracle path
-//! ([`Walk::prefill_threads`]): each stability test's BFS fan-out spreads
-//! across every available core, with a byte-identical trajectory at any
-//! thread count. That is what makes larger overlays practical — pass a peer
-//! count to scale up (the `e13` experiment sweeps the same family to 256
-//! and 512 peers with resumable checkpoints), or `--churn` to watch peers
-//! *join and leave* while the survivors re-optimize — the churn runtime of
-//! the `e14` experiment, driven interactively:
+//! Pass a peer count to scale up (the `e13` experiment sweeps the same
+//! family to 256 and 512 peers with resumable checkpoints), or `--churn` to
+//! watch peers *join and leave* while the survivors re-optimize — the churn
+//! runtime of the `e14` experiment, driven interactively:
 //!
 //! ```text
 //! cargo run --release --example p2p_overlay                   # 64 peers (default)
@@ -49,7 +45,6 @@ fn main() -> Result<()> {
             peers = arg.parse().expect("peer count must be a number");
         }
     }
-    let threads = std::thread::available_parallelism().map_or(4, |p| p.get());
     let overlay = CayleyGraph::circulant(peers, &[1, 5]).expect("valid circulant");
     let spec = overlay.spec();
     let designed = overlay.configuration();
@@ -71,18 +66,15 @@ fn main() -> Result<()> {
     }
 
     // Let everyone rewire selfishly for a fixed budget of best-response
-    // offers, fanning each offer's shortest-path oracle across all cores.
-    // The churn does not converge at this scale (§4.3: BBC games are not
-    // potential games), so the interesting quantity is the steady
+    // offers. The churn does not converge at this scale (§4.3: BBC games
+    // are not potential games), so the interesting quantity is the steady
     // reshaping, not a terminal state.
     // Budget: the classic half-million-probe-backed 15k offers at the
     // default 64 peers; four round-robin rounds at explicitly larger
     // scales (per-step cost grows ~quadratically with the peer count —
     // e13 is the checkpointed way to go big).
     let budget = if peers <= 64 { 15_000 } else { 4 * peers };
-    let mut walk = Walk::new(&spec, designed)
-        .detect_cycles(false)
-        .prefill_threads(threads);
+    let mut walk = Walk::new(&spec, designed).detect_cycles(false);
     let outcome = walk.run(budget)?;
     let selfish = walk.config();
     let selfish_cost = social_cost(&spec, selfish);
@@ -116,7 +108,6 @@ fn main() -> Result<()> {
             events: 6,
             min_live: (peers / 2) as usize,
             settle_steps: peers,
-            prefill_threads: threads,
             ..ChurnConfig::default()
         };
         let mut sim = ChurnSim::new(&spec, overlay.configuration(), cfg);
