@@ -314,16 +314,6 @@ impl<'a> ChurnSim<'a> {
         &self.walk
     }
 
-    /// Publishes the simulation's effort counters into a metrics registry:
-    /// the underlying walk/engine metrics plus the churn lifecycle gauges
-    /// (`churn/capacity`, `churn/live_members`). Observational only, so it
-    /// stays out of the fingerprinted [`ChurnConfig`].
-    pub fn publish_metrics(&self, reg: &mut bbc_obs::Registry) {
-        self.walk.publish_metrics(reg);
-        reg.set_gauge("churn/capacity", self.capacity as u64);
-        reg.set_gauge("churn/live_members", self.walk.live_count() as u64);
-    }
-
     /// Consumes the sim, returning the walk for further play.
     pub fn into_walk(self) -> Walk<'a> {
         self.walk

@@ -1166,22 +1166,6 @@ mod tests {
     }
 
     #[test]
-    fn max_cost_first_queue_counts_equilibrium_scan_steps() {
-        // From an equilibrium start the single scan probes all n nodes and
-        // counts all n stability tests — the WalkStats contract — one per
-        // node of the sorted scan.
-        let n = 5;
-        let spec = GameSpec::uniform(n, 1);
-        let ring =
-            Configuration::from_strategies(&spec, (0..n).map(|i| vec![v((i + 1) % n)]).collect())
-                .unwrap();
-        let mut walk = Walk::new(&spec, ring).with_scheduler(Scheduler::MaxCostFirst);
-        let outcome = walk.run(1000).unwrap();
-        assert_eq!(outcome, WalkOutcome::Equilibrium { steps: n as u64 });
-        assert_eq!(walk.stats().moves, 0);
-    }
-
-    #[test]
     fn walks_skip_departed_members_on_every_scheduler() {
         for scheduler in [
             Scheduler::RoundRobin,

@@ -27,7 +27,7 @@ use bbc_constructions::CayleyGraph;
 use bbc_core::{best_response, BestResponseOptions, NodeId, Walk};
 use bbc_graph::diameter::eccentricity;
 
-use crate::{finish_streamed, Fingerprint, MetricsSidecar, Outcome, RunOptions, StreamingTable};
+use crate::{finish_streamed, Fingerprint, Outcome, RunOptions, StreamingTable};
 
 /// One overlay size in the sweep: peer count and churn rounds.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +106,6 @@ pub fn run(opts: &RunOptions) -> Outcome {
         opts.resume,
     );
 
-    let mut sidecar = MetricsSidecar::from_env("E13");
     let mut all_unstable = true;
     let mut any_settled = false;
     let mut total_moves = 0u64;
@@ -161,9 +160,6 @@ pub fn run(opts: &RunOptions) -> Outcome {
         // on any machine.
         let stats = walk.engine_stats();
         let searches = stats.searches_run + stats.outcome_hits;
-        let mut registry = bbc_obs::Registry::new();
-        walk.publish_metrics(&mut registry);
-        sidecar.emit(&format!("n={peers} rounds={rounds}"), &registry);
         let churned = walk.into_config();
         let churned_cost = social::social_cost(&spec, &churned);
         let churned_diam = eccentricity(&churned.to_graph(&spec)).diameter();

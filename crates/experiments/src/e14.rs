@@ -27,7 +27,7 @@ use bbc_analysis::ExperimentReport;
 use bbc_constructions::CayleyGraph;
 use bbc_core::{ChurnConfig, ChurnSim};
 
-use crate::{finish_streamed, Fingerprint, MetricsSidecar, Outcome, RunOptions, StreamingTable};
+use crate::{finish_streamed, Fingerprint, Outcome, RunOptions, StreamingTable};
 
 /// One sweep point: peer count, settle budget in rounds ("churn rate" —
 /// rate 1 means the survivors get one round-robin round per event), and the
@@ -160,7 +160,6 @@ pub fn run(opts: &RunOptions) -> Outcome {
         opts.resume,
     );
 
-    let mut sidecar = MetricsSidecar::from_env("E14");
     let mut all_events_applied = true;
     let mut determinism_ok = true;
     let mut total_events = 0u64;
@@ -188,15 +187,6 @@ pub fn run(opts: &RunOptions) -> Outcome {
             .run()
             // bbc-lint: allow(panic, run() has no error channel; churn budgets are sized above the pinned phases)
             .expect("churn phases fit the search budget");
-        let mut registry = bbc_obs::Registry::new();
-        sim.publish_metrics(&mut registry);
-        sidecar.emit(
-            &format!(
-                "n={} rate={} events={}",
-                point.peers, point.rate, point.events
-            ),
-            &registry,
-        );
 
         // Determinism cross-check on the first (cheapest) point: a second
         // sim with the same configuration must replay the identical

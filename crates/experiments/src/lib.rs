@@ -25,9 +25,11 @@
 
 use bbc_analysis::{ExperimentReport, Table};
 
+pub mod line_log;
 pub mod scan;
 pub mod stream;
 
+pub use line_log::{complete_lines, LineLog};
 pub use scan::resumable_scan;
 pub use stream::{
     read_stream, stream_path, Fingerprint, StreamEnd, StreamHeader, StreamRecord, StreamingTable,
@@ -80,61 +82,6 @@ impl RunOptions {
 /// core, with a fixed fallback when the parallelism query fails.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |p| p.get())
-}
-
-/// Env-gated metrics sidecar for the walk-heavy sweeps (e13/e14): when
-/// `BBC_METRICS_SIDECAR` is set to a non-empty value other than `0`, each
-/// sweep point appends one JSON line —
-/// `{"point":"<label>","metrics":<registry document>}` — to
-/// `target/experiments/<id>.metrics.jsonl`.
-///
-/// Off by default, and deliberately outside the stream [`Fingerprint`]:
-/// the sidecar is observational only. CI's resume leg md5-pins every
-/// `target/experiments/*.jsonl` artifact across a kill/`--resume` cycle,
-/// so the file must not appear unless a human asks for it — and when it
-/// does appear it carries effort counters (rows materialized, bound hits,
-/// oracle hit rates), never decision cells or wall-clock readings.
-#[derive(Debug)]
-pub struct MetricsSidecar {
-    out: Option<std::io::BufWriter<std::fs::File>>,
-}
-
-impl MetricsSidecar {
-    /// Opens (truncating) `target/experiments/<id>.metrics.jsonl` when the
-    /// `BBC_METRICS_SIDECAR` gate is set; otherwise a no-op sink. IO
-    /// failures also degrade to the no-op sink — observation must never
-    /// fail a sweep.
-    pub fn from_env(id: &str) -> Self {
-        let gated = std::env::var("BBC_METRICS_SIDECAR").is_ok_and(|v| !v.is_empty() && v != "0");
-        let out = gated
-            .then(|| {
-                let path = stream_path(id).with_extension("metrics.jsonl");
-                if let Some(dir) = path.parent() {
-                    let _ = std::fs::create_dir_all(dir);
-                }
-                std::fs::File::create(&path)
-                    .ok()
-                    .map(std::io::BufWriter::new)
-            })
-            .flatten();
-        Self { out }
-    }
-
-    /// Appends one sweep point's registry snapshot, best-effort. The label
-    /// is embedded as a JSON string; quotes and backslashes are stripped
-    /// rather than escaped (sidecar labels are plain `key=value` ASCII).
-    pub fn emit(&mut self, point: &str, registry: &bbc_obs::Registry) {
-        use std::io::Write as _;
-        if let Some(out) = &mut self.out {
-            let label: String = point.chars().filter(|c| *c != '"' && *c != '\\').collect();
-            let _ = writeln!(
-                out,
-                "{{\"point\":\"{label}\",\"metrics\":{}}}",
-                registry.to_json()
-            );
-            let _ = out.flush();
-        }
-    }
 }
 
 /// What every experiment returns.

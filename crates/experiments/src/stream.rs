@@ -87,6 +87,12 @@
 //!   append mode, so a resumed run reproduces the uninterrupted file
 //!   byte for byte.
 //!
+//! A row write that fails partway (a full disk, an I/O error) is cut back
+//! to the stream's last complete line, and streaming stops with a warning;
+//! the stream then resumes like one from a killed run. Appending, cutting
+//! back and finding the torn tail live in [`crate::line_log`], which the
+//! `bbc-serve` journal shares.
+//!
 //! Experiments then call [`StreamingTable::begin_point`] once per sweep
 //! point, in the same deterministic order as every run: `Some(rows)` means
 //! the point was already recorded — append nothing, rebuild aggregates from
@@ -95,11 +101,12 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::io::{Seek as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use bbc_analysis::Table;
 use serde::{Deserialize, Serialize};
+
+use crate::line_log::{complete_lines, LineLog};
 
 /// Version of the stream layout. Bumped whenever the line shapes change, so
 /// old streams fingerprint-mismatch instead of half-parsing.
@@ -277,7 +284,7 @@ pub struct StreamingTable {
     replay: VecDeque<StreamRecord>,
     replayed_rows: u64,
     path: PathBuf,
-    sink: Option<fs::File>,
+    sink: Option<LineLog>,
 }
 
 impl StreamingTable {
@@ -382,7 +389,7 @@ impl StreamingTable {
         self.seq += 1;
         // bbc-lint: allow(panic, stream records are plain data structs; serialization cannot fail)
         let line = serde_json::to_string(&record).expect("stream record serializes");
-        self.write_line(&line);
+        self.write_line(line);
     }
 
     /// Where this table streams to (whether or not the sink is alive).
@@ -433,17 +440,15 @@ impl StreamingTable {
         };
         // bbc-lint: allow(panic, the stream footer is a plain data struct; serialization cannot fail)
         let line = serde_json::to_string(&end).expect("stream footer serializes");
-        self.write_line(&line);
+        self.write_line(line);
         self.table
     }
 
-    fn write_line(&mut self, line: &str) {
-        if let Some(file) = &mut self.sink {
-            let written = file
-                .write_all(line.as_bytes())
-                .and_then(|()| file.write_all(b"\n"))
-                .and_then(|()| file.flush());
-            if let Err(e) = written {
+    /// Appends one line; a failed write is cut back and stops the stream.
+    fn write_line(&mut self, mut line: String) {
+        if let Some(log) = &mut self.sink {
+            line.push('\n');
+            if let Err(e) = log.append(&line) {
                 eprintln!(
                     "warning: stopping {} row stream to {}: {e}",
                     self.id,
@@ -456,13 +461,20 @@ impl StreamingTable {
 
     /// Truncates and re-creates the stream with a fresh header.
     fn create_fresh(&mut self) {
+        let header = StreamHeader {
+            experiment: self.id.clone(),
+            schema: STREAM_SCHEMA,
+            fingerprint: self.fingerprint.clone(),
+        };
+        // bbc-lint: allow(panic, the stream header is a plain data struct; serialization cannot fail)
+        let line = serde_json::to_string(&header).expect("stream header serializes") + "\n";
         let sink = self
             .path
             .parent()
             .map_or(Ok(()), fs::create_dir_all)
-            .and_then(|()| fs::File::create(&self.path));
+            .and_then(|()| LineLog::create(&self.path, &line));
         self.sink = match sink {
-            Ok(file) => Some(file),
+            Ok(log) => Some(log),
             Err(e) => {
                 eprintln!(
                     "warning: cannot stream {} rows to {}: {e}",
@@ -472,29 +484,13 @@ impl StreamingTable {
                 None
             }
         };
-        let header = StreamHeader {
-            experiment: self.id.clone(),
-            schema: STREAM_SCHEMA,
-            fingerprint: self.fingerprint.clone(),
-        };
-        // bbc-lint: allow(panic, the stream header is a plain data struct; serialization cannot fail)
-        let line = serde_json::to_string(&header).expect("stream header serializes");
-        self.write_line(&line);
     }
 
     /// Attempts to resume from the existing stream; on success the file is
     /// truncated to the surviving records and re-opened for appending.
     fn try_resume(&mut self) -> Result<(), String> {
         let scan = scan_stream(&self.path, &self.id, &self.columns, &self.fingerprint)?;
-        let file = fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| format!("{}: {e}", self.path.display()))?;
-        file.set_len(scan.keep_bytes)
-            .map_err(|e| format!("{}: {e}", self.path.display()))?;
-        let mut file = file;
-        file.seek(std::io::SeekFrom::End(0))
+        let log = LineLog::reopen(&self.path, scan.keep_bytes)
             .map_err(|e| format!("{}: {e}", self.path.display()))?;
         println!(
             "{}: resuming stream at {} ({} rows / {} complete points replayable)",
@@ -506,7 +502,7 @@ impl StreamingTable {
         self.complete_points = scan.complete_points;
         self.footer_points = scan.footer_points;
         self.replay = scan.records.into();
-        self.sink = Some(file);
+        self.sink = Some(log);
         Ok(())
     }
 }
@@ -534,13 +530,13 @@ fn scan_stream(
     let bytes = fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let text = std::str::from_utf8(&bytes).map_err(|_| format!("{}: not UTF-8", path.display()))?;
 
-    let mut lines = text.split_inclusive('\n');
-    let header_line = lines.next().ok_or_else(|| format!("{id} stream: empty"))?;
-    if !header_line.ends_with('\n') {
-        return Err(format!("{id} stream: truncated header"));
-    }
-    let header: StreamHeader = serde_json::from_str(header_line.trim_end())
-        .map_err(|e| format!("{id} stream header: {e}"))?;
+    // A trailing line without its newline is a partial write: never seen.
+    let mut lines = complete_lines(text);
+    let (header_line, header_end) = lines
+        .next()
+        .ok_or_else(|| format!("{id} stream: no complete header"))?;
+    let header: StreamHeader =
+        serde_json::from_str(header_line).map_err(|e| format!("{id} stream header: {e}"))?;
     if header.experiment != id || header.schema != STREAM_SCHEMA {
         return Err(format!(
             "{id} stream: header identifies {}/schema {}",
@@ -554,36 +550,32 @@ fn scan_stream(
         ));
     }
 
-    let mut records: Vec<StreamRecord> = Vec::new();
-    let mut keep_bytes = header_line.len() as u64;
+    // Each kept record with the byte offset just past its line.
+    let mut records: Vec<(StreamRecord, u64)> = Vec::new();
     let mut finished_points = None;
-    for line in lines {
-        // A line without a trailing newline is a partial write: drop it.
-        if !line.ends_with('\n') {
-            break;
-        }
-        let trimmed = line.trim_end();
-        if let Ok(record) = serde_json::from_str::<StreamRecord>(trimmed) {
+    for (line, end) in lines {
+        if let Ok(record) = serde_json::from_str::<StreamRecord>(line) {
             let valid = record.experiment == id
                 && record.seq == records.len() as u64
                 && record.columns == columns
                 && record.cells.len() == columns.len()
-                && records.last().is_none_or(|prev| record.point >= prev.point);
+                && records
+                    .last()
+                    .is_none_or(|(prev, _)| record.point >= prev.point);
             if !valid {
                 break;
             }
-            keep_bytes += line.len() as u64;
-            records.push(record);
-        } else if let Ok(end) = serde_json::from_str::<StreamEnd>(trimmed) {
+            records.push((record, end));
+        } else if let Ok(footer) = serde_json::from_str::<StreamEnd>(line) {
             // Footer: valid only as the very last line of a finished run,
             // consistent with every record before it. It is NOT kept — the
             // resumed run rewrites it on finish.
-            let consistent = end.experiment == id
-                && end.complete
-                && end.rows == records.len() as u64
-                && records.last().map_or(0, |r| r.point + 1) <= end.points;
+            let consistent = footer.experiment == id
+                && footer.complete
+                && footer.rows == records.len() as u64
+                && records.last().map_or(0, |(r, _)| r.point + 1) <= footer.points;
             if consistent {
-                finished_points = Some(end.points);
+                finished_points = Some(footer.points);
             }
             break;
         } else {
@@ -598,37 +590,25 @@ fn scan_stream(
         Some(points) => points,
         None => match records.last() {
             None => 0,
-            Some(last) => {
+            Some((last, _)) => {
                 let tail_point = last.point;
-                while records.last().is_some_and(|r| r.point == tail_point) {
-                    // bbc-lint: allow(panic, the while guard just proved the last record exists)
-                    let dropped = records.pop().expect("last exists");
-                    keep_bytes -= dropped_line_len(text, keep_bytes);
-                    debug_assert_eq!(dropped.point, tail_point);
+                while records.last().is_some_and(|(r, _)| r.point == tail_point) {
+                    records.pop();
                 }
-                records.last().map_or(0, |r| r.point + 1)
+                records.last().map_or(0, |(r, _)| r.point + 1)
             }
         },
     };
     Ok(StreamScan {
-        records,
+        keep_bytes: records.last().map_or(header_end, |(_, end)| *end),
+        records: records.into_iter().map(|(record, _)| record).collect(),
         complete_points,
         footer_points: finished_points,
-        keep_bytes,
     })
 }
 
-/// Length (including the newline) of the line *ending* at byte `end` —
-/// used to walk `keep_bytes` backwards when dropping a trailing point.
-fn dropped_line_len(text: &str, end: u64) -> u64 {
-    let end = end as usize;
-    let body = &text[..end - 1]; // strip the trailing '\n'
-    let start = body.rfind('\n').map_or(0, |i| i + 1);
-    (end - start) as u64
-}
-
 /// Reads the row records of a `.jsonl` stream (for tests and tooling),
-/// skipping the header and footer lines.
+/// skipping the header and footer lines and a trailing partial line.
 ///
 /// # Errors
 ///
@@ -637,7 +617,7 @@ fn dropped_line_len(text: &str, end: u64) -> u64 {
 pub fn read_stream(path: &Path) -> std::io::Result<Vec<StreamRecord>> {
     let text = fs::read_to_string(path)?;
     let mut records = Vec::new();
-    for line in text.lines() {
+    for (line, _) in complete_lines(&text) {
         if let Ok(record) = serde_json::from_str::<StreamRecord>(line) {
             records.push(record);
         } else if serde_json::from_str::<StreamHeader>(line).is_err()
@@ -800,6 +780,36 @@ mod tests {
         let text = fs::read_to_string(&path).unwrap();
         assert!(text.ends_with('\n'), "no partial line survives");
         assert_eq!(text.lines().count(), 1 + 3, "header + three kept records");
+        fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn a_torn_row_write_is_cut_back_and_stops_the_stream() {
+        let id = "T11-stream-test";
+        let path = temp_stream(id);
+        let mut t = StreamingTable::open_at(path.clone(), id, &["x"], &fp(id), false);
+        for cell in ["a", "b"] {
+            assert!(t.begin_point().is_none());
+            t.row(&[cell]);
+        }
+        let intact = fs::read_to_string(&path).unwrap();
+        assert!(t.begin_point().is_none());
+        t.sink.as_mut().expect("stream is open").tear_next = true;
+        t.row(&["c"]);
+        assert!(t.sink.is_none(), "a failed write stops the stream");
+        t.row(&["d"]);
+        assert_eq!(t.len(), 4, "the in-memory table keeps every row");
+        assert_eq!(fs::read_to_string(&path).unwrap(), intact, "cut back");
+        drop(t);
+        // Without a footer the highest recorded point (1) may be partial:
+        // point 0 replays and everything from point 1 on recomputes.
+        let mut t = StreamingTable::open_at(path.clone(), id, &["x"], &fp(id), true);
+        let p0 = t.begin_point().expect("point 0 replays");
+        assert_eq!(p0.len(), 1);
+        assert_eq!(p0[0].cells, vec!["a".to_string()]);
+        assert!(t.begin_point().is_none());
+        t.row(&["b"]);
+        assert_eq!(t.into_table().to_csv(), "x\na\nb\n");
         fs::remove_file(path).ok();
     }
 

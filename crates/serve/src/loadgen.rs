@@ -4,17 +4,17 @@
 //! own [`SmallRng`] (seeded from the run seed and the client id), so the
 //! per-client request sequences are identical however the run is executed:
 //!
-//! - **serial mode** (`--serial`): one connection, clients interleaved
-//!   round-robin. The accepted order equals the submitted order, so the
-//!   final digest is a pure function of `(game config, seed, clients,
-//!   requests)` — the CI leg pins it, and the run self-verifies against
-//!   [`oracle_digest`].
 //! - **concurrent mode**: `connections` threads, clients partitioned
-//!   round-robin across them. The accepted order now depends on thread
-//!   scheduling; what stays invariant is that the digest the daemon reports
-//!   equals a single-threaded replay of whatever order it accepted — pass a
-//!   state directory ([`LoadGen::verify_state_dir`]) to check that via
+//!   round-robin across them, each thread interleaving its clients
+//!   round-robin. The accepted order depends on thread scheduling; what
+//!   stays invariant is that the digest the daemon reports equals a
+//!   single-threaded replay of whatever order it accepted — pass a state
+//!   directory ([`LoadGen::verify_state_dir`]) to check that via
 //!   [`replay_digest`].
+//! - **serial mode** (`--serial`): the same loop on one connection, so
+//!   the accepted order is [`serial_frames`] and the final digest is a pure
+//!   function of `(game config, seed, clients, requests)` — the CI leg pins
+//!   it, and the run self-verifies against [`oracle_digest`].
 //!
 //! Latency quantiles (p50/p95/max) land in `BENCH_results.json` through
 //! the bench shim's [`criterion::record`] registry when
@@ -165,8 +165,8 @@ fn per_client_counts(clients: u64, requests: u64) -> Vec<u64> {
 
 /// The serial submission order: clients round-robin, each playing its
 /// stream in order, with mutating ops numbered 1.. per client (queries
-/// carry seq 0; only mutating ops are sequence-tracked). This is both what
-/// serial mode sends and what the oracle replays.
+/// carry seq 0; only mutating ops are sequence-tracked). This is what one
+/// connection sends and what the oracle replays.
 pub fn serial_frames(load: &LoadGen, cfg: &ServeConfig) -> Vec<RequestFrame> {
     let counts = per_client_counts(load.clients, load.requests);
     let mut streams: Vec<std::vec::IntoIter<Op>> = (0..load.clients)
@@ -214,13 +214,14 @@ pub fn run(load: &LoadGen, cfg: &ServeConfig, socket: &Path) -> Result<LoadRepor
             "client ids collide with the reserved service client".to_string(),
         ));
     }
+    let connections = if load.serial {
+        1
+    } else {
+        load.connections.max(1)
+    };
     let clock = WallClock::new();
     let started = clock.now_ns();
-    let (latencies, errors, busy_retries, sent) = if load.serial {
-        run_serial(load, cfg, socket)?
-    } else {
-        run_concurrent(load, cfg, socket)?
-    };
+    let (latencies, errors, busy_retries, sent) = run_concurrent(load, cfg, socket, connections)?;
     let elapsed_ns = clock.now_ns().saturating_sub(started);
 
     // Final digest, read over a fresh connection.
@@ -247,11 +248,7 @@ pub fn run(load: &LoadGen, cfg: &ServeConfig, socket: &Path) -> Result<LoadRepor
         clients: load.clients,
         requests: sent,
         seed: load.seed,
-        connections: if load.serial {
-            1
-        } else {
-            load.connections as u64
-        },
+        connections: connections as u64,
         serial: load.serial,
         elapsed_ns,
         throughput_rps: sent
@@ -271,50 +268,21 @@ pub fn run(load: &LoadGen, cfg: &ServeConfig, socket: &Path) -> Result<LoadRepor
 
 type RunTallies = (Vec<u64>, u64, u64, u64);
 
-fn run_serial(load: &LoadGen, cfg: &ServeConfig, socket: &Path) -> Result<RunTallies, ServeError> {
-    let frames = serial_frames(load, cfg);
-    let clock = WallClock::new();
-    let mut conn = Client::connect(socket, 0)?;
-    let mut latencies = Vec::with_capacity(frames.len());
-    let mut errors = 0u64;
-    let mut busy = 0u64;
-    let sent = frames.len() as u64;
-    for frame in frames {
-        let t0 = clock.now_ns();
-        let mut reply = send_frame(&mut conn, &frame)?;
-        while let Reply::Busy { .. } = reply {
-            busy += 1;
-            std::thread::sleep(std::time::Duration::from_micros(100));
-            reply = send_frame(&mut conn, &frame)?;
-        }
-        latencies.push(clock.now_ns().saturating_sub(t0));
-        if matches!(reply, Reply::Error { .. }) {
-            errors += 1;
-        }
-    }
-    Ok((latencies, errors, busy, sent))
-}
-
-fn send_frame(conn: &mut Client, frame: &RequestFrame) -> Result<Reply, ServeError> {
-    conn.client = frame.client;
-    conn.request_seq(frame.seq, frame.op.clone())
-}
-
+/// Drives every client's stream over `connections` connections: clients
+/// are partitioned round-robin across them, and each connection
+/// interleaves its clients round-robin, exactly like [`serial_frames`].
 fn run_concurrent(
     load: &LoadGen,
     cfg: &ServeConfig,
     socket: &Path,
+    connections: usize,
 ) -> Result<RunTallies, ServeError> {
     let counts = per_client_counts(load.clients, load.requests);
-    let connections = load.connections.max(1);
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(connections);
         for worker in 0..connections {
             let counts = &counts;
             handles.push(scope.spawn(move || -> Result<RunTallies, ServeError> {
-                // Clients are partitioned round-robin across workers; each
-                // worker interleaves its clients round-robin, exactly like
-                // serial mode does globally.
                 let mut streams: Vec<(u64, u64, std::vec::IntoIter<Op>)> = (0..load.clients)
                     .filter(|c| *c as usize % connections == worker)
                     .map(|c| {

@@ -15,12 +15,16 @@
 //! journaled (one JSON line, flushed before it is applied) to
 //! `journal-<gen>.jsonl`, whose header line carries the service
 //! [`Fingerprint`] and the digest of the state the journal starts from.
-//! [`crate::protocol::Op::Snapshot`] writes `snapshot.jsonl` atomically
-//! (tmp + rename; header, one row per live node, one row per client
-//! sequence high-water mark, digest-bearing footer), starts generation
-//! `gen+1`, and deletes the compacted journal — the PR-4 stream conventions
-//! (fingerprint header, digest-certified completion, dropped truncated
-//! trailing line on resume) applied to service state.
+//! The journal is a [`bbc_experiments::LineLog`], the append-only line log
+//! the experiment streams use too, and replay reads it with
+//! [`bbc_experiments::complete_lines`], so a torn trailing line is dropped
+//! whatever it parses as. [`crate::protocol::Op::Snapshot`] writes
+//! `snapshot.jsonl` atomically (tmp + rename; header, one row per live
+//! node, one row per client sequence high-water mark, digest-bearing
+//! footer), starts generation `gen+1`, and deletes the compacted journal —
+//! the experiment streams' conventions (fingerprint header,
+//! digest-certified completion, dropped truncated trailing line on resume)
+//! applied to service state.
 //!
 //! Journaling *before* applying makes the journal a faithful prefix of the
 //! accepted order even across a mid-op crash: an op that errors is
@@ -29,11 +33,12 @@
 //! pre-crash digest. An append that fails partway (a full disk, an I/O
 //! error) is cut back to the last complete line before its error reply
 //! goes out, and the op is not applied, so the next record never lands
-//! after a fragment. If the cut fails too, the journal is fenced: every
-//! later mutating op gets an error reply until a
-//! [`crate::protocol::Op::Restore`] reopens it. Duplicate suppression
-//! (client sequence numbers, [`crate::protocol::Reply::Skipped`]) gives
-//! reconnecting clients exactly-once semantics on top.
+//! after a fragment. If the cut fails too, or a
+//! [`crate::protocol::Op::Restore`] fails to load the state directory, the
+//! journal is fenced: every later mutating op gets an error reply until a
+//! restore succeeds and reopens it. Duplicate suppression (client sequence
+//! numbers, [`crate::protocol::Reply::Skipped`]) gives reconnecting clients
+//! exactly-once semantics on top.
 //!
 //! # Observability
 //!
@@ -51,8 +56,7 @@
 //! `state_digest` are byte-identical with metrics on, off, or sampled.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write as _};
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
@@ -61,7 +65,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bbc_core::{Configuration, GameSpec, NodeId, Scheduler, Walk, WalkOutcome};
-use bbc_experiments::Fingerprint;
+use bbc_experiments::{complete_lines, Fingerprint, LineLog};
 use bbc_graph::BitSet;
 use bbc_obs::{Clock, Registry, WallClock};
 use serde::{Deserialize, Serialize};
@@ -549,7 +553,7 @@ struct OwnerState<'a> {
     /// Per-client journaled sequence high-water marks (duplicate
     /// suppression). A `BTreeMap` keeps snapshot row order deterministic.
     seqs: BTreeMap<u64, u64>,
-    journal: Option<Journal>,
+    journal: Option<LineLog>,
     journal_gen: u64,
     events_since_settle: u64,
     /// The metrics registry. Written on every handled request, read only
@@ -574,7 +578,7 @@ struct Loaded<'a> {
     journal_gen: u64,
     replayed: u64,
     /// Append-ready journal (absent on read-only loads).
-    journal: Option<Journal>,
+    journal: Option<LineLog>,
 }
 
 fn fresh_walk<'a>(spec: &'a GameSpec, cfg: &ServeConfig) -> Walk<'a> {
@@ -588,74 +592,55 @@ impl<'a> OwnerState<'a> {
         shared: SharedCounters,
     ) -> Result<Self, ServeError> {
         let fingerprint = cfg.fingerprint();
-        let metrics = Registry::new();
-        let clock: Box<dyn Clock> = Box::new(WallClock::new());
-        let Some(dir) = &cfg.state_dir else {
-            if cfg.restore {
+        let (walk, seqs, journal, journal_gen) = match &cfg.state_dir {
+            None if cfg.restore => {
                 return Err(ServeError::Config(
                     "restore requested without a state directory".to_string(),
-                ));
+                ))
             }
-            return Ok(Self {
-                spec,
-                cfg,
-                fingerprint,
-                walk: fresh_walk(spec, cfg),
-                seqs: BTreeMap::new(),
-                journal: None,
-                journal_gen: 0,
-                events_since_settle: 0,
-                metrics,
-                clock,
-                shared,
-                requests_handled: 0,
-            });
+            None => (fresh_walk(spec, cfg), BTreeMap::new(), None, 0),
+            Some(dir) => {
+                fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
+                let has_state =
+                    dir.join(SNAPSHOT_FILE).is_file() || dir.join(journal_file(1)).is_file();
+                match (cfg.restore, has_state) {
+                    (true, true) => {
+                        let loaded = load_state(spec, cfg, dir, false)?;
+                        (loaded.walk, loaded.seqs, loaded.journal, loaded.journal_gen)
+                    }
+                    (true, false) => {
+                        return Err(ServeError::Config(format!(
+                            "{}: nothing to restore (no snapshot or journal)",
+                            dir.display()
+                        )))
+                    }
+                    (false, true) => {
+                        return Err(ServeError::Config(format!(
+                            "{}: state directory already holds service state; restore it or \
+                             point at a clean directory",
+                            dir.display()
+                        )))
+                    }
+                    (false, false) => {
+                        let walk = fresh_walk(spec, cfg);
+                        let base = digest_hex(walk.state_digest());
+                        let journal = create_journal(dir, 1, &fingerprint, &base)?;
+                        (walk, BTreeMap::new(), Some(journal), 1)
+                    }
+                }
+            }
         };
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
-        let has_state = dir.join(SNAPSHOT_FILE).is_file() || dir.join(journal_file(1)).is_file();
-        if cfg.restore {
-            if !has_state {
-                return Err(ServeError::Config(format!(
-                    "{}: nothing to restore (no snapshot or journal)",
-                    dir.display()
-                )));
-            }
-            let loaded = load_state(spec, cfg, dir, false)?;
-            return Ok(Self {
-                spec,
-                cfg,
-                fingerprint,
-                walk: loaded.walk,
-                seqs: loaded.seqs,
-                journal: loaded.journal,
-                journal_gen: loaded.journal_gen,
-                events_since_settle: 0,
-                metrics,
-                clock,
-                shared,
-                requests_handled: 0,
-            });
-        }
-        if has_state {
-            return Err(ServeError::Config(format!(
-                "{}: state directory already holds service state; restore it or point at a \
-                 clean directory",
-                dir.display()
-            )));
-        }
-        let walk = fresh_walk(spec, cfg);
-        let journal = create_journal(dir, 1, &fingerprint, &digest_hex(walk.state_digest()))?;
         Ok(Self {
             spec,
             cfg,
             fingerprint,
             walk,
-            seqs: BTreeMap::new(),
-            journal: Some(journal),
-            journal_gen: 1,
+            seqs,
+            journal,
+            journal_gen,
             events_since_settle: 0,
-            metrics,
-            clock,
+            metrics: Registry::new(),
+            clock: Box::new(WallClock::new()),
             shared,
             requests_handled: 0,
         })
@@ -870,12 +855,10 @@ impl<'a> OwnerState<'a> {
         })
         .map_err(ServeError::Config)?;
         let begin = self.clock.now_ns();
-        let result = journal
-            .append(line.as_bytes())
-            .map_err(|message| ServeError::Io {
-                path: journal_file(self.journal_gen),
-                message,
-            });
+        let result = journal.append(&line).map_err(|e| ServeError::Io {
+            path: journal_file(self.journal_gen),
+            message: e.to_string(),
+        });
         let elapsed = self.clock.now_ns().saturating_sub(begin);
         self.metrics.observe("serve/journal_append_ns", elapsed);
         result
@@ -954,15 +937,24 @@ impl<'a> OwnerState<'a> {
     /// Rebuilds the engine from the persisted snapshot + journal. On an
     /// intact directory this is idempotent — the journal holds every
     /// accepted mutating op since the snapshot, so replay lands on the
-    /// current digest.
+    /// current digest. A failed load keeps the live state and fences the
+    /// open journal, so no later op is acknowledged without a record until
+    /// a restore succeeds.
     fn restore(&mut self) -> Result<Reply, ServeError> {
         let Some(dir) = &self.cfg.state_dir else {
             return Err(ServeError::Config(
                 "restore requires a state directory".to_string(),
             ));
         };
-        self.journal = None; // close before reopening for append
-        let loaded = load_state(self.spec, self.cfg, dir, false)?;
+        let loaded = match load_state(self.spec, self.cfg, dir, false) {
+            Ok(loaded) => loaded,
+            Err(e) => {
+                if let Some(journal) = &mut self.journal {
+                    journal.fence(format!("restore failed: {e}"));
+                }
+                return Err(e);
+            }
+        };
         self.walk = loaded.walk;
         self.seqs = loaded.seqs;
         self.journal_gen = loaded.journal_gen;
@@ -980,104 +972,21 @@ fn push_line<T: Serialize>(out: &mut String, line: &T) -> Result<(), ServeError>
     Ok(())
 }
 
+/// Creates generation `gen`'s journal holding just its header line.
 fn create_journal(
     dir: &Path,
     gen: u64,
     fingerprint: &str,
     base_digest: &str,
-) -> Result<Journal, ServeError> {
+) -> Result<LineLog, ServeError> {
     let path = dir.join(journal_file(gen));
-    let mut file = File::create(&path).map_err(|e| io_err(&path, &e))?;
     let head = encode_line(&JournalLine::Head {
         fingerprint: fingerprint.to_string(),
         gen,
         base_digest: base_digest.to_string(),
     })
     .map_err(ServeError::Config)?;
-    file.write_all(head.as_bytes())
-        .and_then(|()| file.flush())
-        .map_err(|e| io_err(&path, &e))?;
-    Ok(Journal::new(file, head.len() as u64))
-}
-
-/// The open journal of the current generation.
-#[derive(Debug)]
-struct Journal {
-    file: File,
-    /// Where the file's last complete line ends. A failed append is cut
-    /// back to here, so the next record never lands after a fragment.
-    len: u64,
-    /// Why the journal refuses appends: a failed append could not be cut
-    /// back, so a fragment may end the file. Restoring reopens the journal
-    /// and drops the fragment.
-    fenced: Option<String>,
-    /// Fault injection: the next append writes half its line and fails.
-    #[cfg(test)]
-    tear_next: bool,
-    /// Fault injection: cutting a failed append back fails too.
-    #[cfg(test)]
-    rollback_fails: bool,
-}
-
-impl Journal {
-    /// An append handle on `file`, whose complete lines end at `len` and
-    /// whose cursor is at the end.
-    fn new(file: File, len: u64) -> Self {
-        Self {
-            file,
-            len,
-            fenced: None,
-            #[cfg(test)]
-            tear_next: false,
-            #[cfg(test)]
-            rollback_fails: false,
-        }
-    }
-
-    /// Appends one newline-terminated line and flushes it. A failed write
-    /// is cut back to the last complete line before the error returns; if
-    /// the cut fails too, the journal is fenced and every later append
-    /// fails without writing.
-    fn append(&mut self, line: &[u8]) -> Result<(), String> {
-        if let Some(reason) = &self.fenced {
-            return Err(format!("journal fenced, restore to reopen it: {reason}"));
-        }
-        match self.write(line) {
-            Ok(()) => {
-                self.len += line.len() as u64;
-                Ok(())
-            }
-            Err(e) => {
-                if let Err(cut) = self.cut_back() {
-                    self.fenced = Some(format!(
-                        "append failed ({e}), then cutting it back failed ({cut})"
-                    ));
-                }
-                Err(e.to_string())
-            }
-        }
-    }
-
-    fn write(&mut self, line: &[u8]) -> std::io::Result<()> {
-        #[cfg(test)]
-        if std::mem::take(&mut self.tear_next) {
-            self.file.write_all(&line[..line.len() / 2])?;
-            return Err(std::io::Error::other("injected torn append"));
-        }
-        self.file.write_all(line)?;
-        self.file.flush()
-    }
-
-    /// Truncates the file to its last complete line, with the cursor at
-    /// the new end.
-    fn cut_back(&mut self) -> std::io::Result<()> {
-        #[cfg(test)]
-        if self.rollback_fails {
-            return Err(std::io::Error::other("injected rollback failure"));
-        }
-        self.file.set_len(self.len)?;
-        self.file.seek(SeekFrom::End(0)).map(drop)
-    }
+    LineLog::create(&path, &head).map_err(|e| io_err(&path, &e))
 }
 
 /// The fixed label an op's dispatch latency is recorded under
@@ -1201,39 +1110,14 @@ fn load_state<'a>(
     }
     let journal = if read_only {
         None
-    } else if journal_path.is_file() {
+    } else if has_header {
         // Reopen for append, truncating any dropped partial trailing line
         // so the next record starts on a clean line boundary.
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(&journal_path)
-            .map_err(|e| io_err(&journal_path, &e))?;
-        file.set_len(valid_len)
-            .map_err(|e| io_err(&journal_path, &e))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| io_err(&journal_path, &e))?;
-        let mut len = valid_len;
-        if !has_header {
-            // The crash landed before the header line survived; re-seed it.
-            let head = encode_line(&JournalLine::Head {
-                fingerprint: fingerprint.clone(),
-                gen: journal_gen,
-                base_digest: digest_hex(walk.state_digest()),
-            })
-            .map_err(ServeError::Config)?;
-            file.write_all(head.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| io_err(&journal_path, &e))?;
-            len += head.len() as u64;
-        }
-        Some(Journal::new(file, len))
+        Some(LineLog::reopen(&journal_path, valid_len).map_err(|e| io_err(&journal_path, &e))?)
     } else {
-        Some(create_journal(
-            dir,
-            journal_gen,
-            &fingerprint,
-            &digest_hex(walk.state_digest()),
-        )?)
+        // No journal yet, or the crash landed before its header survived.
+        let base = digest_hex(walk.state_digest());
+        Some(create_journal(dir, journal_gen, &fingerprint, &base)?)
     };
     Ok(Loaded {
         walk,
@@ -1329,9 +1213,9 @@ fn read_snapshot<'a>(
 
 /// Replays a journal on top of `walk`. Returns the records applied, the
 /// byte length of the valid prefix, and whether a header line survived.
-/// A non-newline-terminated trailing fragment is dropped (the op it
-/// recorded was never acknowledged, so the client will resend it); garbage
-/// anywhere else is corruption.
+/// A non-newline-terminated trailing fragment is dropped whatever it
+/// parses as (the op it recorded was never acknowledged, so the client
+/// will resend it); garbage on any complete line is corruption.
 fn replay_journal(
     walk: &mut Walk<'_>,
     seqs: &mut BTreeMap<u64, u64>,
@@ -1343,41 +1227,22 @@ fn replay_journal(
     let mut replayed = 0u64;
     let mut valid_len = 0u64;
     let mut has_header = false;
-    let mut offset = 0usize;
-    // Each pass consumes exactly one line, so counting passes numbers the
-    // lines without rescanning the text before each one.
-    let mut line_no = 0usize;
-    while offset < text.len() {
-        let rest = &text[offset..];
-        let (line, complete, advance) = match rest.find('\n') {
-            Some(pos) => (&rest[..pos], true, pos + 1),
-            None => (rest, false, rest.len()),
-        };
-        line_no += 1;
+    for (i, (line, end)) in complete_lines(&text).enumerate() {
+        let line_no = i + 1;
+        valid_len = end;
         if line.is_empty() {
-            offset += advance;
-            valid_len = offset as u64;
             continue;
         }
-        let parsed = serde_json::from_str::<JournalLine>(line);
+        let parsed = serde_json::from_str::<JournalLine>(line)
+            .map_err(|e| corrupt(path, format!("line {line_no}: {e}")))?;
         match parsed {
-            Err(e) => {
-                if complete {
-                    return Err(corrupt(path, format!("line {line_no}: {e}")));
-                }
-                // Dropped truncated trailing line (crash mid-write).
-                break;
-            }
-            Ok(JournalLine::Head {
+            JournalLine::Head {
                 fingerprint: found,
                 gen: found_gen,
                 base_digest,
-            }) => {
+            } => {
                 if has_header {
                     return Err(corrupt(path, format!("line {line_no}: duplicate header")));
-                }
-                if !complete {
-                    break; // header itself was cut short
                 }
                 if found != fingerprint {
                     return Err(corrupt(
@@ -1403,12 +1268,9 @@ fn replay_journal(
                 }
                 has_header = true;
             }
-            Ok(JournalLine::Record { client, seq, op }) => {
+            JournalLine::Record { client, seq, op } => {
                 if !has_header {
                     return Err(corrupt(path, "record before header"));
-                }
-                if !complete {
-                    break;
                 }
                 let duplicate = seqs.get(&client).is_some_and(|&last| seq <= last);
                 if !duplicate {
@@ -1420,8 +1282,6 @@ fn replay_journal(
                 }
             }
         }
-        offset += advance;
-        valid_len = offset as u64;
     }
     Ok((replayed, valid_len, has_header))
 }
@@ -1785,8 +1645,8 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_append_is_cut_back_before_the_next_record() {
-        let dir = temp_dir("torn");
+    fn a_failed_restore_fences_the_journal() {
+        let dir = temp_dir("fence");
         let cfg = ServeConfig {
             state_dir: Some(dir.clone()),
             ..small_cfg()
@@ -1794,56 +1654,57 @@ mod tests {
         let spec = GameSpec::uniform(cfg.peers, cfg.budget);
         let mut state = OwnerState::boot(&spec, &cfg, SharedCounters::default()).unwrap();
         let send = |state: &mut OwnerState<'_>, seq, op| state.handle(frame(1, seq, op)).reply;
+        let Reply::Ok { digest: live } = send(&mut state, 1, Op::Leave { node: 4 }) else {
+            panic!("the first Leave applies");
+        };
+        let path = dir.join(journal_file(1));
+        let intact = fs::read_to_string(&path).unwrap();
+        fs::write(&path, format!("{intact}{{\"Record\": garbage\n")).unwrap();
+        let journal_len = || fs::metadata(&path).unwrap().len();
+        let corrupt_len = journal_len();
         assert!(matches!(
-            send(&mut state, 1, Op::Leave { node: 4 }),
-            Reply::Ok { .. }
-        ));
-        state.journal.as_mut().unwrap().tear_next = true;
-        let failed = send(&mut state, 2, Op::Leave { node: 5 });
-        assert!(matches!(
-            failed,
+            send(&mut state, 0, Op::Restore),
             Reply::Error {
                 code: ErrorCode::Internal,
                 ..
             }
         ));
-        // The rejected op was not applied; its resend is accepted.
-        let resent = send(&mut state, 2, Op::Leave { node: 5 });
-        let Reply::Ok { digest: live } = resent else {
-            panic!("expected the resend to apply, got {resent:?}");
-        };
-        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (live.clone(), 2));
 
-        // A cut that fails too fences the journal: every later mutating op
-        // is refused, so nothing lands after the fragment, and the torn
-        // tail is dropped on replay.
-        let journal = state.journal.as_mut().unwrap();
-        journal.tear_next = true;
-        journal.rollback_fails = true;
-        for seq in [3, 3, 4] {
-            let refused = send(&mut state, seq, Op::Leave { node: 6 });
-            assert!(
-                matches!(
-                    refused,
-                    Reply::Error {
-                        code: ErrorCode::Internal,
-                        ..
-                    }
-                ),
-                "{refused:?}"
-            );
-        }
+        // The load failed, so the journal is fenced: a mutating op is
+        // refused, not applied, and its sequence is not recorded.
+        let refused = send(&mut state, 2, Op::Leave { node: 5 });
+        assert!(
+            matches!(
+                refused,
+                Reply::Error {
+                    code: ErrorCode::Internal,
+                    ..
+                }
+            ),
+            "{refused:?}"
+        );
         assert_eq!(digest_hex(state.walk.state_digest()), live);
-        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (live, 2));
-        // Restoring reopens the journal without the fragment.
-        assert!(matches!(
-            send(&mut state, 5, Op::Restore),
-            Reply::Restored { replayed: 2, .. }
-        ));
-        let Reply::Ok { digest } = send(&mut state, 3, Op::Leave { node: 6 }) else {
-            panic!("a restored journal accepts appends again");
+        assert_eq!(journal_len(), corrupt_len, "nothing journaled");
+        assert_eq!(
+            send(&mut state, 0, Op::Query(Probe::ClientSeq { client: 1 })),
+            Reply::Seq { client: 1, seq: 1 }
+        );
+
+        // Repaired, the journal replays to the live state, and a restore
+        // reopens it for the resent op.
+        fs::write(&path, &intact).unwrap();
+        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (live.clone(), 1));
+        assert_eq!(
+            send(&mut state, 0, Op::Restore),
+            Reply::Restored {
+                digest: live,
+                replayed: 1
+            }
+        );
+        let Reply::Ok { digest } = send(&mut state, 2, Op::Leave { node: 5 }) else {
+            panic!("a restored journal accepts the resent op");
         };
-        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (digest, 3));
+        assert_eq!(replay_digest(&cfg, &dir).unwrap(), (digest, 2));
         let _ = fs::remove_dir_all(&dir);
     }
 
