@@ -456,8 +456,10 @@ impl<'a> DistanceEngine<'a> {
 
     /// Publishes the engine's effort counters into a metrics registry
     /// (names under `engine/`), plus `engine/rows_repaired` (base rows
-    /// repaired in place after a patch instead of traversed again), derived
-    /// gauges for the oracle-row hit rate and the best-response
+    /// repaired in place after a patch instead of traversed again),
+    /// `engine/bound_recounts` (prune checks whose packing correction the
+    /// row counts could not bracket, so the search counted it exactly),
+    /// derived gauges for the oracle-row hit rate and the best-response
     /// outcome-memo hit rate, both in permille, and the bytes each
     /// structure holds, by capacity:
     ///
@@ -476,6 +478,10 @@ impl<'a> DistanceEngine<'a> {
         reg.set_counter(
             "engine/rows_repaired",
             tiered!(self, e => e.store.repaired()),
+        );
+        reg.set_counter(
+            "engine/bound_recounts",
+            tiered!(self, e => e.suffix.recounts()),
         );
         let [rows, stage, memo] = tiered!(self, e => e.memory());
         reg.set_gauge("engine/row_store_bytes", rows);

@@ -14,12 +14,13 @@
 //!   network `G(S)`;
 //! * [`Evaluator`] — node and social costs;
 //! * [`DistanceEngine`] — the shared CSR shortest-path substrate every
-//!   consumer above sits on: patched in place per move, with memoized
-//!   deviation rows and best-response outcomes (see [`engine`] for the
-//!   cache-invalidation rules);
+//!   consumer above sits on: patched in place per move, with one shared
+//!   full-graph row per node (repaired after a move, not recomputed) from
+//!   which each deviation row is derived, and memoized best-response
+//!   outcomes (see [`engine`] for the cache-invalidation rules);
 //! * [`best_response`] — exact single-node best response: one
-//!   branch-and-bound search over per-candidate deviation rows (one
-//!   shortest-path run per candidate target), run by the engine;
+//!   branch-and-bound search over per-candidate deviation rows (each
+//!   derived from the candidate's shared row), run by the engine;
 //! * [`reference`](mod@reference) — frozen pre-refactor implementations, the executable
 //!   spec the engine is differentially tested and benchmarked against;
 //! * [`StabilityChecker`] — pure-Nash-equilibrium decision with

@@ -17,7 +17,8 @@
 //! [`RowWord::sum_min_counts`], [`RowWord::copy_min_sum`]) add two minima
 //! per lane before widening to 32 bits, so the minima run on the signed
 //! 16-bit vector min every x86-64 target has (SSE2 has no unsigned 32-bit
-//! min), at a quarter of the u64 tier's memory traffic.
+//! min), at a quarter of the u64 tier's memory traffic; [`RowWord::counts`]
+//! counts one row's low entries in 16-bit lanes.
 //!
 //! [`ClampedBfs`] and [`ClampedDijkstra`] are the traversal kernels for both
 //! tiers, and the only shortest-path kernels over a [`CsrGraph`]: generic
@@ -126,6 +127,20 @@ pub trait RowWord:
             le2 = le2 + if v <= two { Self::ONE } else { Self::ZERO };
         }
         (total.widen(), le1.widen(), le2.widen())
+    }
+
+    /// `(#{v : row[v] ≤ 1}, #{v : row[v] ≤ 2})`: the packing counts of one
+    /// row.
+    #[inline(always)]
+    fn counts(row: &[Self]) -> (u64, u64) {
+        let one = Self::ONE;
+        let two = Self::ONE + Self::ONE;
+        let (mut le1, mut le2) = (0u64, 0u64);
+        for &v in row {
+            le1 += u64::from(v <= one);
+            le2 += u64::from(v <= two);
+        }
+        (le1, le2)
     }
 
     /// `dst[v] = min(a[v], b[v])`, returning `Σ dst`, raw.
@@ -273,6 +288,33 @@ impl RowWord for i16 {
             n2 += i32::from(v <= 2);
         }
         (widen_i32(total), widen_i32(n1), widen_i32(n2))
+    }
+
+    /// Two 16-lane i16 counters and no sum, so the lanes and both halves of
+    /// a block stay in registers where [`RowWord::sum_min_counts`] spills.
+    #[inline(always)]
+    fn counts(row: &[Self]) -> (u64, u64) {
+        let mut blocks = row.chunks_exact(2 * LANES);
+        let (mut n1, mut n2) = (0i32, 0i32);
+        if row.len() >= 2 * LANES {
+            // At most two hits per lane per block, and fewer than 2⁹ blocks.
+            let mut le1 = [0i16; LANES];
+            let mut le2 = [0i16; LANES];
+            for block in &mut blocks {
+                let (lo, hi) = block.split_at(LANES);
+                for (((c1, c2), &x), &y) in le1.iter_mut().zip(&mut le2).zip(lo).zip(hi) {
+                    *c1 += i16::from(x <= 1) + i16::from(y <= 1);
+                    *c2 += i16::from(x <= 2) + i16::from(y <= 2);
+                }
+            }
+            n1 = le1.iter().map(|&c| i32::from(c)).sum();
+            n2 = le2.iter().map(|&c| i32::from(c)).sum();
+        }
+        for &x in blocks.remainder() {
+            n1 += i32::from(x <= 1);
+            n2 += i32::from(x <= 2);
+        }
+        (widen_i32(n1), widen_i32(n2))
     }
 
     #[inline(always)]
@@ -723,6 +765,12 @@ mod tests {
         let mut wdst = vec![0u64; a.len()];
         assert_eq!(u64::copy_min_sum(&mut wdst, &wa, &wb), total);
         assert_eq!(wdst, mins);
+        for (row, wide) in [(a, &wa), (b, &wb), (&dst[..], &copied)] {
+            let count = |limit: u64| wide.iter().filter(|&&v| v <= limit).count() as u64;
+            let counts = (count(1), count(2));
+            assert_eq!(i16::counts(row), counts, "{context}: row counts");
+            assert_eq!(u64::counts(wide), counts, "{context}: u64 row counts");
+        }
     }
 
     #[test]
@@ -739,17 +787,21 @@ mod tests {
     #[test]
     fn i16_kernels_hold_all_saturated_rows_without_overflow() {
         // Every pair sum in a lane reaches 2·SATURATED = 32,766, and a
-        // 16,382-entry row sums to n·SATURATED in the 32-bit lanes.
+        // 16,382-entry row sums to n·SATURATED in the 32-bit lanes. An
+        // all-≤1 row fills the 16-bit count lanes of `counts` to their
+        // widest: 2·⌊16,382 / 32⌋ = 1,022 hits per lane.
         for len in [1usize, 16, 17, 64, 512, 16_382] {
             let full = vec![narrow(i16::SATURATED); len];
             assert_kernels_match_u64(&full, &full, &format!("saturated len {len}"));
             assert_eq!(i16::sum(&full), len as u64 * i16::SATURATED);
+            assert_eq!(i16::counts(&full), (0, 0));
             let low = vec![1i16; len];
             assert_kernels_match_u64(&full, &low, &format!("mixed len {len}"));
             assert_eq!(
                 i16::sum_min_counts(&full, &low),
                 (len as u64, len as u64, len as u64)
             );
+            assert_eq!(i16::counts(&low), (len as u64, len as u64));
         }
     }
 

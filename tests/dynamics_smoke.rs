@@ -142,4 +142,9 @@ fn overlay512_walk_prefix_effort_is_pinned() {
             landmark_rows_computed: 0,
         }
     );
+    // The prune checks whose packing correction the row counts could not
+    // bracket, so the search counted it exactly.
+    let mut reg = bbc_obs::Registry::new();
+    engine.publish_metrics(&mut reg);
+    assert_eq!(reg.counter("engine/bound_recounts"), Some(270));
 }
