@@ -304,7 +304,7 @@ pub(crate) fn clamp_for<W: RowWord>(spec: &GameSpec) -> W {
 
 /// `dst[v] = min(dst[v], src[v])` elementwise.
 #[inline]
-fn min_into<W: RowWord>(dst: &mut [W], src: &[W]) {
+pub(crate) fn min_into<W: RowWord>(dst: &mut [W], src: &[W]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d = (*d).min(s);
     }

@@ -12,9 +12,11 @@
 //!   engine's row width ([`RowTier`]: at `M`, or at the i16 word's
 //!   saturated stand-in that every cost lifts back to `M`) and allocated on
 //!   first use, plus each row's *touched set* (the nodes whose out-arcs the
-//!   traversal expanded). A row that one rewire dropped is repaired from
-//!   its old values when next read instead of traversed again (the
-//!   `row_store` module). Every distance row the engine uses comes from it:
+//!   traversal expanded). A rewire of a node the engine has just searched
+//!   refills the rows it drops from that search's staged rows; a row that
+//!   any other single rewire dropped is repaired from its old values when
+//!   next read. Neither is traversed again (the `row_store` module). Every
+//!   distance row the engine uses comes from the store:
 //!   - a search of `u` derives the deviation rows `ℓ(u,c) + d_{G∖u}(c, ·)`
 //!     — the rows Lemmas 3–5 price every strategy of `u` with — straight
 //!     into its stage, re-deriving from base row `c` only the vertices all
@@ -37,12 +39,12 @@
 //!
 //! | cached item                  | invalidated by a rewire of `m` when    |
 //! |------------------------------|----------------------------------------|
-//! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is); for `c ≠ m`, repaired on the next read unless another rewire comes first, else traversed |
+//! | base row `d_G(c,·)`          | `m` ∈ row's touched set (`m = c` always is); refilled by the rewire when the stage holds `m`'s rows and `c` (`m`'s own row always); otherwise, for `c ≠ m`, repaired on the next read unless another rewire comes first, else traversed |
 //! | best-response outcome of `u` | `m = u`, or `m` ∈ its dependency set   |
 //! | cost of `u`                  | base row `u` is invalidated            |
 //!
-//! A repaired row equals a traversal's, touched set included, so the
-//! rules above do not depend on how a row was refilled.
+//! A refilled or repaired row equals a traversal's, touched set included,
+//! so the rules above do not depend on how a row was rebuilt.
 //!
 //! # Node churn
 //!
@@ -85,7 +87,7 @@ use bbc_graph::{BitSet, ConnectivityScratch, CsrGraph, RowWord, UNREACHABLE};
 use crate::{
     best_response::{clamp_for, greedy_on, search, OracleView, SearchScratch, SuffixBounds},
     eval::{cost_from_distances, cost_from_distances_masked},
-    row_store::{bitset_bytes, RowStore},
+    row_store::{bitset_bytes, RowStore, Staged},
     BestResponseOptions, BestResponseOutcome, Configuration, Error, GameSpec, NodeId, Result,
 };
 
@@ -140,6 +142,10 @@ struct Stage<W> {
     candidates: Vec<NodeId>,
     /// Link prices parallel to `candidates`.
     prices: Vec<u64>,
+    /// The node whose rows these are, while they match the current graph
+    /// and membership: set by staging, taken by every patch, cleared by a
+    /// membership change.
+    node: Option<NodeId>,
 }
 
 impl<W> Default for Stage<W> {
@@ -148,6 +154,7 @@ impl<W> Default for Stage<W> {
             rows: Vec::new(),
             candidates: Vec::new(),
             prices: Vec::new(),
+            node: None,
         }
     }
 }
@@ -173,8 +180,10 @@ struct LiveTargets {
 
 /// Effort counters (monotone; see [`DistanceEngine::stats`]). Each base-row
 /// traversal counts once, under whatever asked for it — including the
-/// mover's row that a repair of another row needs. Repairs themselves are
-/// not traversals; [`DistanceEngine::publish_metrics`] reports them as
+/// mover's row that a repair of another row needs, when the move did not
+/// follow the mover's own search (after one, the patch refills that row
+/// from the stage). Refills and repairs are not traversals;
+/// [`DistanceEngine::publish_metrics`] reports them as
 /// `engine/rows_repaired`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -456,7 +465,8 @@ impl<'a> DistanceEngine<'a> {
 
     /// Publishes the engine's effort counters into a metrics registry
     /// (names under `engine/`), plus `engine/rows_repaired` (base rows
-    /// repaired in place after a patch instead of traversed again),
+    /// refilled or repaired in place after a patch instead of traversed
+    /// again),
     /// `engine/bound_recounts` (prune checks whose packing correction the
     /// row counts could not bracket, so the search counted it exactly),
     /// derived gauges for the oracle-row hit rate and the best-response
@@ -490,9 +500,11 @@ impl<'a> DistanceEngine<'a> {
     }
 
     /// Rewires one node's strategy, patching the CSR mirror in place and
-    /// invalidating exactly the cached rows whose traversal touched `u`
-    /// (rows other than `u`'s are repaired when next read, unless another
-    /// patch comes first).
+    /// invalidating exactly the cached rows whose traversal touched `u`.
+    /// When the engine's latest staging was a search of `u` on the current
+    /// graph, the patch refills `u`'s row, and each dropped row that search
+    /// staged, from the staged rows. Any other dropped row except `u`'s own
+    /// is repaired when next read, unless another patch comes first.
     ///
     /// # Errors
     ///
@@ -811,9 +823,13 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
             self.config.strategy(u),
             &mut self.link_scratch,
         );
+        let stage = (self.stage.node.take() == Some(u)).then_some(Staged {
+            candidates: &self.stage.candidates,
+            rows: &self.stage.rows,
+        });
         let (costs, stats) = (&mut self.eval_costs, &mut self.stats);
         self.store
-            .patch(&mut self.csr, u.index(), &self.link_scratch, |c| {
+            .patch(&mut self.csr, u.index(), &self.link_scratch, stage, |c| {
                 stats.rows_invalidated += 1;
                 costs[c] = None;
             });
@@ -879,6 +895,7 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
         for (&c, row) in stage.candidates.iter().zip(stage.rows.chunks_exact_mut(n)) {
             deriver.derive(c, row);
         }
+        stage.node = Some(u);
     }
 
     fn best_response(
@@ -1172,10 +1189,12 @@ impl<'a, W: RowWord> EngineCore<'a, W> {
     /// Post-join/leave bookkeeping: canonicalize the CSR layout (so the
     /// physical state is history-independent — the determinism contract of
     /// [`DistanceEngine::state_digest`]), bump the membership version, and
-    /// drop every membership-dependent aggregate. Base rows are *not*
+    /// drop every membership-dependent aggregate, the stage's claim to
+    /// hold some node's current rows included. Base rows are *not*
     /// dropped here; the touched-set invalidations of the patches that led
     /// here already covered them.
     fn after_membership_change(&mut self) {
+        self.stage.node = None;
         self.membership_version += 1;
         self.departed = departed_nodes(&self.live);
         self.csr.rebuild_canonical();
@@ -1596,13 +1615,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rows_one_move_dropped_are_repaired_not_traversed() {
-        // After one move, reading the dropped rows traverses only the
-        // mover's and repairs every other one, which `engine/rows_repaired`
-        // reports; the costs they give equal a fresh build's.
-        let n = 8;
-        let spec = GameSpec::uniform(n, 2);
+    /// The (n,2)-uniform ring with chords: node `i` links to `i + 1` and
+    /// `i + 3`.
+    fn chorded_ring(spec: &GameSpec) -> Configuration {
+        let n = spec.node_count();
         let ring = (0..n)
             .map(|i| vec![NodeId::new((i + 1) % n), NodeId::new((i + 3) % n)])
             .map(|mut s| {
@@ -1610,7 +1626,18 @@ mod tests {
                 s
             })
             .collect();
-        let cfg = Configuration::from_strategies(&spec, ring).unwrap();
+        Configuration::from_strategies(spec, ring).unwrap()
+    }
+
+    #[test]
+    fn rows_one_move_dropped_are_repaired_not_traversed() {
+        // After one move, reading the dropped rows traverses only the
+        // mover's and repairs every other one, which `engine/rows_repaired`
+        // reports; the costs they give equal a fresh build's. The move
+        // follows no search of the mover, so this is the cut path.
+        let n = 8;
+        let spec = GameSpec::uniform(n, 2);
+        let cfg = chorded_ring(&spec);
         let mut engine = DistanceEngine::new(&spec, cfg.clone());
         engine.node_costs();
         let before = engine.stats();
@@ -1636,6 +1663,89 @@ mod tests {
         assert_eq!(reg.counter("engine/rows_repaired"), Some(dropped - 1));
         let mut fresh = DistanceEngine::new(&spec, engine.config().clone());
         assert_eq!(costs, fresh.node_costs());
+    }
+
+    /// `engine`'s row effort so far: base-row traversals for searches and
+    /// for costs, rows dropped by patches, and rows refilled or repaired.
+    fn row_effort(engine: &DistanceEngine<'_>) -> [u64; 4] {
+        let stats = engine.stats();
+        let mut reg = bbc_obs::Registry::new();
+        engine.publish_metrics(&mut reg);
+        [
+            stats.oracle_rows_computed,
+            stats.eval_rows_computed,
+            stats.rows_invalidated,
+            reg.counter("engine/rows_repaired").unwrap(),
+        ]
+    }
+
+    /// The change in [`row_effort`] from `before` to now.
+    fn row_effort_since(engine: &DistanceEngine<'_>, before: [u64; 4]) -> [u64; 4] {
+        let now = row_effort(engine);
+        std::array::from_fn(|i| now[i] - before[i])
+    }
+
+    #[test]
+    fn a_move_after_its_own_search_is_refilled_from_the_stage() {
+        // Node 0, down to one link, searches and moves at once: the patch
+        // refills the mover's row and every row it drops from 0's staged
+        // rows, so the costs and node 1's search that follow traverse
+        // nothing, and `engine/rows_repaired` grows by the rows dropped.
+        let n = 8;
+        let spec = GameSpec::uniform(n, 2);
+        let mut cfg = chorded_ring(&spec);
+        cfg.set_strategy(&spec, NodeId::new(0), vec![NodeId::new(1)])
+            .unwrap();
+        let mut engine = DistanceEngine::new(&spec, cfg);
+        engine.node_costs();
+        let out = engine.best_response(NodeId::new(0), &opts()).unwrap();
+        assert!(out.improves());
+        let before = row_effort(&engine);
+        engine
+            .apply_strategy(NodeId::new(0), out.best_strategy)
+            .unwrap();
+        let costs = engine.node_costs();
+        engine.best_response(NodeId::new(1), &opts()).unwrap();
+        let [oracle, eval, dropped, repaired] = row_effort_since(&engine, before);
+        assert_eq!((oracle, eval), (0, 0), "no traversal after the move");
+        assert!(dropped > 1, "the move drops the mover's row and others");
+        assert_eq!(repaired, dropped);
+        let mut fresh = DistanceEngine::new(&spec, engine.config().clone());
+        assert_eq!(costs, fresh.node_costs());
+
+        // A search of node 3 between node 2's search and its move hands
+        // the stage to node 3, and a move served from node 4's memo after
+        // node 5 searched finds the stage holding node 5's rows: both moves
+        // take the cut path.
+        let out = engine.best_response(NodeId::new(2), &opts()).unwrap();
+        engine.best_response(NodeId::new(3), &opts()).unwrap();
+        assert_cut_path(&spec, &mut engine, NodeId::new(2), out.best_strategy);
+        engine.best_response(NodeId::new(4), &opts()).unwrap();
+        engine.best_response(NodeId::new(5), &opts()).unwrap();
+        let hits = engine.stats().outcome_hits;
+        let out = engine.best_response(NodeId::new(4), &opts()).unwrap();
+        assert_eq!(engine.stats().outcome_hits, hits + 1);
+        assert_cut_path(&spec, &mut engine, NodeId::new(4), out.best_strategy);
+    }
+
+    /// Moves `mover` to `strategy` and asserts the move took the cut path:
+    /// the first cost read traverses the mover's row, the one dropped row
+    /// that is not repaired, and the costs equal a fresh build's.
+    fn assert_cut_path(
+        spec: &GameSpec,
+        engine: &mut DistanceEngine<'_>,
+        mover: NodeId,
+        strategy: Vec<NodeId>,
+    ) {
+        let before = row_effort(engine);
+        engine.apply_strategy(mover, strategy).unwrap();
+        let costs = engine.node_costs();
+        let [oracle, eval, dropped, repaired] = row_effort_since(engine, before);
+        assert_eq!((oracle, eval), (0, 1), "mover {mover}");
+        assert!(dropped > 1, "mover {mover}");
+        assert_eq!(repaired, dropped - 1, "mover {mover}");
+        let mut fresh = DistanceEngine::new(spec, engine.config().clone());
+        assert_eq!(costs, fresh.node_costs(), "mover {mover}");
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * [`Evaluator`] — node and social costs;
 //! * [`DistanceEngine`] — the shared CSR shortest-path substrate every
 //!   consumer above sits on: patched in place per move, with one shared
-//!   full-graph row per node (repaired after a move, not recomputed) from
-//!   which each deviation row is derived, and memoized best-response
-//!   outcomes (see [`engine`] for the cache-invalidation rules);
+//!   full-graph row per node (after a move, refilled from the mover's
+//!   staged deviation rows or repaired, not recomputed) from which each
+//!   deviation row is derived, and memoized best-response outcomes (see
+//!   [`engine`] for the cache-invalidation rules);
 //! * [`best_response`] — exact single-node best response: one
 //!   branch-and-bound search over per-candidate deviation rows (each
 //!   derived from the candidate's shared row), run by the engine;

@@ -66,10 +66,46 @@
 //! strips several in-links back to back, and its writes often arrive before
 //! any read, so a repair on write would pay for rows that the next patch
 //! drops again unread.
+//!
+//! # Refilling from the mover's stage
+//!
+//! A walk moves `m` right after searching it, and that search staged
+//! `s_c = ℓ(m,c) + d_{G∖m}(c, ·)` for every candidate `c` it can afford: the
+//! very `d_{G∖m}` rows a repair would cut out again. When the patch is
+//! handed that stage ([`Staged`]), it refills rows in place from it:
+//!
+//! * the mover's new base row is the elementwise minimum of its new
+//!   targets' staged rows, with 0 at `m`: a shortest path from `m` leaves
+//!   it by one of its arcs and never comes back;
+//! * each dropped row `c` the stage holds takes one pass of the identity
+//!   above, `row[v] = min(s_c[v] − ℓ, via + min(r_m[v], C − via))`, with
+//!   `ℓ = s_c[c]` (as `d(c,c) = 0`) and `via = s_c[m] − ℓ = d_G(c,m)`. An
+//!   entry of `s_c` at `C` stays at `C`: the penalty exceeds `n·max ℓ`, and
+//!   so does the i16 clamp, so `s_c[v] < C` exactly when `v` is reachable,
+//!   and subtracting `ℓ` is exact.
+//!
+//! A refill reads neither the old row nor an affected set, so it costs one
+//! pass per row, and the mover's row costs no traversal at all. It runs
+//! eagerly, inside the patch, while the repair stays lazy: the stage is the
+//! search's scratch, which the next search overwrites, and keeping it until
+//! the rows are read would take a second `m·n` buffer. That buys nothing,
+//! because a walk's next test reads every dropped row anyway; only the
+//! daemon's back-to-back writes leave dropped rows unread, and those
+//! patches are not preceded by the mover's own search. The dropped rows the
+//! stage lacks (candidates the mover cannot afford in a weighted game)
+//! stay pending, and their repair reads the refilled mover row.
+//!
+//! A refilled row's touched set is its reached set `{v : row[v] < C}`. A
+//! set that was full stays full when the row has no entry at `C`, which the
+//! refill pass finds by folding the row's maximum; so on a strongly
+//! connected overlay the touched sets are left alone. Any other set is
+//! rebuilt.
 
 use std::{cmp::Reverse, collections::BinaryHeap};
 
 use bbc_graph::{BitSet, ClampedBfs, ClampedDijkstra, CsrGraph, ReverseCsr, RowWord};
+
+use crate::{best_response::min_into, NodeId};
 
 /// Derivation marks, one per vertex.
 const UNSEEN: u8 = 0;
@@ -77,6 +113,16 @@ const UNSEEN: u8 = 0;
 const CANDIDATE: u8 = 1;
 /// Decided inside the affected set.
 const AFFECTED: u8 = 2;
+
+/// The deviation rows a search of node `m` staged on the graph before `m`'s
+/// patch: `ℓ(m,c) + d_{G∖m}(c, ·)` clamped at the clamp, stride `n`, one
+/// per candidate `c`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Staged<'s, W> {
+    /// The candidates, ascending.
+    pub(crate) candidates: &'s [NodeId],
+    pub(crate) rows: &'s [W],
+}
 
 /// `n` base rows `d_G(c, ·)` clamped at the row clamp, their touched sets,
 /// the record of the latest patch, and the scratch that derives deviation
@@ -93,16 +139,16 @@ pub(crate) struct RowStore<W> {
     /// Each base row's touched set: the nodes its traversal expanded.
     touched: Vec<BitSet>,
     valid: BitSet,
-    /// The rows the latest patch dropped, the mover's own excepted: each
-    /// still holds its values from before that patch and is repaired when
-    /// next read.
+    /// The rows the latest patch dropped and did not refill, the mover's
+    /// own excepted: each still holds its values from before that patch and
+    /// is repaired when next read.
     pending: BitSet,
     /// The node the latest patch rewired.
     patched: usize,
     /// `patched`'s out-arcs before the latest patch: targets and lengths.
     old_targets: Vec<u32>,
     old_lengths: Vec<u64>,
-    /// Pending rows repaired so far.
+    /// Rows refilled or repaired after a patch so far.
     repaired: u64,
     bfs: ClampedBfs<W>,
     dijkstra: ClampedDijkstra<W>,
@@ -178,14 +224,18 @@ impl<W: RowWord> RowStore<W> {
 
     /// Rewires `m`'s out-links in `csr` to `links` and drops every valid
     /// base row whose traversal expanded `m`, calling `on_drop` with each
-    /// dropped source. Every arc change goes through here: the store records
-    /// `m`'s old arcs, and the dropped rows other than `m`'s own replace the
-    /// previous patch's as the pending set.
+    /// dropped source. Every arc change goes through here, and the store
+    /// records `m`'s old arcs. Given `stage`, the rows a search of `m`
+    /// staged on the graph before this patch, it refills `m`'s row and the
+    /// dropped rows the stage holds in place (see the module docs). The
+    /// other dropped rows, `m`'s own excepted, replace the previous patch's
+    /// as the pending set.
     pub(crate) fn patch(
         &mut self,
         csr: &mut CsrGraph,
         m: usize,
         links: &[(u32, u64)],
+        stage: Option<Staged<'_, W>>,
         mut on_drop: impl FnMut(usize),
     ) {
         let (targets, lengths) = csr.out(m);
@@ -209,6 +259,66 @@ impl<W: RowWord> RowStore<W> {
                 on_drop(c);
             }
         }
+        if let Some(stage) = stage {
+            self.refill_mover(links, stage);
+            let n = self.n;
+            for (&c, s) in stage.candidates.iter().zip(stage.rows.chunks_exact(n)) {
+                if self.pending.remove(c.index()) {
+                    self.refill(c.index(), s);
+                }
+            }
+        }
+    }
+
+    /// Fills the patched node `m`'s base row from its stage: the minimum of
+    /// its new targets' staged rows, 0 at `m`.
+    fn refill_mover(&mut self, links: &[(u32, u64)], stage: Staged<'_, W>) {
+        let (n, m) = (self.n, self.patched);
+        let row = &mut self.rows[m * n..(m + 1) * n];
+        row.fill(self.clamp);
+        for &(t, len) in links {
+            let i = stage
+                .candidates
+                .binary_search(&NodeId::new(t as usize))
+                // bbc-lint: allow(panic, a valid strategy's targets are live and affordable, so the search staged each one)
+                .expect("every new target is a staged candidate");
+            let staged = &stage.rows[i * n..(i + 1) * n];
+            debug_assert_eq!(
+                staged[t as usize].widen(),
+                len,
+                "row {t} starts at ℓ(m,{t})"
+            );
+            min_into(row, staged);
+        }
+        row[m] = W::ZERO;
+        let (row, touched) = (&self.rows[m * n..(m + 1) * n], &mut self.touched[m]);
+        reach(touched, row, self.clamp);
+        self.valid.insert(m);
+        self.repaired += 1;
+    }
+
+    /// Refills dropped row `c` from its staged row `staged` and the
+    /// refilled mover row (see the module docs).
+    fn refill(&mut self, c: usize, staged: &[W]) {
+        let (n, m, clamp) = (self.n, self.patched, self.clamp);
+        let (row, mover) = row_and_mover(&mut self.rows, n, c, m);
+        // The row was dropped because its traversal expanded `m`.
+        debug_assert!(staged[m] < clamp, "a dropped row reaches the mover");
+        let hop = staged[c];
+        let via = staged[m] - hop;
+        let room = clamp - via;
+        let mut top = W::ZERO;
+        for ((d, &e), &s) in row.iter_mut().zip(mover).zip(staged) {
+            let avoiding = if s == clamp { clamp } else { s - hop };
+            *d = avoiding.min(via + e.min(room));
+            top = top.max(*d);
+        }
+        let touched = &mut self.touched[c];
+        if top == clamp || touched.len() < n {
+            reach(touched, row, clamp);
+        }
+        self.valid.insert(c);
+        self.repaired += 1;
     }
 
     /// Repairs pending row `c` to the current graph (see the module docs):
@@ -218,13 +328,7 @@ impl<W: RowWord> RowStore<W> {
     fn repair(&mut self, csr: &CsrGraph, c: usize) {
         let (n, m, clamp) = (self.n, self.patched, self.clamp);
         self.sync_rev(csr);
-        let (row, mover) = if c < m {
-            let (head, tail) = self.rows.split_at_mut(m * n);
-            (&mut head[c * n..(c + 1) * n], &tail[..n])
-        } else {
-            let (head, tail) = self.rows.split_at_mut(c * n);
-            (&mut tail[..n], &head[m * n..(m + 1) * n])
-        };
+        let (row, mover) = row_and_mover(&mut self.rows, n, c, m);
         // The row was dropped because its traversal expanded `m`.
         debug_assert!(row[m] < clamp, "a pending row reaches the mover");
         let old_arcs = (&self.old_targets[..], &self.old_lengths[..]);
@@ -243,7 +347,7 @@ impl<W: RowWord> RowStore<W> {
         self.repaired += 1;
     }
 
-    /// Pending rows repaired since construction.
+    /// Rows refilled or repaired after a patch since construction.
     pub(crate) fn repaired(&self) -> u64 {
         self.repaired
     }
@@ -322,6 +426,24 @@ impl<W: RowWord> RowStore<W> {
             self.touched = (0..self.n).map(|_| BitSet::new(self.n)).collect();
         }
     }
+}
+
+/// Row `c` of `rows` (stride `n`) to write, and the mover's row `m` to
+/// read.
+fn row_and_mover<W>(rows: &mut [W], n: usize, c: usize, m: usize) -> (&mut [W], &[W]) {
+    if c < m {
+        let (head, tail) = rows.split_at_mut(m * n);
+        (&mut head[c * n..(c + 1) * n], &tail[..n])
+    } else {
+        let (head, tail) = rows.split_at_mut(c * n);
+        (&mut tail[..n], &head[m * n..(m + 1) * n])
+    }
+}
+
+/// Sets `touched` to the reached set of `row`: its entries below `clamp`.
+fn reach<W: RowWord>(touched: &mut BitSet, row: &[W], clamp: W) {
+    touched.clear();
+    touched.insert_absent_where(|v| row[v] < clamp);
 }
 
 /// Heap bytes of a bitset's words.
@@ -649,7 +771,7 @@ mod tests {
                     assert_eq!(store.derived_touched(), bfs.touched());
                 }
             }
-            store.patch(&mut g, patch, &links, |_| {});
+            store.patch(&mut g, patch, &links, None, |_| {});
         }
     }
 
@@ -667,18 +789,23 @@ mod tests {
         }
     }
 
-    /// One step of a repair script: fill or read base row `c`, or rewire
-    /// node `m` to the given arcs.
+    /// One step of a repair script: fill or read base row `c`; rewire node
+    /// `m` to the given arcs; or move `m` there as a walk does, which first
+    /// derives `m`'s deviation rows through every node but `m` and the
+    /// listed ones (the candidates its search can afford) and then patches
+    /// with that stage. A staged row's offset is its arc's length, or 2 for
+    /// a candidate `m` does not link to.
     #[derive(Clone, Copy)]
     enum Step<'s> {
         Read(usize),
         Patch(usize, &'s [(usize, u64)]),
+        Move(usize, &'s [(usize, u64)], &'s [usize]),
     }
 
     /// Runs `script` on a store of `clamp`'s tier over a copy of `g`,
     /// asserting after every read that the row and its touched set equal
     /// a traversal of the current graph. Returns, per read, whether it took
-    /// a traversal, and the repairs run in all.
+    /// a traversal, and the rows refilled or repaired in all.
     fn replay<W: RowWord>(g: &CsrGraph, clamp: W, script: &[Step<'_>]) -> (Vec<bool>, u64) {
         let mut g = g.clone();
         let n = g.node_count();
@@ -696,7 +823,26 @@ mod tests {
                 Step::Patch(m, arcs) => {
                     let links: Vec<(u32, u64)> =
                         arcs.iter().map(|&(t, len)| (t as u32, len)).collect();
-                    store.patch(&mut g, m, &links, |_| {});
+                    store.patch(&mut g, m, &links, None, |_| {});
+                }
+                Step::Move(m, arcs, unaffordable) => {
+                    let links: Vec<(u32, u64)> =
+                        arcs.iter().map(|&(t, len)| (t as u32, len)).collect();
+                    let candidates: Vec<NodeId> = (0..n)
+                        .filter(|&c| c != m && !unaffordable.contains(&c))
+                        .map(NodeId::new)
+                        .collect();
+                    let mut rows = vec![clamp; candidates.len() * n];
+                    for (&c, row) in candidates.iter().zip(rows.chunks_exact_mut(n)) {
+                        let c = c.index();
+                        let len = arcs.iter().find(|a| a.0 == c).map_or(2, |a| a.1);
+                        store.derive(&g, m, c, W::from_u64(len).unwrap(), row);
+                    }
+                    let stage = Staged {
+                        candidates: &candidates,
+                        rows: &rows,
+                    };
+                    store.patch(&mut g, m, &links, Some(stage), |_| {});
                 }
             }
         }
@@ -710,7 +856,7 @@ mod tests {
         wide
     }
 
-    use Step::{Patch, Read};
+    use Step::{Move, Patch, Read};
 
     #[test]
     fn a_shortcut_patch_lowers_the_row() {
@@ -816,5 +962,141 @@ mod tests {
         let g = graph(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1)]);
         let script = [Read(0), Patch(1, &[(3, 1)]), Read(0), Read(1)];
         assert_eq!(replay_both(&g, &script), (vec![true, true, false], 1));
+    }
+
+    /// Every row read, in order.
+    fn read_all(n: usize) -> Vec<Step<'static>> {
+        (0..n).map(Read).collect()
+    }
+
+    #[test]
+    fn a_move_after_its_search_refills_every_dropped_row() {
+        // A ring 0 → 1 → … → 5 → 0 with chords 0 → 3 and 4 → 1: every row
+        // reaches 1 and 4, so each move drops all six rows, and its patch
+        // refills them from the stage, the mover's included. Only the
+        // first reads traverse.
+        let g = graph(
+            6,
+            &[
+                (0, 1, 1),
+                (1, 2, 1),
+                (2, 3, 1),
+                (3, 4, 1),
+                (4, 5, 1),
+                (5, 0, 1),
+                (0, 3, 1),
+                (4, 1, 1),
+            ],
+        );
+        let mut script = read_all(6);
+        script.push(Move(1, &[(2, 1), (5, 1)], &[]));
+        script.extend(read_all(6));
+        script.push(Move(4, &[(0, 1)], &[]));
+        script.extend(read_all(6));
+        let (traversed, repaired) = replay_both(&g, &script);
+        assert_eq!(traversed, [vec![true; 6], vec![false; 12]].concat());
+        assert_eq!(repaired, 12);
+    }
+
+    #[test]
+    fn a_refill_cuts_a_region_off() {
+        // 0 → {1, 5}, 1 → 2 → {3, 4}, 3 → 0 and 5 → 1: node 1 drops 2 for
+        // 5, so 2, 3 and 4 leave the touched sets of rows 0, 1, 3 and 5.
+        // Row 4 never reached 1 and stays as it was.
+        let g = graph(
+            6,
+            &[
+                (0, 1, 1),
+                (0, 5, 1),
+                (1, 2, 1),
+                (2, 3, 1),
+                (2, 4, 1),
+                (3, 0, 1),
+                (5, 1, 1),
+            ],
+        );
+        let mut script = read_all(6);
+        script.push(Move(1, &[(5, 1)], &[]));
+        script.extend(read_all(6));
+        let (traversed, repaired) = replay_both(&g, &script);
+        assert_eq!(traversed, [vec![true; 6], vec![false; 6]].concat());
+        assert_eq!(repaired, 5);
+    }
+
+    #[test]
+    fn a_refill_reconnects_a_region() {
+        // 0 ⇄ 1, and the cycle 2 → 3 → 4 → 2 apart: node 1 links to 2 as
+        // well, so 2, 3 and 4 join the touched sets of rows 0 and 1, and
+        // the cycle's rows, which never reached 1, stay as they were.
+        let g = graph(5, &[(0, 1, 1), (1, 0, 1), (2, 3, 1), (3, 4, 1), (4, 2, 1)]);
+        let mut script = read_all(5);
+        script.push(Move(1, &[(0, 1), (2, 1)], &[]));
+        script.extend(read_all(5));
+        let (traversed, repaired) = replay_both(&g, &script);
+        assert_eq!(traversed, [vec![true; 5], vec![false; 5]].concat());
+        assert_eq!(repaired, 2);
+    }
+
+    #[test]
+    fn a_move_to_the_empty_strategy_leaves_the_mover_alone() {
+        // 0 → 1 → 2 → 3 → 0 and 2 → 4: node 2 drops every link, so its own
+        // row reaches only itself, rows 0 and 1 lose 3 and 4, and row 3
+        // loses 4. A patch after the refill finds the rows it drops valid
+        // (0, 1 and 3), so the first read of one repairs it by cut and
+        // traverses only the patched node's row on the way.
+        let g = graph(5, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (2, 4, 1)]);
+        let mut script = read_all(5);
+        script.push(Move(2, &[], &[]));
+        script.extend(read_all(5));
+        script.push(Patch(1, &[(0, 1)]));
+        script.extend(read_all(5));
+        let (traversed, repaired) = replay_both(&g, &script);
+        let after_patch = vec![true, false, false, false, false];
+        assert_eq!(
+            traversed,
+            [vec![true; 5], vec![false; 5], after_patch].concat()
+        );
+        // Rows 0, 1, 2 and 3 are refilled, then rows 0 and 3 repaired.
+        assert_eq!(repaired, 4 + 2);
+    }
+
+    #[test]
+    fn weighted_ties_refill_exactly() {
+        // The tie graph of `weighted_ties_repair_exactly`, moved by walks.
+        // One stage lacks row 0, as if 2 could not afford 0: that row is
+        // repaired by cut from the refilled mover row, so no read after a
+        // move traverses.
+        let g = graph(
+            7,
+            &[
+                (0, 1, 1),
+                (0, 2, 2),
+                (1, 3, 3),
+                (2, 3, 2),
+                (3, 5, 3),
+                (1, 5, 6),
+                (1, 6, 4),
+                (6, 4, 1),
+                (3, 4, 2),
+            ],
+        );
+        assert!(!g.is_unit_length());
+        let mut script = read_all(7);
+        for step in [
+            // Drop 1's tied arc to 3 and its only route to 6.
+            Move(1, &[(5, 6)], &[]),
+            // Drop 2's arc to 3, with row 0 outside the stage.
+            Move(2, &[(4, 9)], &[0]),
+            // Restore a tie through 1 and a cheaper route to 6.
+            Move(1, &[(3, 1), (5, 6), (6, 1)], &[]),
+        ] {
+            script.push(step);
+            script.extend(read_all(7));
+        }
+        let (traversed, repaired) = replay_both(&g, &script);
+        assert_eq!(traversed, [vec![true; 7], vec![false; 21]].concat());
+        // Only row 0 reaches a mover: each move refills the mover's row and
+        // row 0, except that 2's repairs row 0 by cut.
+        assert_eq!(repaired, 6);
     }
 }

@@ -635,6 +635,79 @@ proptest! {
     }
 }
 
+proptest! {
+    #[test]
+    fn moves_after_their_own_search_match_fresh_builds(
+        use_weighted in proptest::bool::ANY,
+        uniform in arb_uniform_instance(),
+        weighted in arb_weighted_instance(),
+        departures in proptest::collection::vec(any::<u64>(), 0..3),
+        script in proptest::collection::vec(
+            (any::<u64>(), any::<u64>(), proptest::bool::ANY),
+            1..8,
+        ),
+    ) {
+        // Each step searches a live node and moves it at once, to its best
+        // response or to a random valid strategy, as a walk or a daemon
+        // client does. The patch then refills the rows it drops from that
+        // search's staged rows, and leaves the dropped rows the stage lacks
+        // (candidates the mover cannot afford) to the cut repair; a search
+        // served from the memo leaves them all to it. Every deviation row,
+        // and every cost, must equal a fresh build's, with and without
+        // departed peers.
+        let (spec, cfg) = if use_weighted { weighted } else { uniform };
+        let options = BestResponseOptions::default();
+        let tiers: &[RowTier] = match RowTier::auto(&spec) {
+            RowTier::I16 => &[RowTier::I16, RowTier::U64],
+            RowTier::U64 => &[RowTier::U64],
+        };
+        for &tier in tiers {
+            let mut engine =
+                DistanceEngine::with_tier(&spec, cfg.clone(), tier).expect("the tier fits");
+            for &sel in &departures {
+                if engine.live_count() > 2 {
+                    let i = (sel % engine.live_count() as u64) as usize;
+                    let u = engine.live_nodes().nth(i).expect("live index");
+                    engine.remove_node(u).expect("live node departs");
+                }
+            }
+            for (step, &(node_sel, seed, best)) in script.iter().enumerate() {
+                let i = (node_sel % engine.live_count() as u64) as usize;
+                let u = engine.live_nodes().nth(i).expect("live index");
+                let out = engine.best_response(u, &options).expect("search fits");
+                let strategy = if best {
+                    out.best_strategy
+                } else {
+                    seeded_live_strategy(&spec, &engine, u, seed)
+                };
+                engine.apply_strategy(u, strategy).expect("the strategy validates");
+                let mut fresh = DistanceEngine::with_membership_tier(
+                    &spec,
+                    engine.config().clone(),
+                    engine.live_set(),
+                    tier,
+                )
+                .expect("engine state is always a valid membership");
+                let live: Vec<NodeId> = engine.live_nodes().collect();
+                for &v in &live {
+                    for &c in live.iter().filter(|&&c| c != v) {
+                        prop_assert_eq!(
+                            engine.deviation_row(v, c),
+                            fresh.deviation_row(v, c),
+                            "{:?} after step {}: deviation row ({}, {})", tier, step, v, c
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    engine.node_costs(),
+                    fresh.node_costs(),
+                    "{:?} after step {}", tier, step
+                );
+            }
+        }
+    }
+}
+
 // ===== cross-width differential: i16 tier vs u64 tier ===================
 //
 // The i16 row kernel's contract is byte-identity, not approximation: every

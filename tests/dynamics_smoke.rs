@@ -24,17 +24,18 @@ fn fixed_seed_walk_trajectory_is_pinned() {
     assert_eq!(walk.stats().moves, 1_914);
     assert_eq!(social_cost(&spec, walk.config()), 1_479);
     // Effort counters are pure functions of the inputs too. On this dense
-    // game every move invalidates nearly every base row, and the next step
-    // repairs about 22 of the 23 base rows its deviation rows derive from,
-    // traversing only the mover's.
+    // game every move invalidates nearly every base row, and since each
+    // move follows the mover's own search, its patch refills them all from
+    // that search's staged rows, the mover's own row included: only the
+    // first search traverses (its 23 candidates' rows).
     assert_eq!(
         walk.engine_stats(),
         EngineStats {
-            oracle_rows_computed: 1_936,
-            oracle_row_hits: 44_064,
+            oracle_rows_computed: 23,
+            oracle_row_hits: 45_977,
             outcome_hits: 0,
             searches_run: 2_000,
-            rows_invalidated: 44_071,
+            rows_invalidated: 45_912,
             patches_applied: 1_914,
             eval_rows_computed: 0,
             landmark_rows_computed: 0,
@@ -103,10 +104,11 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     // cycle detection, replayed through the engine so the summed search
     // effort is visible. Every test moves, and each move drops every base
     // row. The first search traverses all 511 rows its deviation rows
-    // derive from; each later one traverses only the mover's row and
-    // repairs the other 510 from their old values (511 + 7 traversals). A
-    // 512-peer search takes seconds without optimization, so debug builds
-    // skip this.
+    // derive from. Each move then refills the rows it drops, its own
+    // included, from the rows its search staged, so no later search
+    // traverses (511 traversals in all), and the costs that follow equal a
+    // fresh build's. A 512-peer search takes seconds without optimization,
+    // so debug builds skip this.
     if cfg!(debug_assertions) {
         return;
     }
@@ -132,11 +134,11 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     assert_eq!(
         engine.stats(),
         EngineStats {
-            oracle_rows_computed: 518,
-            oracle_row_hits: 3_570,
+            oracle_rows_computed: 511,
+            oracle_row_hits: 3_577,
             outcome_hits: 0,
             searches_run: 8,
-            rows_invalidated: 4_088,
+            rows_invalidated: 4_095,
             patches_applied: 8,
             eval_rows_computed: 0,
             landmark_rows_computed: 0,
@@ -147,4 +149,6 @@ fn overlay512_walk_prefix_effort_is_pinned() {
     let mut reg = bbc_obs::Registry::new();
     engine.publish_metrics(&mut reg);
     assert_eq!(reg.counter("engine/bound_recounts"), Some(270));
+    let mut fresh = DistanceEngine::new(&spec, engine.config().clone());
+    assert_eq!(engine.node_costs(), fresh.node_costs());
 }
